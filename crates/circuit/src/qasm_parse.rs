@@ -376,13 +376,15 @@ fn parse_gate(body: &str, line: usize) -> Result<Gate, QasmParseError> {
                 line,
                 message: "unterminated parameter list".into(),
             })?;
+            // Non-finite angles (`nan`, `inf`, or an overflowing `1e400`)
+            // would poison every downstream metric and simulation.
             let params = ptext
                 .split(',')
-                .map(|p| p.trim().parse::<f64>())
-                .collect::<Result<Vec<f64>, _>>()
-                .map_err(|_| QasmParseError::Syntax {
+                .map(|p| p.trim().parse::<f64>().ok().filter(|v| v.is_finite()))
+                .collect::<Option<Vec<f64>>>()
+                .ok_or_else(|| QasmParseError::Syntax {
                     line,
-                    message: format!("bad parameters `{ptext}`"),
+                    message: format!("bad parameters `{ptext}` (finite numbers expected)"),
                 })?;
             (n, params)
         }
@@ -572,6 +574,20 @@ mod tests {
         assert!(matches!(err, QasmParseError::Syntax { line: 2, .. }));
         let err = from_qasm("h q[0];\n").unwrap_err();
         assert!(matches!(err, QasmParseError::Register { .. }));
+    }
+
+    #[test]
+    fn non_finite_parameters_are_located_syntax_errors() {
+        for angle in ["nan", "inf", "-inf", "infinity", "1e400", "0.5, nan, 0.1"] {
+            let gate = if angle.contains(',') { "u3" } else { "rz" };
+            let text = format!("qreg q[1];\nh q[0];\n{gate}({angle}) q[0];\n");
+            let err = from_qasm(&text).unwrap_err();
+            assert!(
+                matches!(&err, QasmParseError::Syntax { line: 3, message } if message.contains("finite")),
+                "{angle}: {err:?}"
+            );
+        }
+        assert!(from_qasm("qreg q[1];\nrz(1e300) q[0];\n").is_ok(), "large finite angles parse");
     }
 
     #[test]

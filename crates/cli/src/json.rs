@@ -5,6 +5,12 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets one line of `[`
+/// overflow a daemon connection thread's stack; protocol documents nest a
+/// handful of levels.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 /// A JSON value, rendered via [`fmt::Display`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -50,7 +56,7 @@ impl Json {
     ///
     /// Returns a message naming the byte offset of the first error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         let value = p.value()?;
         p.skip_ws();
         if p.pos < p.bytes.len() {
@@ -95,6 +101,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -130,8 +138,15 @@ impl Parser<'_> {
             Some(b't') => self.eat("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -377,6 +392,17 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "{\"a\":}", "tru", "1 2", "{'a':1}", "nul"] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // A 300 KB line of '[' is an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(300_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(300_000)).is_err());
     }
 
     #[test]

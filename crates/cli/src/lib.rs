@@ -11,28 +11,28 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod job;
 pub mod json;
 pub mod pool;
 pub mod sections;
 pub mod serve;
 
 use std::fmt;
+use std::ops::Deref;
 use std::path::PathBuf;
 
-use autocomm::{
-    Ablation, AutoComm, AutoCommOptions, BufferPolicy, CompileResult, PlacementConfig,
-    PlacementReport,
-};
-use dqc_circuit::{from_qasm, unroll_circuit, Circuit, CircuitStats, Partition};
-use dqc_hardware::{HardwareSpec, NetworkTopology};
-use dqc_partition::{oee_partition, InteractionGraph};
+use autocomm::{CompileResult, PlacementReport};
+use dqc_circuit::{from_qasm, CircuitStats, Partition};
+use dqc_hardware::HardwareSpec;
 
+pub use crate::job::{resolve_topology, run_job, Compiled, Job, PartitionStrategy};
 use crate::json::Json;
 
 /// Everything that can go wrong while running the CLI.
 #[derive(Debug)]
 pub enum CliError {
-    /// Bad command line; the message is usage-style.
+    /// Bad command line or job configuration. The message is plain; the
+    /// `autocomm` binary appends [`USAGE`] when it prints one.
     Usage(String),
     /// The input file could not be read.
     Io(PathBuf, std::io::Error),
@@ -52,62 +52,27 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// How logical qubits are placed onto physical nodes
-/// (`--placement block|oee|topo`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PartitionStrategy {
-    /// Contiguous blocks of equal size (deterministic, layout-agnostic),
-    /// block `i` on node `i`.
-    Block,
-    /// The paper's Static Overall Extreme Exchange refinement, block `i`
-    /// on node `i` (the default; bit-identical to the pre-placement
-    /// pipeline).
-    Oee,
-    /// OEE plus the topology- and traffic-aware iterative placement driver:
-    /// re-weights the interaction graph with measured communication counts
-    /// and optimizes the block→node map until the hop-weighted EPR cost
-    /// stops improving (bounded by `--refine-iters`).
-    Topo,
-}
-
-impl PartitionStrategy {
-    /// The kebab-case flag value.
-    pub fn name(self) -> &'static str {
-        match self {
-            PartitionStrategy::Block => "block",
-            PartitionStrategy::Oee => "oee",
-            PartitionStrategy::Topo => "topo",
-        }
-    }
-}
-
-/// Parsed `autocomm compile` invocation.
+/// Parsed `autocomm compile` invocation: the job plus how to report it.
+/// Dereferences to its [`Job`], so `args.nodes` reads the job's field.
 #[derive(Clone, Debug)]
 pub struct CompileArgs {
     /// The OpenQASM-2 input file.
     pub file: PathBuf,
-    /// Number of hardware nodes.
-    pub nodes: usize,
-    /// Communication qubits per node (the paper's budget is 2).
-    pub comm_qubits: usize,
-    /// Interconnect topology spec: a name (`all-to-all`, `linear`, `ring`,
-    /// `star`, `grid`, `grid:RxC`) or a topology file path. `None` =
-    /// all-to-all, the paper's model.
-    pub topology: Option<String>,
-    /// Placement strategy (default: OEE, as in the paper).
-    pub strategy: PartitionStrategy,
-    /// Re-place + recompile rounds for `--placement topo` (default 3).
-    pub refine_iters: usize,
-    /// EPR buffering policy for the scheduler (`--buffer`; default
-    /// on-demand, the bit-identical legacy engine).
-    pub buffer: BufferPolicy,
-    /// Ablations applied to the full optimization set.
-    pub ablations: Vec<Ablation>,
     /// Emit JSON instead of the human-readable report.
     pub json: bool,
     /// Add a per-pass wall-clock `"timings"` object to the JSON report
     /// (`--timings`) — the profiling hook the benches and CI gates reuse.
     pub timings: bool,
+    /// What to compile for.
+    pub job: Job,
+}
+
+impl Deref for CompileArgs {
+    type Target = Job;
+
+    fn deref(&self) -> &Job {
+        &self.job
+    }
 }
 
 /// The usage text printed by `autocomm help` and on usage errors.
@@ -127,7 +92,8 @@ USAGE:
 
 OPTIONS:
     --nodes <N>          number of hardware nodes (required)
-    --comm-qubits <K>    communication qubits per node [default: 2]
+    --comm-qubits <K>    communication qubits per node, at most 1024
+                         [default: 2]
     --topology <T>       interconnect topology: all-to-all, linear, ring,
                          star, grid, grid:RxC, or a topology file path
                          [default: all-to-all]. Sparse topologies route
@@ -150,7 +116,6 @@ OPTIONS:
                          [default: on-demand]. Buffered schedules fall
                          back to on-demand when they do not strictly
                          improve the makespan
-    --partition <S>      legacy alias of --placement ('oee' or 'block')
     --ablation <A>       disable one optimization; repeatable and
                          comma-separable. One of: no-commute, cat-only,
                          plain-greedy, no-orient (paper Fig. 17)
@@ -199,176 +164,26 @@ impl CompileArgs {
     /// Returns [`CliError::Usage`] on unknown flags, malformed values, or a
     /// missing file/`--nodes`.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<CompileArgs, CliError> {
-        let mut file = None;
-        let mut nodes = None;
-        let mut comm_qubits = 2usize;
-        let mut topology = None;
-        let mut strategy = PartitionStrategy::Oee;
-        let mut refine_iters = 3usize;
-        let mut buffer = BufferPolicy::OnDemand;
-        let mut ablations = Vec::new();
-        let mut json = false;
-        let mut timings = false;
-
-        let usage = |msg: String| CliError::Usage(format!("{msg}\n\n{USAGE}"));
-        let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            let mut value_for =
-                |flag: &str| iter.next().ok_or_else(|| usage(format!("{flag} needs a value")));
-            match arg.as_str() {
-                "--buffer" => {
-                    let v = value_for("--buffer")?;
-                    buffer = parse_buffer(&v).map_err(usage)?;
-                }
-                "--nodes" => {
-                    let v = value_for("--nodes")?;
-                    nodes = Some(v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        usage(format!("--nodes: '{v}' is not a positive integer"))
-                    })?);
-                }
-                "--comm-qubits" => {
-                    let v = value_for("--comm-qubits")?;
-                    comm_qubits = v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                        usage(format!("--comm-qubits: '{v}' is not a positive integer"))
-                    })?;
-                }
-                "--topology" => topology = Some(value_for("--topology")?),
-                "--placement" | "--partition" => {
-                    let flag = arg.as_str();
-                    let v = value_for(flag)?;
-                    strategy = parse_strategy(flag, &v).map_err(usage)?;
-                }
-                "--refine-iters" => {
-                    let v = value_for("--refine-iters")?;
-                    refine_iters = v.parse::<usize>().map_err(|_| {
-                        usage(format!("--refine-iters: '{v}' is not a non-negative integer"))
-                    })?;
-                }
-                "--ablation" => {
-                    let v = value_for("--ablation")?;
-                    for name in v.split(',').filter(|s| !s.is_empty()) {
-                        let ablation = Ablation::parse(name).ok_or_else(|| {
-                            let known: Vec<&str> =
-                                Ablation::all().iter().map(|a| a.name()).collect();
-                            usage(format!(
-                                "--ablation: unknown ablation '{name}' (expected one of {})",
-                                known.join(", ")
-                            ))
-                        })?;
-                        if !ablations.contains(&ablation) {
-                            ablations.push(ablation);
-                        }
-                    }
-                }
+        let (mut file, mut json, mut timings) = (None, false, false);
+        let job = Job::from_args(args, |arg, _| {
+            match arg {
                 "--json" => json = true,
                 "--timings" => timings = true,
-                flag if flag.starts_with('-') => {
-                    return Err(usage(format!("unknown option '{flag}'")));
-                }
+                flag if flag.starts_with('-') => return Err(format!("unknown option '{flag}'")),
                 positional => {
                     if file.replace(PathBuf::from(positional)).is_some() {
-                        return Err(usage(format!(
+                        return Err(format!(
                             "unexpected extra argument '{positional}' (one input file expected)"
-                        )));
+                        ));
                     }
                 }
             }
-        }
-
-        Ok(CompileArgs {
-            file: file.ok_or_else(|| usage("missing <file.qasm> input".into()))?,
-            nodes: nodes.ok_or_else(|| usage("missing required --nodes <N>".into()))?,
-            comm_qubits,
-            topology,
-            strategy,
-            refine_iters,
-            buffer,
-            ablations,
-            json,
-            timings,
+            Ok(())
         })
+        .map_err(CliError::Usage)?;
+        let file = file.ok_or_else(|| CliError::Usage("missing <file.qasm> input".into()))?;
+        Ok(CompileArgs { file, json, timings, job })
     }
-}
-
-/// Parses a `--buffer` value (`on-demand`, `prefetch`, `prefetch:N`,
-/// `greedy`).
-pub(crate) fn parse_buffer(value: &str) -> Result<BufferPolicy, String> {
-    BufferPolicy::parse(value).ok_or_else(|| {
-        format!(
-            "--buffer: unknown policy '{value}' (expected 'on-demand', 'prefetch', \
-             'prefetch:N' with N >= 1, or 'greedy')"
-        )
-    })
-}
-
-/// The compiler for a flag set: ablations applied to the full optimization
-/// set, then the buffering policy threaded into the scheduler (so
-/// `--ablation plain-greedy --buffer prefetch:4` composes).
-pub(crate) fn compiler_for(ablations: &[Ablation], buffer: BufferPolicy) -> AutoComm {
-    let mut options =
-        ablations.iter().fold(AutoCommOptions::default(), |opts, &a| opts.with_ablation(a));
-    options.schedule.buffer = buffer;
-    AutoComm::with_options(options)
-}
-
-/// Parses a `--placement` (block/oee/topo) or legacy `--partition`
-/// (block/oee) value.
-pub(crate) fn parse_strategy(flag: &str, value: &str) -> Result<PartitionStrategy, String> {
-    match (flag, value) {
-        (_, "block") => Ok(PartitionStrategy::Block),
-        (_, "oee") => Ok(PartitionStrategy::Oee),
-        ("--placement", "topo") => Ok(PartitionStrategy::Topo),
-        ("--placement", other) => Err(format!(
-            "--placement: unknown strategy '{other}' (expected 'block', 'oee', or 'topo')"
-        )),
-        (_, other) => {
-            Err(format!("--partition: unknown strategy '{other}' (expected 'oee' or 'block')"))
-        }
-    }
-}
-
-/// Resolves a `--topology` spec: a known name (`linear`, `grid:2x3`, …) or
-/// a path to a topology file; `None` means the paper's all-to-all.
-///
-/// # Errors
-///
-/// [`CliError::Usage`] for unknown names or node-count mismatches;
-/// [`CliError::Io`] when a file path cannot be read.
-pub fn resolve_topology(spec: Option<&str>, nodes: usize) -> Result<NetworkTopology, CliError> {
-    let Some(spec) = spec else {
-        return Ok(NetworkTopology::all_to_all(nodes));
-    };
-    let path = std::path::Path::new(spec);
-    if path.is_file() {
-        let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.into(), e))?;
-        let topology = NetworkTopology::from_text(&text)
-            .map_err(|e| CliError::Usage(format!("--topology {spec}: {e}\n\n{USAGE}")))?;
-        if topology.num_nodes() != nodes {
-            return Err(CliError::Usage(format!(
-                "--topology {spec}: file covers {} node(s) but --nodes is {nodes}\n\n{USAGE}",
-                topology.num_nodes()
-            )));
-        }
-        Ok(topology)
-    } else {
-        NetworkTopology::parse_spec(spec, nodes)
-            .map_err(|e| CliError::Usage(format!("--topology: {e}\n\n{USAGE}")))
-    }
-}
-
-/// Builds the hardware model for parsed CLI arguments, surfacing
-/// validation failures (zero comm qubits, disconnected or mismatched
-/// topologies, missing relay budget) as usage errors.
-pub(crate) fn build_hardware(
-    partition: &Partition,
-    comm_qubits: usize,
-    topology_spec: Option<&str>,
-) -> Result<HardwareSpec, CliError> {
-    let topology = resolve_topology(topology_spec, partition.num_nodes())?;
-    HardwareSpec::for_partition(partition)
-        .with_comm_qubits(comm_qubits)
-        .and_then(|hw| hw.with_topology(topology))
-        .map_err(|e| CliError::Usage(format!("invalid hardware configuration: {e}\n\n{USAGE}")))
 }
 
 /// The compiled program plus everything the report needs.
@@ -390,11 +205,7 @@ pub struct CompileReport {
     pub result: CompileResult,
 }
 
-/// Parses, partitions, places, and compiles `args.file` end to end.
-///
-/// Every strategy funnels through the placement driver: `block` and `oee`
-/// run it with zero refinement rounds (bit-identical to the historical
-/// pipeline), `topo` iterates up to `--refine-iters` times.
+/// Reads and parses `args.file`, then compiles it with [`run_job`].
 ///
 /// # Errors
 ///
@@ -410,56 +221,13 @@ pub fn compile(args: CompileArgs) -> Result<CompileReport, CliError> {
         duration: parse_start.elapsed(),
         metric: Some(format!("{} gates from {} bytes of QASM", circuit.len(), text.len())),
     };
-    if circuit.num_qubits() < args.nodes {
-        return Err(CliError::Compile(format!(
-            "cannot spread {} qubits over {} nodes",
-            circuit.num_qubits(),
-            args.nodes
-        )));
-    }
-    let partition = build_partition(&circuit, args.nodes, args.strategy)?;
-    let hw = build_hardware(&partition, args.comm_qubits, args.topology.as_deref())?;
-    let config = placement_config(args.strategy, args.refine_iters);
-    let (mut result, placement) = compiler_for(&args.ablations, args.buffer)
-        .compile_placed(&circuit, &partition, &hw, &config)
-        .map_err(|e| CliError::Compile(e.to_string()))?;
+    let Compiled { stats, partition, hardware, placement, mut result } =
+        run_job(&circuit, &args.job)?;
     // The pipeline only sees the parsed circuit; the front-end parse time
     // is the CLI's to report, prepended so `--timings` and the passes
     // array cover the whole run.
     result.passes.insert(0, parse_report);
-    let partition = result.placement.partition().clone();
-    let stats = CircuitStats::of(&result.unrolled, Some(&partition));
-    Ok(CompileReport { args, stats, partition, hardware: hw, placement, result })
-}
-
-/// The driver bounds implied by the CLI strategy: only `topo` refines.
-pub(crate) fn placement_config(
-    strategy: PartitionStrategy,
-    refine_iters: usize,
-) -> PlacementConfig {
-    PlacementConfig {
-        refine_iters: match strategy {
-            PartitionStrategy::Topo => refine_iters,
-            _ => 0,
-        },
-        ..Default::default()
-    }
-}
-
-pub(crate) fn build_partition(
-    circuit: &Circuit,
-    nodes: usize,
-    strategy: PartitionStrategy,
-) -> Result<Partition, CliError> {
-    match strategy {
-        PartitionStrategy::Block => Partition::block(circuit.num_qubits(), nodes)
-            .map_err(|e| CliError::Compile(e.to_string())),
-        PartitionStrategy::Oee | PartitionStrategy::Topo => {
-            let unrolled = unroll_circuit(circuit).map_err(|e| CliError::Compile(e.to_string()))?;
-            let graph = InteractionGraph::from_circuit(&unrolled);
-            oee_partition(&graph, nodes).map_err(|e| CliError::Compile(e.to_string()))
-        }
-    }
+    Ok(CompileReport { args, stats, partition, hardware, placement, result })
 }
 
 impl CompileReport {
@@ -654,6 +422,8 @@ impl CompileReport {
 
 #[cfg(test)]
 mod tests {
+    use autocomm::Ablation;
+
     use super::*;
 
     fn parse(args: &[&str]) -> Result<CompileArgs, CliError> {
@@ -670,7 +440,7 @@ mod tests {
             "3",
             "--topology",
             "linear",
-            "--partition",
+            "--placement",
             "block",
             "--ablation",
             "no-commute,cat-only",
@@ -719,14 +489,13 @@ mod tests {
         let args = parse(&["c.qasm", "--nodes", "2", "--placement", "topo", "--refine-iters", "7"])
             .unwrap();
         assert_eq!(args.refine_iters, 7);
-        // The legacy --partition alias keeps its two historical values and
-        // does not grow 'topo'.
-        let args = parse(&["c.qasm", "--nodes", "2", "--partition", "block"]).unwrap();
-        assert_eq!(args.strategy, PartitionStrategy::Block);
-        assert!(matches!(
-            parse(&["c.qasm", "--nodes", "2", "--partition", "topo"]),
-            Err(CliError::Usage(_))
-        ));
+        // The removed legacy --partition alias is an unknown option.
+        for value in ["block", "oee"] {
+            assert!(matches!(
+                parse(&["c.qasm", "--nodes", "2", "--partition", value]),
+                Err(CliError::Usage(msg)) if msg.contains("unknown option '--partition'")
+            ));
+        }
         assert!(matches!(
             parse(&["c.qasm", "--nodes", "2", "--placement", "spectral"]),
             Err(CliError::Usage(_))
@@ -738,48 +507,26 @@ mod tests {
     }
 
     #[test]
-    fn topology_specs_resolve_by_name_and_file() {
-        assert_eq!(resolve_topology(None, 4).unwrap().name(), "all-to-all");
-        assert_eq!(resolve_topology(Some("ring"), 4).unwrap().diameter(), Some(2));
-        assert!(matches!(resolve_topology(Some("moebius"), 4), Err(CliError::Usage(_))));
-
-        let path = std::env::temp_dir().join(format!("autocomm-topo-{}.txt", std::process::id()));
-        std::fs::write(&path, "nodes 3\nlink 0 1\nlink 1 2\n").unwrap();
-        let spec = path.display().to_string();
-        let t = resolve_topology(Some(&spec), 3).unwrap();
-        assert_eq!(t.diameter(), Some(2));
-        // Node-count mismatch between file and --nodes is a usage error.
-        assert!(matches!(resolve_topology(Some(&spec), 4), Err(CliError::Usage(_))));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn invalid_hardware_is_a_usage_error() {
-        // One comm qubit cannot relay on a sparse topology (the satellite
-        // plumbing for Result-returning HardwareSpec validation).
-        let p = Partition::block(6, 3).unwrap();
-        let err = build_hardware(&p, 1, Some("linear")).unwrap_err();
-        match err {
-            CliError::Usage(msg) => assert!(msg.contains("communication qubits"), "{msg}"),
-            other => panic!("expected usage error, got {other:?}"),
-        }
-        assert!(build_hardware(&p, 1, None).is_ok(), "all-to-all works with one comm qubit");
-    }
-
-    #[test]
     fn rejects_bad_usage() {
         for bad in [
-            &["--nodes", "2"][..],                     // no file
-            &["c.qasm"][..],                           // no nodes
-            &["c.qasm", "--nodes", "0"][..],           // zero nodes
-            &["c.qasm", "--nodes", "x"][..],           // non-numeric
+            &["--nodes", "2"][..],           // no file
+            &["c.qasm"][..],                 // no nodes
+            &["c.qasm", "--nodes", "0"][..], // zero nodes
+            &["c.qasm", "--nodes", "x"][..], // non-numeric
+            &["c.qasm", "--nodes"][..],      // missing value
+            &["c.qasm", "--nodes", "2", "--comm-qubits", "0"][..],
             &["c.qasm", "--nodes", "2", "--frob"][..], // unknown flag
             &["a.qasm", "b.qasm", "--nodes", "2"][..], // two files
             &["c.qasm", "--nodes", "2", "--ablation", "bogus"][..],
-            &["c.qasm", "--nodes", "2", "--partition", "spectral"][..],
+            &["c.qasm", "--nodes", "2", "--placement", "spectral"][..],
         ] {
             assert!(matches!(parse(bad), Err(CliError::Usage(_))), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn usage_states_the_comm_qubit_cap() {
+        assert!(USAGE.contains(&format!("at most {}", job::MAX_COMM_QUBITS)));
     }
 
     #[test]

@@ -16,11 +16,13 @@ use dqc_cli::serve::{
 };
 use dqc_cli::{compile, CliError, CompileArgs, USAGE};
 
-fn exit_code(result: Result<(), CliError>) -> ExitCode {
+/// Exit code 0 on success, 2 with the usage text appended for usage
+/// errors, 1 otherwise.
+fn exit_code(result: Result<ExitCode, CliError>) -> ExitCode {
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(code) => code,
         Err(CliError::Usage(msg)) => {
-            eprintln!("{msg}");
+            eprintln!("{msg}\n\n{USAGE}");
             ExitCode::from(2)
         }
         Err(e) => {
@@ -32,58 +34,38 @@ fn exit_code(result: Result<(), CliError>) -> ExitCode {
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
+    let done = |()| ExitCode::SUCCESS;
     match args.next().as_deref() {
-        Some("compile") => match CompileArgs::parse(args).and_then(compile) {
-            Ok(report) => {
-                if report.args.json {
-                    println!("{}", report.to_json());
-                } else {
-                    print!("{}", report.to_text());
-                }
+        Some("compile") => exit_code(CompileArgs::parse(args).and_then(compile).map(|report| {
+            if report.args.json {
+                println!("{}", report.to_json());
+            } else {
+                print!("{}", report.to_text());
+            }
+            ExitCode::SUCCESS
+        })),
+        Some("batch") => exit_code(BatchArgs::parse(args).and_then(run_batch).map(|report| {
+            if report.args.json {
+                println!("{}", report.to_json());
+            } else {
+                print!("{}", report.to_text());
+            }
+            if report.failures() == 0 {
                 ExitCode::SUCCESS
-            }
-            Err(CliError::Usage(msg)) => {
-                eprintln!("{msg}");
-                ExitCode::from(2)
-            }
-            Err(e) => {
-                eprintln!("autocomm: {e}");
+            } else {
                 ExitCode::FAILURE
             }
-        },
-        Some("batch") => match BatchArgs::parse(args).and_then(run_batch) {
-            Ok(report) => {
-                if report.args.json {
-                    println!("{}", report.to_json());
-                } else {
-                    print!("{}", report.to_text());
-                }
-                if report.failures() == 0 {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(CliError::Usage(msg)) => {
-                eprintln!("{msg}");
-                ExitCode::from(2)
-            }
-            Err(e) => {
-                eprintln!("autocomm: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("serve") => exit_code(ServeArgs::parse(args).and_then(run_serve)),
-        Some("submit") => exit_code(SubmitArgs::parse(args).and_then(|a| run_submit(&a))),
-        Some("stats") => exit_code(parse_addr(args).and_then(|a| run_stats(&a))),
-        Some("shutdown") => exit_code(parse_addr(args).and_then(|a| run_shutdown(&a))),
+        })),
+        Some("serve") => exit_code(ServeArgs::parse(args).and_then(run_serve).map(done)),
+        Some("submit") => exit_code(SubmitArgs::parse(args).and_then(|a| run_submit(&a)).map(done)),
+        Some("stats") => exit_code(parse_addr(args).and_then(|a| run_stats(&a)).map(done)),
+        Some("shutdown") => exit_code(parse_addr(args).and_then(|a| run_shutdown(&a)).map(done)),
         Some("help") | Some("--help") | Some("-h") => {
             print!("{USAGE}");
             ExitCode::SUCCESS
         }
         Some(other) => {
-            eprintln!("autocomm: unknown command '{other}'\n\n{USAGE}");
-            ExitCode::from(2)
+            exit_code(Err(CliError::Usage(format!("autocomm: unknown command '{other}'"))))
         }
         None => {
             eprint!("{USAGE}");

@@ -6,7 +6,7 @@
 //! process around a **content-addressed artifact cache**: jobs arrive as
 //! newline-delimited JSON over a socket, are keyed by the circuit's
 //! 128-bit content hash ([`dqc_circuit::circuit_content_hash`]) plus
-//! every compilation-relevant flag, and repeat submissions are answered
+//! the decoded [`Job`], and repeat submissions are answered
 //! from the cache with the exact bytes a cold compile would produce
 //! (responses share their section builders with `compile --json`, see
 //! [`crate::sections`]).
@@ -38,19 +38,17 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use autocomm::{Ablation, ArtifactCircuitStats, ArtifactConfig, CompiledArtifact};
-use dqc_circuit::{circuit_content_hash, from_qasm, Circuit, CircuitStats};
-use dqc_hardware::BufferPolicy;
+use autocomm::{ArtifactCircuitStats, ArtifactConfig, CompiledArtifact};
+use dqc_circuit::{circuit_content_hash, from_qasm, Circuit};
 
+use crate::job::{positive, run_job, Compiled, Job};
 use crate::json::Json;
 use crate::pool::{catch_panic, WorkerPool};
 use crate::sections::{artifact_json, latency_json, pass_latency_json};
-use crate::{
-    build_hardware, build_partition, compiler_for, parse_buffer, parse_strategy, placement_config,
-    CliError, PartitionStrategy, USAGE,
-};
+use crate::CliError;
 
 /// Parsed `autocomm serve` invocation.
 #[derive(Clone, Debug)]
@@ -73,7 +71,7 @@ impl ServeArgs {
     ///
     /// Returns [`CliError::Usage`] on unknown flags or malformed values.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<ServeArgs, CliError> {
-        let usage = |msg: String| CliError::Usage(format!("{msg}\n\n{USAGE}"));
+        let usage = CliError::Usage;
         let mut port = 7878u16;
         let mut workers = default_workers();
         let mut cache_capacity = 256usize;
@@ -90,18 +88,12 @@ impl ServeArgs {
                         .map_err(|_| usage(format!("--port: '{v}' is not a port number")))?;
                 }
                 "--jobs" => {
-                    let v = value_for("--jobs")?;
-                    workers =
-                        v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                            usage(format!("--jobs: '{v}' is not a positive integer"))
-                        })?;
+                    workers = positive(&value_for("--jobs")?)
+                        .map_err(|e| usage(format!("--jobs: {e}")))?;
                 }
                 "--cache-cap" => {
-                    let v = value_for("--cache-cap")?;
-                    cache_capacity =
-                        v.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                            usage(format!("--cache-cap: '{v}' is not a positive integer"))
-                        })?;
+                    cache_capacity = positive(&value_for("--cache-cap")?)
+                        .map_err(|e| usage(format!("--cache-cap: {e}")))?;
                 }
                 "--port-file" => port_file = Some(PathBuf::from(value_for("--port-file")?)),
                 other => return Err(usage(format!("unknown option '{other}'"))),
@@ -113,122 +105,6 @@ impl ServeArgs {
 
 fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
-}
-
-/// One fully-specified compile job, as decoded from a request line.
-#[derive(Clone, Debug)]
-struct JobSpec {
-    qasm: String,
-    nodes: usize,
-    comm_qubits: usize,
-    topology: Option<String>,
-    strategy: PartitionStrategy,
-    refine_iters: usize,
-    buffer: BufferPolicy,
-    ablations: Vec<Ablation>,
-    verbose: bool,
-}
-
-impl JobSpec {
-    fn from_request(req: &Json) -> Result<JobSpec, String> {
-        let qasm = req
-            .get("qasm")
-            .and_then(Json::as_str)
-            .ok_or("compile request needs a 'qasm' string")?
-            .to_string();
-        let nodes =
-            usize_field(req, "nodes", None)?.ok_or("compile request needs a 'nodes' count")?;
-        if nodes == 0 {
-            return Err("'nodes' must be positive".to_string());
-        }
-        let comm_qubits = usize_field(req, "comm_qubits", Some(2))?.unwrap_or(2);
-        let topology = match req.get("topology") {
-            None | Some(Json::Null) => None,
-            Some(t) => Some(t.as_str().ok_or("'topology' must be a string")?.to_string()),
-        };
-        let strategy = match req.get("placement") {
-            None => PartitionStrategy::Oee,
-            Some(s) => {
-                let name = s.as_str().ok_or("'placement' must be a string")?;
-                parse_strategy("--placement", name)?
-            }
-        };
-        let refine_iters = usize_field(req, "refine_iters", Some(3))?.unwrap_or(3);
-        let buffer = match req.get("buffer") {
-            None => BufferPolicy::OnDemand,
-            Some(b) => parse_buffer(b.as_str().ok_or("'buffer' must be a string")?)?,
-        };
-        let mut ablations = Vec::new();
-        if let Some(list) = req.get("ablations") {
-            let Json::Array(items) = list else {
-                return Err("'ablations' must be an array of strings".to_string());
-            };
-            for item in items {
-                let name = item.as_str().ok_or("'ablations' must be an array of strings")?;
-                let ablation =
-                    Ablation::parse(name).ok_or_else(|| format!("unknown ablation '{name}'"))?;
-                if !ablations.contains(&ablation) {
-                    ablations.push(ablation);
-                }
-            }
-        }
-        let verbose = req.get("verbose").and_then(Json::as_bool).unwrap_or(false);
-        Ok(JobSpec {
-            qasm,
-            nodes,
-            comm_qubits,
-            topology,
-            strategy,
-            refine_iters,
-            buffer,
-            ablations,
-            verbose,
-        })
-    }
-
-    /// The content-addressed cache key: circuit hash + every flag that
-    /// changes compilation output. Label-free, so identical submissions
-    /// always coalesce. (The serving path goes through the QASM memo and
-    /// [`JobSpec::keyed`]; this parse-first spelling is the test oracle.)
-    #[cfg(test)]
-    fn cache_key(&self, circuit: &Circuit) -> String {
-        self.keyed(&circuit_content_hash(circuit).to_string())
-    }
-
-    /// [`JobSpec::cache_key`] with the circuit-hash half already known —
-    /// the warm path, where the hash comes from the QASM memo and the
-    /// circuit is never parsed.
-    fn keyed(&self, circuit_hash: &str) -> String {
-        let ablations = if self.ablations.is_empty() {
-            "-".to_string()
-        } else {
-            self.ablations.iter().map(|a| a.name()).collect::<Vec<_>>().join("+")
-        };
-        format!(
-            "{}:{}n:{}c:{}:{}:r{}:{}:{}",
-            circuit_hash,
-            self.nodes,
-            self.comm_qubits,
-            self.topology.as_deref().unwrap_or("all-to-all"),
-            self.strategy.name(),
-            self.refine_iters,
-            self.buffer.name(),
-            ablations
-        )
-    }
-}
-
-fn usize_field(req: &Json, key: &str, default: Option<usize>) -> Result<Option<usize>, String> {
-    match req.get(key) {
-        None => Ok(default),
-        Some(v) => {
-            let n = v.as_f64().ok_or_else(|| format!("'{key}' must be a number"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!("'{key}' must be a non-negative integer"));
-            }
-            Ok(Some(n as usize))
-        }
-    }
 }
 
 /// A cached compile: the artifact's canonical text plus the pre-rendered
@@ -478,46 +354,31 @@ impl ServiceState {
 /// the service latency log covers the whole front end.
 fn compile_entry(
     circuit: &Circuit,
-    spec: &JobSpec,
+    job: &Job,
     key: &str,
     parse_ms: f64,
 ) -> Result<CacheEntry, String> {
     let started = Instant::now();
-    if circuit.num_qubits() < spec.nodes {
-        return Err(format!(
-            "cannot spread {} qubits over {} nodes",
-            circuit.num_qubits(),
-            spec.nodes
-        ));
-    }
-    let partition =
-        build_partition(circuit, spec.nodes, spec.strategy).map_err(|e| e.to_string())?;
-    let hw = build_hardware(&partition, spec.comm_qubits, spec.topology.as_deref())
-        .map_err(|e| e.to_string())?;
-    let config = placement_config(spec.strategy, spec.refine_iters);
-    let (result, placement) = compiler_for(&spec.ablations, spec.buffer)
-        .compile_placed(circuit, &partition, &hw, &config)
-        .map_err(|e| e.to_string())?;
-    let final_partition = result.placement.partition().clone();
-    let stats = CircuitStats::of(&result.unrolled, Some(&final_partition));
+    let Compiled { stats, partition, hardware, placement, result } =
+        run_job(circuit, job).map_err(|e| e.to_string())?;
     let artifact = CompiledArtifact::capture(
         ArtifactConfig {
             key: key.to_string(),
-            nodes: spec.nodes,
-            comm_qubits: spec.comm_qubits,
-            strategy: spec.strategy.name().to_string(),
-            refine_iters: spec.refine_iters,
-            buffer: spec.buffer,
-            ablations: spec.ablations.clone(),
+            nodes: job.nodes,
+            comm_qubits: job.comm_qubits,
+            strategy: job.strategy.name().to_string(),
+            refine_iters: job.refine_iters,
+            buffer: job.buffer,
+            ablations: job.ablations.clone(),
             ..ArtifactConfig::default()
         },
         ArtifactCircuitStats {
-            qubits: final_partition.num_qubits(),
+            qubits: partition.num_qubits(),
             gates: stats.num_gates,
             two_qubit_gates: stats.num_2q,
             remote_cx: stats.num_remote_2q,
         },
-        &hw,
+        &hardware,
         &placement,
         &result,
     );
@@ -545,25 +406,29 @@ fn error_response(message: &str) -> String {
 /// parse → hash → cache lookup → (enqueue and) wait → respond.
 fn handle_compile(state: &Arc<ServiceState>, req: &Json) -> String {
     let started = Instant::now();
-    let spec = match JobSpec::from_request(req) {
-        Ok(spec) => spec,
+    let Some(qasm) = req.get("qasm").and_then(Json::as_str) else {
+        return error_response("compile request needs a 'qasm' string");
+    };
+    let job = match Job::from_json(req) {
+        Ok(job) => job,
         Err(msg) => return error_response(&msg),
     };
+    let verbose = req.get("verbose").and_then(Json::as_bool).unwrap_or(false);
     // Warm fast path: a memoized QASM text yields the content hash (and
     // so the cache key) without parsing the circuit at all.
     let mut parse_ms = 0.0f64;
-    let (key, mut circuit) = match state.hash_memo.get(&spec.qasm) {
-        Some(hash) => (spec.keyed(&hash), None),
+    let (key, mut circuit) = match state.hash_memo.get(qasm) {
+        Some(hash) => (job.key(&hash), None),
         None => {
             let parse_start = Instant::now();
-            let circuit = match from_qasm(&spec.qasm) {
+            let circuit = match from_qasm(qasm) {
                 Ok(c) => c,
                 Err(e) => return error_response(&format!("qasm: {e}")),
             };
             parse_ms = parse_start.elapsed().as_secs_f64() * 1e3;
             let hash = circuit_content_hash(&circuit).to_string();
-            state.hash_memo.insert(&spec.qasm, hash.clone());
-            (spec.keyed(&hash), Some(circuit))
+            state.hash_memo.insert(qasm, hash.clone());
+            (job.key(&hash), Some(circuit))
         }
     };
     let (outcome, waited) = match state.cache.begin(&key) {
@@ -576,7 +441,7 @@ fn handle_compile(state: &Arc<ServiceState>, req: &Json) -> String {
                 Some(c) => c,
                 None => {
                     let parse_start = Instant::now();
-                    match from_qasm(&spec.qasm) {
+                    match from_qasm(qasm) {
                         Ok(c) => {
                             parse_ms = parse_start.elapsed().as_secs_f64() * 1e3;
                             c
@@ -591,14 +456,13 @@ fn handle_compile(state: &Arc<ServiceState>, req: &Json) -> String {
             };
             state.queue_depth.fetch_add(1, Ordering::SeqCst);
             let job_state = Arc::clone(state);
-            let job_spec = spec.clone();
             let job_key = key.clone();
             state.pool.execute(move || {
                 // `catch_panic` (not just the pool's own hardening)
                 // guarantees the flight completes even if the compile
                 // panics — a hung flight would deadlock every coalesced
                 // waiter.
-                let result = catch_panic(|| compile_entry(&circuit, &job_spec, &job_key, parse_ms))
+                let result = catch_panic(|| compile_entry(&circuit, &job, &job_key, parse_ms))
                     .unwrap_or_else(|msg| Err(format!("compile panicked: {msg}")));
                 job_state.cache.complete(&job_key, result);
                 job_state.queue_depth.fetch_sub(1, Ordering::SeqCst);
@@ -619,7 +483,7 @@ fn handle_compile(state: &Arc<ServiceState>, req: &Json) -> String {
         }
         log.e2e_ms.push(e2e_ms);
     }
-    if !spec.verbose {
+    if !verbose {
         return entry.response.clone();
     }
     // Per-request service metadata is opt-in and spliced *around* the
@@ -789,12 +653,20 @@ pub fn serve_on(listener: TcpListener, args: ServeArgs) -> Result<(), CliError> 
         state.pool.workers(),
         args.cache_capacity
     );
-    let mut connections = Vec::new();
+    let mut connections: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if state.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Join finished connection threads as new ones arrive: an unjoined
+        // thread keeps part of its stack resident, so one connection per
+        // request would otherwise grow the daemon's memory without bound.
+        let (finished, live) = connections.into_iter().partition(JoinHandle::is_finished);
+        connections = live;
+        for connection in finished {
+            let _ = connection.join();
+        }
         let state = Arc::clone(&state);
         connections.push(std::thread::spawn(move || handle_connection(state, stream)));
     }
@@ -848,9 +720,9 @@ impl SubmitArgs {
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--addr" => {
-                    addr = iter.next().ok_or_else(|| {
-                        CliError::Usage(format!("--addr needs a value\n\n{USAGE}"))
-                    })?;
+                    addr = iter
+                        .next()
+                        .ok_or_else(|| CliError::Usage("--addr needs a value".into()))?;
                 }
                 "--verbose" => verbose = true,
                 _ => rest.push(arg),
@@ -869,22 +741,16 @@ impl SubmitArgs {
         let c = &self.compile;
         let qasm = std::fs::read_to_string(&c.file).map_err(|e| CliError::Io(c.file.clone(), e))?;
         let mut fields = vec![
-            ("op", Json::string("compile")),
-            ("qasm", Json::string(qasm)),
-            ("nodes", Json::number(c.nodes as f64)),
-            ("comm_qubits", Json::number(c.comm_qubits as f64)),
+            ("op".to_string(), Json::string("compile")),
+            ("qasm".to_string(), Json::string(qasm)),
         ];
-        if let Some(topology) = &c.topology {
-            fields.push(("topology", Json::string(topology.clone())));
+        if let Json::Object(job) = c.job.to_json() {
+            fields.extend(job);
         }
-        fields.push(("placement", Json::string(c.strategy.name())));
-        fields.push(("refine_iters", Json::number(c.refine_iters as f64)));
-        fields.push(("buffer", Json::string(c.buffer.name())));
-        fields.push(("ablations", Json::array(c.ablations.iter().map(|a| Json::string(a.name())))));
         if self.verbose {
-            fields.push(("verbose", Json::Bool(true)));
+            fields.push(("verbose".to_string(), Json::Bool(true)));
         }
-        Ok(Json::object(fields).to_string())
+        Ok(Json::Object(fields).to_string())
     }
 }
 
@@ -976,13 +842,9 @@ pub fn parse_addr<I: IntoIterator<Item = String>>(args: I) -> Result<String, Cli
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--addr" => {
-                addr = iter
-                    .next()
-                    .ok_or_else(|| CliError::Usage(format!("--addr needs a value\n\n{USAGE}")))?;
+                addr = iter.next().ok_or_else(|| CliError::Usage("--addr needs a value".into()))?;
             }
-            other => {
-                return Err(CliError::Usage(format!("unknown option '{other}'\n\n{USAGE}")));
-            }
+            other => return Err(CliError::Usage(format!("unknown option '{other}'"))),
         }
     }
     Ok(addr)
@@ -1090,65 +952,26 @@ mod tests {
     }
 
     #[test]
-    fn job_spec_parses_defaults_and_rejects_garbage() {
-        let req = Json::parse(r#"{"op":"compile","qasm":"qreg q[4];","nodes":2}"#).unwrap();
-        let spec = JobSpec::from_request(&req).unwrap();
-        assert_eq!(spec.nodes, 2);
-        assert_eq!(spec.comm_qubits, 2);
-        assert_eq!(spec.strategy, PartitionStrategy::Oee);
-        assert_eq!(spec.refine_iters, 3);
-        assert_eq!(spec.buffer, BufferPolicy::OnDemand);
-        assert!(spec.ablations.is_empty());
-        assert!(!spec.verbose);
-
-        for bad in [
-            r#"{"op":"compile","nodes":2}"#,
-            r#"{"op":"compile","qasm":"x","nodes":0}"#,
-            r#"{"op":"compile","qasm":"x"}"#,
-            r#"{"op":"compile","qasm":"x","nodes":2,"placement":"mystery"}"#,
-            r#"{"op":"compile","qasm":"x","nodes":2,"ablations":["nope"]}"#,
-            r#"{"op":"compile","qasm":"x","nodes":2.5}"#,
+    fn submit_request_decodes_to_the_argv_job() {
+        let qasm =
+            std::env::temp_dir().join(format!("autocomm-submit-{}.qasm", std::process::id()));
+        std::fs::write(&qasm, "qreg q[4];\ncx q[0], q[2];\n").unwrap();
+        let file = qasm.display().to_string();
+        // Every job setting is set away from its default at least once.
+        for flags in [
+            &["--nodes", "2"][..],
+            &["--nodes", "4", "--comm-qubits", "3", "--topology", "grid:2x2"][..],
+            &["--nodes", "3", "--placement", "topo", "--refine-iters", "0"][..],
+            &["--nodes", "2", "--placement", "block", "--buffer", "prefetch:8"][..],
+            &["--nodes", "2", "--buffer", "greedy", "--ablation", "plain-greedy,no-commute"][..],
+            &["--nodes", "2", "--ablation", "cat-only", "--ablation", "no-orient", "--verbose"][..],
         ] {
-            let req = Json::parse(bad).unwrap();
-            assert!(JobSpec::from_request(&req).is_err(), "accepted: {bad}");
+            let argv = std::iter::once(file.clone()).chain(flags.iter().map(|s| s.to_string()));
+            let args = SubmitArgs::parse(argv).unwrap();
+            let request = Json::parse(&args.request_line().unwrap()).unwrap();
+            assert_eq!(Job::from_json(&request).unwrap(), args.compile.job, "{flags:?}");
         }
-    }
-
-    #[test]
-    fn cache_key_separates_every_flag_and_ignores_labels() {
-        let base = Json::parse(r#"{"op":"compile","qasm":"qreg q[4];\ncx q[0], q[2];","nodes":2}"#)
-            .unwrap();
-        let spec = JobSpec::from_request(&base).unwrap();
-        let circuit = from_qasm(&spec.qasm).unwrap();
-        let key = spec.cache_key(&circuit);
-        // Same job → same key.
-        assert_eq!(JobSpec::from_request(&base).unwrap().cache_key(&circuit), key);
-        // Any flag change → different key.
-        let with_field = |key: &str, value: Json| {
-            let mut req = base.clone();
-            if let Json::Object(fields) = &mut req {
-                match fields.iter_mut().find(|(k, _)| k == key) {
-                    Some(slot) => slot.1 = value,
-                    None => fields.push((key.to_string(), value)),
-                }
-            }
-            req
-        };
-        for (field, value) in [
-            ("nodes", Json::number(4.0)),
-            ("comm_qubits", Json::number(3.0)),
-            ("topology", Json::string("linear")),
-            ("placement", Json::string("topo")),
-            ("refine_iters", Json::number(5.0)),
-            ("buffer", Json::string("prefetch:4")),
-            ("ablations", Json::array([Json::string("cat-only")])),
-        ] {
-            let other = JobSpec::from_request(&with_field(field, value)).unwrap();
-            assert_ne!(other.cache_key(&circuit), key, "{field} ignored by key");
-        }
-        // A different circuit with the same flags → different key.
-        let other = from_qasm("qreg q[4];\ncx q[1], q[2];").unwrap();
-        assert_ne!(spec.cache_key(&other), key);
+        std::fs::remove_file(&qasm).ok();
     }
 
     /// Full in-process service loop: serve on an ephemeral port, submit

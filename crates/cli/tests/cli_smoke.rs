@@ -230,9 +230,8 @@ fn topo_placement_reduces_epr_cost_on_sparse_topologies() {
 }
 
 #[test]
-fn oee_placement_is_bit_identical_to_the_legacy_partition_flag() {
-    // --placement oee and the legacy --partition oee are the same pipeline;
-    // both must match the default exactly, on sparse topologies too.
+fn oee_placement_is_bit_identical_to_the_default() {
+    // --placement oee is the default pipeline, on sparse topologies too.
     let path = qasm_fixture("place-oee", &dqc_workloads::qft(12));
     let file = path.to_str().unwrap();
     let default = run(&["compile", file, "--nodes", "4", "--topology", "linear", "--json"]);
@@ -247,24 +246,11 @@ fn oee_placement_is_bit_identical_to_the_legacy_partition_flag() {
         "oee",
         "--json",
     ]);
-    let legacy = run(&[
-        "compile",
-        file,
-        "--nodes",
-        "4",
-        "--topology",
-        "linear",
-        "--partition",
-        "oee",
-        "--json",
-    ]);
-    assert!(default.status.success() && placement.status.success() && legacy.status.success());
+    assert!(default.status.success() && placement.status.success());
     let default = String::from_utf8(default.stdout).unwrap();
     let placement = String::from_utf8(placement.stdout).unwrap();
-    let legacy = String::from_utf8(legacy.stdout).unwrap();
     for key in ["total_comms", "tp_comms", "epr_cost", "epr_pairs", "makespan", "swaps"] {
         assert_eq!(json_number(&default, key), json_number(&placement, key), "{key}");
-        assert_eq!(json_number(&default, key), json_number(&legacy, key), "{key}");
     }
     std::fs::remove_file(path).ok();
 }
@@ -371,23 +357,19 @@ fn bad_buffer_policy_is_a_usage_error() {
 }
 
 #[test]
-fn legacy_partition_alias_warns_exactly_once_per_batch() {
-    // The suite has six programs; the deprecation warning must appear once
-    // per batch, not once per file.
-    let out = run(&["batch", "--suite", "--nodes", "4", "--partition", "oee", "--jobs", "2"]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    let warnings = stderr.matches("legacy alias").count();
-    assert_eq!(warnings, 1, "expected exactly one deprecation warning, got:\n{stderr}");
-    assert!(stderr.contains("--placement oee"), "warning names the replacement: {stderr}");
-
-    // The modern flag stays silent.
-    let out = run(&["batch", "--suite", "--nodes", "4", "--placement", "oee", "--jobs", "2"]);
-    assert!(out.status.success());
-    assert!(
-        !String::from_utf8_lossy(&out.stderr).contains("legacy alias"),
-        "--placement must not warn"
-    );
+fn removed_partition_alias_is_a_usage_error() {
+    let path = qasm_fixture("partition-alias", &dqc_workloads::bv(9));
+    for argv in [
+        &["compile", path.to_str().unwrap(), "--nodes", "3", "--partition", "oee"][..],
+        &["batch", "--suite", "--nodes", "4", "--partition", "block"][..],
+    ] {
+        let out = run(argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option '--partition'"), "{stderr}");
+        assert!(stderr.contains("USAGE"), "{stderr}");
+    }
+    std::fs::remove_file(path).ok();
 }
 
 #[test]

@@ -223,3 +223,97 @@ fn submit_and_stats_clients_round_trip_the_binary() {
     assert_eq!(out.status.code(), Some(1));
     std::fs::remove_file(&qasm).ok();
 }
+
+fn compile_request(extra: &[(&str, Json)]) -> String {
+    let mut fields = vec![
+        ("op", Json::string("compile")),
+        ("qasm", Json::string(dqc_circuit::to_qasm(&dqc_workloads::qft(8)))),
+        ("nodes", Json::number(4.0)),
+    ];
+    fields.extend(extra.iter().cloned());
+    Json::object(fields).to_string()
+}
+
+fn error_message(response: &str) -> String {
+    let parsed = Json::parse(response).expect("response parse");
+    assert_eq!(parsed.get("status").and_then(Json::as_str), Some("error"), "{response}");
+    parsed.get("message").and_then(Json::as_str).expect("message").to_string()
+}
+
+#[test]
+fn hostile_requests_get_error_responses_and_the_daemon_stays_up() {
+    let daemon = Daemon::start("hostile");
+    let addr = daemon.addr.as_str();
+
+    // 300 KB of '[' used to overflow the parser's recursion and abort the
+    // whole daemon.
+    let deep = roundtrip(addr, &"[".repeat(300_000)).expect("error response");
+    assert!(error_message(&deep).contains("nesting"), "{deep}");
+    assert_eq!(stat(addr, "cache_misses"), 0.0);
+
+    // A ~100-byte request used to ask the scheduler for an 800 GB
+    // allocation.
+    let huge = roundtrip(addr, &compile_request(&[("comm_qubits", Json::number(1e11))]))
+        .expect("error response");
+    assert!(error_message(&huge).contains("exceeds the limit"), "{huge}");
+
+    // The daemon still compiles normally afterwards.
+    let ok = roundtrip(addr, &compile_request(&[])).expect("response");
+    assert!(ok.contains("\"status\":\"ok\""), "{ok}");
+}
+
+#[test]
+fn error_responses_carry_short_messages_without_usage_text() {
+    let daemon = Daemon::start("short-errors");
+    let addr = daemon.addr.as_str();
+    for extra in [
+        // Rejected while decoding the job.
+        ("topology", Json::string("moebius")),
+        // Named, but wrong for 4 nodes: rejected inside the compile.
+        ("topology", Json::string("grid:3x3")),
+        ("placement", Json::string("spectral")),
+    ] {
+        let response =
+            roundtrip(addr, &compile_request(std::slice::from_ref(&extra))).expect("response");
+        let message = error_message(&response);
+        assert!(!message.contains("USAGE"), "usage text in {response}");
+        assert!(response.len() < 300, "{} bytes: {response}", response.len());
+    }
+    // An infeasible hardware configuration fails in the compile too.
+    let relay = compile_request(&[
+        ("topology", Json::string("linear")),
+        ("comm_qubits", Json::number(1.0)),
+    ]);
+    let response = roundtrip(addr, &relay).expect("response");
+    assert!(error_message(&response).contains("communication qubits"), "{response}");
+    assert!(response.len() < 300, "{} bytes: {response}", response.len());
+}
+
+#[test]
+fn topology_files_are_rejected_instead_of_served_stale() {
+    // The key holds the topology spec string, not the file's contents, so
+    // a daemon that read topology files answered a rewritten file with
+    // the artifact of its old contents. Wire topologies are names only.
+    let daemon = Daemon::start("topology-file");
+    let addr = daemon.addr.as_str();
+    let topo = std::env::temp_dir().join(format!("autocomm-e2e-topo-{}.txt", std::process::id()));
+    std::fs::write(&topo, "nodes 4\nlink 0 1\nlink 1 2\nlink 2 3\n").unwrap();
+    let request = compile_request(&[("topology", Json::string(topo.display().to_string()))]);
+    let response = roundtrip(addr, &request).expect("response");
+    assert!(error_message(&response).contains("does not read topology files"), "{response}");
+    assert_eq!(stat(addr, "cache_entries"), 0.0, "nothing cached for a file topology");
+
+    // `submit` ships the same spec, so it fails as a service error (exit 1).
+    let qasm = std::env::temp_dir().join(format!("autocomm-e2e-topo-{}.qasm", std::process::id()));
+    std::fs::write(&qasm, dqc_circuit::to_qasm(&dqc_workloads::qft(8))).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_autocomm"))
+        .args(["submit", qasm.to_str().unwrap(), "--nodes", "4", "--addr", addr])
+        .arg("--topology")
+        .arg(&topo)
+        .output()
+        .expect("submit client runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("does not read topology files"));
+    std::fs::remove_file(&topo).ok();
+    std::fs::remove_file(&qasm).ok();
+}

@@ -281,6 +281,26 @@ impl NetworkTopology {
         self.next = next;
     }
 
+    /// Whether `spec` is one of the names [`NetworkTopology::parse_spec`]
+    /// understands (a `grid:` prefix counts; its dimensions are checked
+    /// when the spec is parsed against a node count). Anything else can
+    /// only be a topology file path.
+    pub fn is_named_spec(spec: &str) -> bool {
+        matches!(
+            spec,
+            "all-to-all"
+                | "all_to_all"
+                | "full"
+                | "linear"
+                | "line"
+                | "chain"
+                | "ring"
+                | "cycle"
+                | "star"
+                | "grid"
+        ) || spec.starts_with("grid:")
+    }
+
     /// Parses a CLI-facing topology spec string for a machine of
     /// `num_nodes` nodes: `all-to-all`, `linear`, `ring`, `star`, `grid`
     /// (most-square factorization of `num_nodes`), or `grid:RxC`.
@@ -616,6 +636,30 @@ mod tests {
         assert_eq!(NetworkTopology::parse_spec("grid:2x2", 4).unwrap().num_nodes(), 4);
         assert!(NetworkTopology::parse_spec("grid:2x3", 4).is_err());
         assert!(NetworkTopology::parse_spec("moebius", 4).is_err());
+    }
+
+    #[test]
+    fn named_specs_are_exactly_the_parseable_names() {
+        for name in [
+            "all-to-all",
+            "all_to_all",
+            "full",
+            "linear",
+            "line",
+            "chain",
+            "ring",
+            "cycle",
+            "star",
+            "grid",
+            "grid:2x2",
+        ] {
+            assert!(NetworkTopology::is_named_spec(name), "{name}");
+            assert!(NetworkTopology::parse_spec(name, 4).is_ok(), "{name}");
+        }
+        for other in ["moebius", "/tmp/t.txt", "topo.txt", "Linear", ""] {
+            assert!(!NetworkTopology::is_named_spec(other), "{other}");
+            assert!(NetworkTopology::parse_spec(other, 4).is_err(), "{other}");
+        }
     }
 
     #[test]

@@ -118,6 +118,7 @@ fn chunked_parse_matches_sequential_on_errors() {
         ("unsupported gate", "frobnicate q[0];\n"),
         ("bad register", "qreg r[4];\n"),
         ("garbage", "%%%;\n"),
+        ("non-finite parameter", "rz(inf) q[0];\n"),
     ] {
         let mut text = adversarial_qasm(PAR_THRESHOLD);
         // Inject the fault mid-program, then append a *different*,
