@@ -23,7 +23,12 @@
 //!   (the ratio needs a second core; identity is asserted regardless);
 //! * **Fanned orient/unroll** — the par-mapped [`unroll_circuit`] and
 //!   [`orient_symmetric_gates`] paths must match their sequential rails
-//!   gate for gate.
+//!   gate for gate;
+//! * **Wide aggregation** — unrolled `qft(128)` over an 8-node block
+//!   partition (more than 64 wires, so the walk's wire summaries span
+//!   several words) must match the materialized-DAG rail; its block and
+//!   item counts and the walk's `visited`/`skipped` counters go to the
+//!   baseline.
 //!
 //! Timings go to stderr (they vary per machine); stdout carries only
 //! deterministic structure counts and memory counters.
@@ -39,7 +44,7 @@ use dqc_circuit::{
     from_qasm, from_qasm_sequential, to_qasm, unroll_circuit, unroll_circuit_sequential, Circuit,
     ConflictScan, Gate, Partition, QubitId,
 };
-use dqc_workloads::random_distributed_circuit;
+use dqc_workloads::{qft, random_distributed_circuit};
 
 /// A diagonal-heavy distributed circuit (QAOA-like): long runs of mutually
 /// commuting `rz`/`rzz` gates fenced by an `h` layer every `fence` gates,
@@ -235,6 +240,22 @@ fn main() {
     let oriented_seq = orient_symmetric_gates_sequential(&circuit, &partition);
     assert_eq!(oriented, oriented_seq, "fanned orient drifted from the sequential rail");
 
+    // ── Rail 5: aggregation over more than 64 wires ────────────────────
+    let wide = unroll_circuit(&qft(128)).expect("qft unrolls");
+    let wide_partition = Partition::block(128, 8).expect("8-node block partition");
+    let wide_ir = CommIr::build(&wide, &wide_partition);
+    let (wide_ms, (wide_prog, wide_stats)) =
+        timed(3, || aggregate_ir_with_stats(Arc::new(wide_ir.clone()), streaming_opts));
+    let (wide_materialized, _) =
+        aggregate_ir_with_stats(Arc::new(wide_ir.clone()), materialized_opts);
+    assert_eq!(wide_prog, wide_materialized, "wide aggregation drifted from the DAG rail");
+    eprintln!(
+        "wide aggregation ({} gates, 128 qubits): {wide_ms:.1} ms, {} visited, {} skipped",
+        wide.len(),
+        wide_stats.visited,
+        wide_stats.skipped
+    );
+
     // Deterministic JSON, diffed against the recorded baseline by CI
     // (which runs this binary under --quick; the baseline records the
     // --quick stdout).
@@ -249,6 +270,15 @@ fn main() {
          true, \"streaming_leaves_dag_lazy\": true}},",
         streaming_prog.block_count(),
         streaming_prog.items().len()
+    );
+    println!(
+        "  \"wide_aggregation\": {{\"qubits\": 128, \"nodes\": 8, \"gates\": {}, \"blocks\": {}, \
+         \"items\": {}, \"visited\": {}, \"skipped\": {}}},",
+        wide.len(),
+        wide_prog.block_count(),
+        wide_prog.items().len(),
+        wide_stats.visited,
+        wide_stats.skipped
     );
     println!(
         "  \"working_set\": {{\"peak_tracked_entries\": {}, \"tracked_entry_bound\": {}, \

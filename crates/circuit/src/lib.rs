@@ -73,7 +73,7 @@ pub use ids::{CBitId, NodeId, QubitId};
 pub use par::{par_map, worker_count, PAR_THRESHOLD};
 pub use partition::Partition;
 pub use qasm::to_qasm;
-pub use qasm_parse::{from_qasm, from_qasm_sequential, QasmParseError};
+pub use qasm_parse::{from_qasm, from_qasm_sequential, QasmParseError, MAX_REGISTER_WIDTH};
 pub use stats::{circuit_depth, CircuitStats};
 pub use table::{CommSummary, GateId, GateTable, WireClass};
 pub use unroll::{unroll_circuit, unroll_circuit_sequential, unroll_gate};

@@ -11,6 +11,14 @@ use std::fmt;
 
 use crate::{CBitId, Circuit, CircuitError, Gate, QubitId};
 
+/// The widest `qreg` or `creg` the parser accepts, and the bound on
+/// classical bit indices in `measure` and `if`. Register storage is
+/// allocated up front from the declared width, so wider declarations are
+/// rejected (as a located [`QasmParseError::Register`]) before anything is
+/// allocated. Four times the largest register any in-repo workload uses
+/// (the 4,096-qubit placement benchmark).
+pub const MAX_REGISTER_WIDTH: usize = 1 << 14;
+
 /// Errors produced while parsing OpenQASM text.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
@@ -214,8 +222,19 @@ struct Assembler {
 }
 
 impl Assembler {
-    fn feed(&mut self, stmt: LineStmt) -> Result<(), QasmParseError> {
+    fn feed(&mut self, stmt: LineStmt, line_no: usize) -> Result<(), QasmParseError> {
+        let too_wide = |what: String| QasmParseError::Register {
+            message: format!(
+                "{what} on line {line_no} exceeds the register limit of {MAX_REGISTER_WIDTH}"
+            ),
+        };
         match stmt {
+            LineStmt::Qreg(size) if size > MAX_REGISTER_WIDTH => {
+                return Err(too_wide(format!("qreg width {size}")));
+            }
+            LineStmt::Creg(size) if size > MAX_REGISTER_WIDTH => {
+                return Err(too_wide(format!("creg width {size}")));
+            }
             LineStmt::Qreg(size) => {
                 if self.circuit.is_some() {
                     return Err(QasmParseError::Register {
@@ -235,6 +254,9 @@ impl Assembler {
                     message: "statement before qreg declaration".into(),
                 })?;
                 for bit in [gate.cbit(), gate.condition()].into_iter().flatten() {
+                    if bit.index() >= MAX_REGISTER_WIDTH {
+                        return Err(too_wide(format!("classical bit c[{}]", bit.index())));
+                    }
                     circuit.ensure_cbits(bit.index() + 1);
                 }
                 circuit.push(gate)?;
@@ -243,11 +265,11 @@ impl Assembler {
         Ok(())
     }
 
-    fn feed_line(&mut self, parsed: ParsedLine) -> Result<(), QasmParseError> {
+    fn feed_line(&mut self, parsed: ParsedLine, line_no: usize) -> Result<(), QasmParseError> {
         match parsed {
             ParsedLine::Empty => Ok(()),
-            ParsedLine::One(stmt) => self.feed(stmt),
-            ParsedLine::Many(stmts) => stmts.into_iter().try_for_each(|s| self.feed(s)),
+            ParsedLine::One(stmt) => self.feed(stmt, line_no),
+            ParsedLine::Many(stmts) => stmts.into_iter().try_for_each(|s| self.feed(s, line_no)),
         }
     }
 
@@ -288,8 +310,8 @@ pub fn from_qasm(text: &str) -> Result<Circuit, QasmParseError> {
     }
     let parsed = crate::par_map(&lines, |&(idx, raw)| parse_line(raw, idx + 1));
     let mut asm = Assembler::default();
-    for result in parsed {
-        asm.feed_line(result?)?;
+    for (result, &(idx, _)) in parsed.into_iter().zip(&lines) {
+        asm.feed_line(result?, idx + 1)?;
     }
     asm.finish()
 }
@@ -306,7 +328,7 @@ pub fn from_qasm(text: &str) -> Result<Circuit, QasmParseError> {
 pub fn from_qasm_sequential(text: &str) -> Result<Circuit, QasmParseError> {
     let mut asm = Assembler::default();
     for (idx, raw) in text.lines().enumerate() {
-        asm.feed_line(parse_line(raw, idx + 1)?)?;
+        asm.feed_line(parse_line(raw, idx + 1)?, idx + 1)?;
     }
     asm.finish()
 }
@@ -620,6 +642,34 @@ mod tests {
                 "{text:?}: expected register error containing {needle:?}, got {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn oversized_registers_are_located_register_errors() {
+        let limit = MAX_REGISTER_WIDTH;
+        let wide = limit + 1;
+        for (text, needle) in [
+            ("qreg q[3000000000];\n".into(), "qreg width 3000000000 on line 1".into()),
+            (format!("qreg q[2];\ncreg c[{wide}];\n"), format!("creg width {wide} on line 2")),
+            ("qreg q[2];\ncreg c[3000000000];\n".into(), "on line 2".into()),
+            (
+                format!("qreg q[2];\nh q[0];\nmeasure q[0] -> c[{limit}];\n"),
+                format!("c[{limit}] on line 3"),
+            ),
+            (format!("qreg q[2];\nif (c[{wide}] == 1) x q[0];\n"), format!("c[{wide}] on line 2")),
+        ] {
+            let (text, needle): (String, String) = (text, needle);
+            for err in [from_qasm(&text).unwrap_err(), from_qasm_sequential(&text).unwrap_err()] {
+                assert!(
+                    matches!(&err, QasmParseError::Register { message } if message.contains(&needle)),
+                    "{text:?}: {err}"
+                );
+            }
+        }
+        // The limit itself is admitted.
+        let c = from_qasm(&format!("qreg q[{limit}];\nmeasure q[0] -> c[{}];\n", limit - 1));
+        let c = c.unwrap();
+        assert_eq!((c.num_qubits(), c.num_cbits()), (limit, limit));
     }
 
     #[test]

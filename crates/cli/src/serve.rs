@@ -33,7 +33,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -561,6 +561,12 @@ fn handle_line(state: &Arc<ServiceState>, line: &str) -> (String, bool) {
     }
 }
 
+/// The longest request line the daemon reads, newline excluded (a
+/// compile request for a 10k-gate program is a few hundred KB). A
+/// longer line gets an error response and its connection is closed, so a
+/// client cannot make the daemon buffer without bound.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+
 fn handle_connection(state: Arc<ServiceState>, stream: TcpStream) {
     // A short read timeout lets idle connections notice shutdown without
     // a dedicated waker per connection.
@@ -572,8 +578,20 @@ fn handle_connection(state: Arc<ServiceState>, stream: TcpStream) {
     let mut writer = stream;
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Partial bytes kept across read timeouts count against the cap.
+        let budget = (MAX_REQUEST_BYTES + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(budget).read_line(&mut line) {
             Ok(0) => break, // client closed
+            Ok(_) if line.len() > MAX_REQUEST_BYTES && !line.ends_with('\n') => {
+                let response = error_response(&format!(
+                    "request line exceeds the limit of {MAX_REQUEST_BYTES} bytes"
+                ));
+                let _ = writer
+                    .write_all(response.as_bytes())
+                    .and_then(|()| writer.write_all(b"\n"))
+                    .and_then(|()| writer.flush());
+                break;
+            }
             Ok(_) => {
                 let (response, close) = if line.trim().is_empty() {
                     (String::new(), false)

@@ -263,6 +263,27 @@ fn hostile_requests_get_error_responses_and_the_daemon_stays_up() {
 }
 
 #[test]
+fn over_long_request_lines_are_refused_and_the_daemon_stays_up() {
+    use std::io::{BufRead, BufReader, Write};
+    let daemon = Daemon::start("overlong");
+    let addr = daemon.addr.as_str();
+
+    // One byte over the cap, with no newline in sight: the daemon must
+    // answer and hang up instead of buffering the line.
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
+    let line = vec![b'['; dqc_cli::serve::MAX_REQUEST_BYTES + 1];
+    stream.write_all(&line).expect("send");
+    let mut response = String::new();
+    BufReader::new(&stream).read_line(&mut response).expect("error response");
+    assert!(error_message(response.trim_end()).contains("exceeds the limit"), "{response}");
+
+    // A normal compile on a new connection still succeeds.
+    let ok = roundtrip(addr, &compile_request(&[])).expect("response");
+    assert!(ok.contains("\"status\":\"ok\""), "{ok}");
+}
+
+#[test]
 fn error_responses_carry_short_messages_without_usage_text() {
     let daemon = Daemon::start("short-errors");
     let addr = daemon.addr.as_str();

@@ -24,6 +24,38 @@
 //!   a direct edge from a block or deferred member proves the candidate
 //!   cannot move before either summary is consulted.
 //!
+//! The walk is touch-driven: its cost follows the items that share a wire
+//! with the open block or its deferred window, not the distance between
+//! two occurrences.
+//!
+//! * **Hoist in place.** A hoisted item stays where it is. When the walk
+//!   stops, the block slot and the deferred items it still has to cross
+//!   (those before the last hoist) move up to just before the first
+//!   deferred item after it, or before the stop item. The list ends in the
+//!   same order as moving each hoisted item before the block would give
+//!   (hoisted, block, deferred, rest), for pointer surgery proportional to
+//!   the block and its window instead of to the hoists.
+//! * **Skipped segments.** The list is overlaid with contiguous segments
+//!   of `SEGMENT_LEN` items. Each keeps a superset summary of its items:
+//!   the folded union of their wires (qubits, then classical bits; exact
+//!   on registers of at most 64 wires, one bit per wire) and the largest
+//!   slot index ever placed in it. At a segment head the walk passes the
+//!   whole segment when it shares no wire with the block or its deferred
+//!   window and its largest slot index is at most the pair's last
+//!   occurrence. That is exactly when the item-by-item walk would hoist
+//!   every item of the segment without stopping: an item sharing no wire
+//!   with the window commutes with all of it, is no occurrence (those act
+//!   on the pair's qubit), is never absorbed or deferred, and cannot trip
+//!   the `last_slot` stop. Unlinks keep segment boundaries valid;
+//!   relocated and re-inserted items fold their wires and index into the
+//!   receiving segment. Summaries only grow, so a stale bit costs an extra
+//!   visit, never a wrong skip.
+//!
+//! [`AggregateStats::visited`] and [`AggregateStats::skipped`] count the
+//! items classified one by one and the items passed inside skipped
+//! segments. Every item the walk visits is classified exactly as before,
+//! so the output is byte-identical (`tests/aggregate_golden.rs` pins it).
+//!
 //! Every reordering decision is still justified by pairwise commutation,
 //! so the flattened output is provably equivalent to the input —
 //! property-tested against dense unitaries in the integration suite.
@@ -170,6 +202,13 @@ pub struct AggregateStats {
     pub tracked_entry_bound: usize,
     /// Whether the run used the materialized-DAG reference rail.
     pub used_materialized_dag: bool,
+    /// Items the merge walks classified one by one (joined, hoisted,
+    /// absorbed, deferred, or sealed on).
+    pub visited: usize,
+    /// Items the merge walks passed inside skipped list segments: segments
+    /// sharing no wire with the open block or its deferred window, each of
+    /// whose items would have been hoisted without a stop.
+    pub skipped: usize,
 }
 
 /// Runs the aggregation pass on a circuit, building the indexed IR first.
@@ -206,7 +245,7 @@ pub fn aggregate_ir_with_stats(
         ir.dag();
     }
     let mut arena = Arena::from_ir(&ir);
-    let mut ws = Workspace::new(&ir, options.materialized_dag);
+    let mut ws = Workspace::new(&ir, arena.words, options.materialized_dag);
     for i in 0..ir.ranked_pairs().len() {
         let (pair, _) = ir.ranked_pairs()[i];
         process_pair(&mut arena, &ir, pair, &mut ws, options);
@@ -215,6 +254,8 @@ pub fn aggregate_ir_with_stats(
         peak_tracked_entries: ws.peak_tracked,
         tracked_entry_bound: 2 * (ir.num_qubits() + ir.num_cbits()),
         used_materialized_dag: options.materialized_dag,
+        visited: ws.visited,
+        skipped: ws.skipped,
     };
     (AggregatedProgram { items: arena.into_items(), ir }, stats)
 }
@@ -249,11 +290,23 @@ pub fn aggregate_no_commute_ir(ir: Arc<CommIr>) -> AggregatedProgram {
 }
 
 // ---------------------------------------------------------------------------
-// Linked-arena item list: O(1) hoist/absorb/remove while preserving slot
+// Linked-arena item list: O(1) absorb/remove/relocate while preserving slot
 // ids. Slots are packed to eight bytes (a tag plus a `u32` payload into the
-// gate table or the side block store), so the hot hoist loop walks a cache-
-// friendly array instead of a vector of full items.
+// gate table or the side block store), so the merge walk reads a cache-
+// friendly array instead of a vector of full items. The segment overlay
+// (see the module docs) lives beside the list: a segment index per slot,
+// read only at segment heads, and one `Segment` record per segment.
 // ---------------------------------------------------------------------------
+
+/// List items per segment at build time.
+const SEGMENT_LEN: usize = 64;
+
+/// Cap on the wire-summary width in `u64` words. Summaries are sized from
+/// the register width (QASM input caps each register at
+/// [`dqc_circuit::MAX_REGISTER_WIDTH`]). Wire `w` lands on bit
+/// `w mod (64 · words)`, so summaries are exact up to 4,096 wires and a
+/// superset beyond, and the overlay costs at most eight bytes per item.
+const MAX_SUMMARY_WORDS: usize = 64;
 
 /// One arena slot: dead, a local gate id, or an index into the block store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -263,6 +316,56 @@ enum Slot {
     Block(u32),
 }
 
+/// A contiguous run of the item list (see the module docs).
+#[derive(Clone, Copy, Debug)]
+struct Segment {
+    first: u32,
+    last: u32,
+    /// Live slots in the run.
+    len: u32,
+    /// Largest slot index ever placed in the run.
+    max_slot: u32,
+    /// The folded wire summary on registers of at most 64 wires (wider
+    /// registers keep theirs in [`Arena::wide_wires`]).
+    wires: u64,
+}
+
+/// ORs the wires of gate `id` into a folded `summary` of `summary.len()`
+/// words. Classical bit `c` is wire `base + c` for `cbits = Some(base)`;
+/// `None` means the register has no classical bits. A one-word summary
+/// reuses the table's precomputed qubit mask.
+#[inline(always)]
+fn fold_wires(summary: &mut [u64], table: &GateTable, cbits: Option<usize>, id: GateId) {
+    match (summary, cbits) {
+        ([word], None) => *word |= table.wire_mask(id),
+        (summary, cbits) => fold_wires_wide(summary, table, cbits, id),
+    }
+}
+
+/// [`fold_wires`] for multi-word summaries or registers with classical bits.
+fn fold_wires_wide(summary: &mut [u64], table: &GateTable, cbits: Option<usize>, id: GateId) {
+    let bits = 64 * summary.len();
+    if let [word] = summary {
+        *word |= table.wire_mask(id);
+    } else {
+        for q in table.qubit_indices(id) {
+            summary[q % bits / 64] |= 1 << (q % 64);
+        }
+    }
+    if let Some(base) = cbits {
+        if table.touches_classical(id) {
+            for w in table.classical_bits(id).map(|c| base + c) {
+                summary[w % bits / 64] |= 1 << (w % 64);
+            }
+        }
+    }
+}
+
+/// The wire index of classical bit 0, when the register has classical bits.
+fn classical_base(ir: &CommIr) -> Option<usize> {
+    (ir.num_cbits() > 0).then_some(ir.num_qubits())
+}
+
 struct Arena {
     slots: Vec<Slot>,
     /// Burst blocks, referenced by `Slot::Block` indices.
@@ -270,6 +373,16 @@ struct Arena {
     next: Vec<u32>,
     prev: Vec<u32>,
     head: u32, // sentinel index = slots.len() at build time
+    /// Segment of each slot.
+    seg_of: Vec<u32>,
+    segs: Vec<Segment>,
+    /// `words` folded wire-summary words per segment when `words > 1`.
+    wide_wires: Vec<u64>,
+    /// Summary width: one word iff the register has at most 64 wires,
+    /// where the fold is exact.
+    words: usize,
+    /// Classical bit wires (see [`fold_wires`]).
+    cbits: Option<usize>,
 }
 
 impl Arena {
@@ -286,37 +399,125 @@ impl Arena {
         prev[0] = sentinel;
         let mut slots: Vec<Slot> = ir.stream().iter().map(|&id| Slot::Local(id)).collect();
         slots.push(Slot::Dead); // sentinel slot, so new slots never collide
-        Arena { slots, blocks: Vec::new(), next, prev, head: sentinel }
+
+        // The sentinel closes the last segment, whose `max_slot` (≥ n)
+        // then exceeds every stream position: it is never skipped.
+        let words = (ir.num_qubits() + ir.num_cbits()).div_ceil(64).clamp(1, MAX_SUMMARY_WORDS);
+        let seg_of = (0..=n).map(|i| (i / SEGMENT_LEN) as u32).collect();
+        let segs = (0..=n)
+            .step_by(SEGMENT_LEN)
+            .map(|first| {
+                let last = (first + SEGMENT_LEN - 1).min(n);
+                Segment {
+                    first: first as u32,
+                    last: last as u32,
+                    len: (last - first + 1) as u32,
+                    max_slot: last as u32,
+                    wires: 0,
+                }
+            })
+            .collect::<Vec<_>>();
+        let wide_wires = vec![0u64; if words > 1 { segs.len() * words } else { 0 }];
+        let mut arena = Arena {
+            slots,
+            blocks: Vec::new(),
+            next,
+            prev,
+            head: sentinel,
+            seg_of,
+            segs,
+            wide_wires,
+            words,
+            cbits: classical_base(ir),
+        };
+        for (s, ids) in ir.stream().chunks(SEGMENT_LEN).enumerate() {
+            let cbits = arena.cbits;
+            let summary = arena.seg_summary_mut(s);
+            for &id in ids {
+                fold_wires(summary, ir.table(), cbits, id);
+            }
+        }
+        arena
     }
 
     fn sentinel(&self) -> usize {
         self.head as usize
     }
 
-    /// Unlinks slot `i` from the list and kills it, returning its payload.
-    fn unlink(&mut self, i: usize) -> Slot {
-        let (p, n) = (self.prev[i] as usize, self.next[i] as usize);
-        self.next[p] = self.next[i];
-        self.prev[n] = self.prev[i];
+    /// The folded wire summary of segment `s`.
+    fn seg_summary(&self, s: usize) -> &[u64] {
+        match self.words {
+            1 => std::slice::from_ref(&self.segs[s].wires),
+            w => &self.wide_wires[s * w..(s + 1) * w],
+        }
+    }
+
+    fn seg_summary_mut(&mut self, s: usize) -> &mut [u64] {
+        match self.words {
+            1 => std::slice::from_mut(&mut self.segs[s].wires),
+            w => &mut self.wide_wires[s * w..(s + 1) * w],
+        }
+    }
+
+    /// Unlinks slot `i`, a member of segment `s`, from the list, keeping
+    /// its payload and the segment's boundaries valid (an emptied segment
+    /// is never reached again: no live slot maps to it).
+    fn detach(&mut self, i: usize, s: u32) {
+        let (p, n) = (self.prev[i], self.next[i]);
+        self.next[p as usize] = n;
+        self.prev[n as usize] = p;
+        let seg = &mut self.segs[s as usize];
+        seg.len -= 1;
+        if seg.first as usize == i {
+            seg.first = n;
+        }
+        if seg.last as usize == i {
+            seg.last = p;
+        }
+    }
+
+    /// Unlinks slot `i` (a member of segment `s`) and kills it, returning
+    /// its payload.
+    fn unlink(&mut self, i: usize, s: u32) -> Slot {
+        self.detach(i, s);
         std::mem::replace(&mut self.slots[i], Slot::Dead)
     }
 
-    /// Moves the live slot `i` to just before the live slot `before`
-    /// (pointer surgery only — the payload stays in its slot).
-    fn move_before(&mut self, i: usize, before: usize) {
-        let (p, n) = (self.prev[i] as usize, self.next[i] as usize);
-        self.next[p] = self.next[i];
-        self.prev[n] = self.prev[i];
-        let b = self.prev[before];
-        self.next[b as usize] = i as u32;
-        self.prev[i] = b;
-        self.next[i] = before as u32;
-        self.prev[before] = i as u32;
+    /// Moves `run` (live slots in list order, each with its segment) to
+    /// just before the live slot `before`, into `before`'s segment, and
+    /// returns that segment. The caller folds the run's wires into it.
+    fn move_run_before(&mut self, run: &[(u32, u32)], before: usize) -> u32 {
+        let b = self.seg_of[before];
+        let mut max_slot = 0;
+        for &(i, s) in run {
+            self.detach(i as usize, s);
+            let p = self.prev[before];
+            self.next[p as usize] = i;
+            self.prev[i as usize] = p;
+            self.next[i as usize] = before as u32;
+            self.prev[before] = i;
+            self.seg_of[i as usize] = b;
+            max_slot = max_slot.max(i);
+        }
+        let seg = &mut self.segs[b as usize];
+        seg.len += run.len() as u32;
+        seg.max_slot = seg.max_slot.max(max_slot);
+        if seg.first as usize == before {
+            seg.first = run[0].0;
+        }
+        b
     }
 
-    /// Appends a fresh slot holding `slot` right after `after`, returning
-    /// its index.
-    fn insert_after(&mut self, after: usize, slot: Slot) -> usize {
+    /// ORs a folded wire summary into segment `s`'s.
+    fn fold_into(&mut self, s: u32, wires: &[u64]) {
+        for (word, w) in self.seg_summary_mut(s as usize).iter_mut().zip(wires) {
+            *word |= w;
+        }
+    }
+
+    /// Appends a fresh slot holding `slot` right after the live slot
+    /// `after`, into `after`'s segment, returning its index.
+    fn insert_after(&mut self, table: &GateTable, after: usize, slot: Slot) -> usize {
         let idx = self.slots.len();
         self.slots.push(slot);
         let after_next = self.next[after];
@@ -324,6 +525,18 @@ impl Arena {
         self.prev.push(after as u32);
         self.next[after] = idx as u32;
         self.prev[after_next as usize] = idx as u32;
+        let s = self.seg_of[after] as usize;
+        self.seg_of.push(s as u32);
+        let seg = &mut self.segs[s];
+        seg.len += 1;
+        if seg.last as usize == after {
+            seg.last = idx as u32;
+        }
+        seg.max_slot = idx as u32;
+        if let Slot::Local(id) = slot {
+            let cbits = self.cbits;
+            fold_wires(self.seg_summary_mut(s), table, cbits, id);
+        }
         idx
     }
 
@@ -357,15 +570,29 @@ impl Arena {
 }
 
 /// Reused per-block scratch state: the two commutation summaries, the
-/// folded qubit masks, and the stamped DAG membership marks.
+/// folded wire masks, and the stamped DAG membership marks.
 struct Workspace {
     /// Summary of the open block's body.
     block: CommSummary,
     /// Summary of every gate in the deferred window.
     deferred: CommSummary,
-    /// Folded wire mask of block-body and deferred gates (see
-    /// [`GateTable::wire_mask`]; only ever conservative).
+    /// Folded qubit mask of block-body and deferred gates (see
+    /// [`GateTable::wire_mask`]; only ever conservative). On registers of
+    /// at most 64 wires it also carries the classical bits and is then the
+    /// exact wire set of the window, compared against one-word segment
+    /// summaries.
     touched_mask: u64,
+    /// The window's wires folded like the segment summaries, on registers
+    /// wider than 64 wires (empty otherwise: `touched_mask` is exact).
+    window: Vec<u64>,
+    /// The open block's slot, then its deferred slots in list order, each
+    /// with its segment: what the walk carries past hoisted items.
+    carried: Vec<(u32, u32)>,
+    /// Walk counters reported by [`aggregate_ir_with_stats`].
+    visited: usize,
+    skipped: usize,
+    /// Classical bit wires (see [`fold_wires`]).
+    cbits: Option<usize>,
     /// Generation-stamped block membership per original stream position.
     block_pos: Vec<u32>,
     /// Generation-stamped deferred membership per original stream position.
@@ -398,12 +625,17 @@ struct Workspace {
 }
 
 impl Workspace {
-    fn new(ir: &CommIr, use_dag: bool) -> Self {
+    fn new(ir: &CommIr, words: usize, use_dag: bool) -> Self {
         let wires = ir.num_qubits() + ir.num_cbits();
         Workspace {
             block: CommSummary::new(ir.num_qubits(), ir.num_cbits()),
             deferred: CommSummary::new(ir.num_qubits(), ir.num_cbits()),
             touched_mask: 0,
+            window: if words > 1 { vec![0; words] } else { Vec::new() },
+            carried: Vec::new(),
+            visited: 0,
+            skipped: 0,
+            cbits: classical_base(ir),
             block_pos: vec![0; ir.len()],
             defer_pos: vec![0; ir.len()],
             occ_pos: vec![0; ir.len()],
@@ -433,6 +665,11 @@ impl Workspace {
     fn open_block(&mut self) {
         self.gen += 1;
         self.touched_mask = 0;
+        // Guarded: even an empty `fill` costs a `memset` call per block.
+        if !self.window.is_empty() {
+            self.window.fill(0);
+        }
+        self.carried.clear();
         self.block.clear();
         self.deferred.clear();
         // The wire maps invalidate by generation; only the live count
@@ -448,9 +685,38 @@ impl Workspace {
         fresh
     }
 
+    /// Adds the wires of `id` to the window masks.
+    fn note_wires(&mut self, table: &GateTable, id: GateId) {
+        self.touched_mask |= table.wire_mask(id);
+        if !self.window.is_empty() {
+            fold_wires(&mut self.window, table, self.cbits, id);
+        } else if self.cbits.is_some() {
+            fold_wires(std::slice::from_mut(&mut self.touched_mask), table, self.cbits, id);
+        }
+    }
+
+    /// The window's wires, folded like the segment summaries.
+    fn window_summary(&self) -> &[u64] {
+        if self.window.is_empty() {
+            std::slice::from_ref(&self.touched_mask)
+        } else {
+            &self.window
+        }
+    }
+
+    /// Whether the window may share a wire with a segment of folded wire
+    /// summary `summary` (exact on registers of at most 64 wires).
+    #[inline]
+    fn sees(&self, summary: &[u64]) -> bool {
+        match summary {
+            [word] => word & self.touched_mask != 0,
+            words => words.iter().zip(&self.window).any(|(a, b)| a & b != 0),
+        }
+    }
+
     fn add_to_block(&mut self, table: &GateTable, pos: usize, id: GateId) {
         self.block.add(table, id);
-        self.touched_mask |= table.wire_mask(id);
+        self.note_wires(table, id);
         if let Some(m) = self.block_pos.get_mut(pos) {
             *m = self.gen;
         }
@@ -468,7 +734,7 @@ impl Workspace {
 
     fn add_to_deferred(&mut self, table: &GateTable, pos: usize, id: GateId) {
         self.deferred.add(table, id);
-        self.touched_mask |= table.wire_mask(id);
+        self.note_wires(table, id);
         if let Some(m) = self.defer_pos.get_mut(pos) {
             *m = self.gen;
         }
@@ -597,26 +863,72 @@ fn process_pair(
         ws.open_block();
         ws.add_to_block(table, start, first_id);
 
-        // Deferred items stay physically in place (after the block slot).
-        let mut deferred_items = 0usize;
+        // Hoisted items stay where they are and deferred items stay after
+        // the block slot. When the walk stops, the block and the deferred
+        // items it still has to cross move up past the last hoisted item,
+        // which yields the order hoisted, block, deferred, rest. `split` is
+        // the carried length at the last hoist: those items move, the
+        // deferred run after them already sits in place.
+        let mut split = None;
 
         let mut cur = arena.next[start] as usize;
         let sentinel = arena.sentinel();
         let mut remaining = live.len() - idx - 1;
+        let (mut visited, mut skipped) = (0usize, 0usize);
+        // Segment bookkeeping: `seg` is the segment being walked and
+        // `seg_last` its last slot, so the item after it is the next
+        // segment's head.
+        let mut seg = arena.seg_of[cur];
+        let first_seg = arena.segs[seg as usize];
+        let mut at_head = first_seg.first as usize == cur;
+        let mut seg_last = first_seg.last as usize;
+        // The block shares `cur`'s segment unless `cur` opens a new one.
+        let start_seg = if at_head { arena.seg_of[start] } else { seg };
+        ws.carried.push((start as u32, start_seg));
 
         while cur != sentinel && remaining > 0 && cur <= last_slot {
+            if at_head {
+                // A segment whose items all precede the stop index and share
+                // no wire with the window would be hoisted item by item
+                // without a stop: pass it whole.
+                seg = arena.seg_of[cur];
+                let head = arena.segs[seg as usize];
+                if head.max_slot as usize <= last_slot && !ws.sees(arena.seg_summary(seg as usize))
+                {
+                    skipped += head.len as usize;
+                    split = Some(ws.carried.len());
+                    cur = arena.next[head.last as usize] as usize;
+                    continue;
+                }
+                seg_last = head.last as usize;
+            }
+            at_head = cur == seg_last;
+            visited += 1;
             let nxt = arena.next[cur] as usize;
             let slot = arena.slots[cur];
-            let is_occurrence = ws.is_occurrence_pos(cur)
-                && matches!(slot, Slot::Local(id) if is_pair_gate(table.gate(id)));
-
-            if is_occurrence {
+            // An item without classical bits whose qubits miss the
+            // window's folded qubit mask commutes with all of it, and is no
+            // occurrence (those act on `q`, which the window holds): hoist
+            // it without further checks.
+            let disjoint_fast = match slot {
+                Slot::Local(gid) => table.disjoint_mask(gid) & ws.touched_mask == 0,
+                Slot::Block(_) => arena
+                    .ids_at(cur)
+                    .iter()
+                    .all(|&gid| table.disjoint_mask(gid) & ws.touched_mask == 0),
+                Slot::Dead => false,
+            };
+            if disjoint_fast {
+                split = Some(ws.carried.len());
+            } else if ws.is_occurrence_pos(cur)
+                && matches!(slot, Slot::Local(id) if is_pair_gate(table.gate(id)))
+            {
                 remaining -= 1;
                 let Slot::Local(id) = slot else { unreachable!() };
                 // Joining crosses every deferred item (they end up after the
                 // block); all of them must commute with this gate.
                 if ws.deferred.commutes_with(table, id) {
-                    arena.unlink(cur);
+                    arena.unlink(cur, seg);
                     ws.add_to_block(table, cur, id);
                     arena.blocks[bi].push(id, table.gate(id));
                 } else {
@@ -624,30 +936,17 @@ fn process_pair(
                     break;
                 }
             } else if slot != Slot::Dead {
-                let disjoint_fast = match slot {
-                    Slot::Local(gid) => table.disjoint_mask(gid) & ws.touched_mask == 0,
-                    _ => arena
-                        .ids_at(cur)
-                        .iter()
-                        .all(|&gid| table.disjoint_mask(gid) & ws.touched_mask == 0),
-                };
                 // Negative conflict filter: a proven non-commuting block or
                 // deferred member means the item cannot be hoisted (and,
                 // for deferred conflicts, cannot be absorbed either).
-                let (edge_block, edge_defer) = if disjoint_fast {
-                    (false, false)
-                } else {
-                    ws.conflicts(ir, cur, arena.ids_at(cur))
-                };
-                let can_hoist = disjoint_fast
-                    || (!edge_block
-                        && !edge_defer
-                        && arena.ids_at(cur).iter().all(|&gid| {
-                            ws.block.commutes_with(table, gid)
-                                && ws.deferred.commutes_with(table, gid)
-                        }));
+                let (edge_block, edge_defer) = ws.conflicts(ir, cur, arena.ids_at(cur));
+                let can_hoist = !edge_block
+                    && !edge_defer
+                    && arena.ids_at(cur).iter().all(|&gid| {
+                        ws.block.commutes_with(table, gid) && ws.deferred.commutes_with(table, gid)
+                    });
                 if can_hoist {
-                    arena.move_before(cur, start);
+                    split = Some(ws.carried.len());
                 } else {
                     let absorbable = match slot {
                         Slot::Local(id) => {
@@ -664,23 +963,37 @@ fn process_pair(
                     };
                     if absorbable {
                         let Slot::Local(id) = slot else { unreachable!() };
-                        arena.unlink(cur);
+                        arena.unlink(cur, seg);
                         ws.add_to_block(table, cur, id);
                         arena.blocks[bi].push(id, table.gate(id));
                     } else {
-                        if deferred_items >= options.defer_limit {
+                        // `carried` holds the block slot, then the deferred
+                        // items: this is `deferred >= defer_limit`.
+                        if ws.carried.len() > options.defer_limit {
                             break;
                         }
                         for k in 0..arena.ids_at(cur).len() {
                             let gid = arena.ids_at(cur)[k];
                             ws.add_to_deferred(table, cur, gid);
                         }
-                        deferred_items += 1;
+                        ws.carried.push((cur as u32, seg));
                     }
                 }
             }
             cur = nxt;
         }
+
+        // Relocate (nothing to do when nothing was hoisted), then fold the
+        // window, a superset of the grown block body and of every moved
+        // item, into the block's segment summary.
+        let block_seg = match split {
+            Some(split) => {
+                let before = ws.carried.get(split).map_or(cur, |&(d, _)| d as usize);
+                arena.move_run_before(&ws.carried[..split], before)
+            }
+            None => ws.carried[0].1,
+        };
+        arena.fold_into(block_seg, ws.window_summary());
 
         // Seal: trim trailing interior gates back out as local items.
         let trimmed = arena.blocks[bi].trim_trailing_locals(table);
@@ -688,8 +1001,10 @@ fn process_pair(
         for id in trimmed {
             // Re-insert each trimmed gate right after the block, preserving
             // order; allocate fresh slots at the end of the arena.
-            insert_after = arena.insert_after(insert_after, Slot::Local(id));
+            insert_after = arena.insert_after(table, insert_after, Slot::Local(id));
         }
+        ws.visited += visited;
+        ws.skipped += skipped;
         idx += 1;
     }
 }
@@ -697,7 +1012,7 @@ fn process_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqc_circuit::GateKind;
+    use dqc_circuit::{CBitId, GateKind};
 
     fn q(i: usize) -> QubitId {
         QubitId::new(i)
@@ -902,6 +1217,127 @@ mod tests {
         assert!(dag_stats.used_materialized_dag);
         assert_eq!(dag_stats.peak_tracked_entries, 0);
         assert!(ir.dag_edges_if_built().is_some());
+    }
+
+    impl Arena {
+        /// Asserts the segment overlay's invariants against the list: every
+        /// segment is one contiguous run from `first` to `last` of `len`
+        /// live slots, and its summary covers every member's wires and
+        /// index.
+        fn assert_segments_valid(&self, table: &GateTable) {
+            let sentinel = self.sentinel();
+            let mut order = Vec::new();
+            let mut cur = self.next[sentinel] as usize;
+            while cur != sentinel {
+                order.push(cur);
+                cur = self.next[cur] as usize;
+            }
+            order.push(sentinel);
+            let mut seen = vec![false; self.segs.len()];
+            for run in order.chunk_by(|&a, &b| self.seg_of[a] == self.seg_of[b]) {
+                let s = self.seg_of[run[0]] as usize;
+                assert!(!seen[s], "segment {s} is not contiguous");
+                seen[s] = true;
+                let seg = self.segs[s];
+                assert_eq!(seg.first as usize, run[0], "segment {s} first");
+                assert_eq!(seg.last as usize, run[run.len() - 1], "segment {s} last");
+                assert_eq!(seg.len as usize, run.len(), "segment {s} len");
+                let mut wires = vec![0u64; self.words];
+                for &i in run {
+                    assert!(i <= seg.max_slot as usize, "segment {s} max_slot misses {i}");
+                    for &id in self.ids_at(i) {
+                        fold_wires(&mut wires, table, self.cbits, id);
+                    }
+                }
+                for (w, summary) in wires.iter().zip(self.seg_summary(s)) {
+                    assert_eq!(w & !summary, 0, "segment {s} summary misses a wire");
+                }
+            }
+        }
+    }
+
+    /// Runs the pass pair by pair, checking the segment overlay after each.
+    fn aggregate_checking_segments(c: &Circuit, p: &Partition, defer_limit: usize) {
+        let ir = CommIr::build_shared(c, p);
+        let options = AggregateOptions { defer_limit, ..AggregateOptions::default() };
+        let mut arena = Arena::from_ir(&ir);
+        let mut ws = Workspace::new(&ir, arena.words, false);
+        arena.assert_segments_valid(ir.table());
+        for &(pair, _) in ir.ranked_pairs() {
+            process_pair(&mut arena, &ir, pair, &mut ws, options);
+            arena.assert_segments_valid(ir.table());
+        }
+    }
+
+    #[test]
+    fn segment_overlay_stays_valid_through_the_walk() {
+        // Narrow, wide, and classical registers; tiny and default windows.
+        for seed in 0..4 {
+            for (qubits, nodes) in [(6, 3), (40, 4), (70, 5)] {
+                let (c, p) = dqc_workloads::random_distributed_circuit(qubits, nodes, 300, seed);
+                let c = dqc_circuit::unroll_circuit(&c).unwrap();
+                for defer_limit in [0, 2, 64] {
+                    aggregate_checking_segments(&c, &p, defer_limit);
+                }
+            }
+        }
+        let c = dqc_circuit::unroll_circuit(&dqc_workloads::qft(72)).unwrap();
+        aggregate_checking_segments(&c, &Partition::block(72, 6).unwrap(), 64);
+        let mut c = Circuit::with_cbits(66, 3);
+        for i in 0..400 {
+            let (a, b) = (i * 7 % 66, (i * 7 + 1 + i % 5) % 66);
+            c.push(match i % 5 {
+                0 => Gate::measure(q(a), CBitId::new(i % 3)),
+                1 => Gate::x(q(b)).with_condition(CBitId::new(i % 3)),
+                _ => Gate::cx(q(a), q(b)),
+            })
+            .unwrap();
+        }
+        aggregate_checking_segments(&c, &Partition::block(66, 3).unwrap(), 64);
+    }
+
+    #[test]
+    fn arena_moves_and_inserts_keep_segments_valid() {
+        let (c, p) = dqc_workloads::random_distributed_circuit(70, 5, 200, 1);
+        let ir = CommIr::build_shared(&c, &p);
+        let mut arena = Arena::from_ir(&ir);
+        // As the walk does, the caller folds the moved items' wires in.
+        let move_run = |arena: &mut Arena, run: &[(u32, u32)], before: usize| {
+            let mut wires = vec![0u64; arena.words];
+            for &(i, _) in run {
+                fold_wires(&mut wires, ir.table(), arena.cbits, ir.stream()[i as usize]);
+            }
+            let b = arena.move_run_before(run, before);
+            arena.fold_into(b, &wires);
+            arena.assert_segments_valid(ir.table());
+        };
+        // Move a run from the third segment to the head of the first (a
+        // larger index than any there), then one item to the end.
+        move_run(&mut arena, &[(150, 2), (151, 2)], 0);
+        let sentinel = arena.sentinel();
+        move_run(&mut arena, &[(5, 0)], sentinel);
+        let id = ir.stream()[7];
+        let fresh = arena.insert_after(ir.table(), 63, Slot::Local(id));
+        arena.assert_segments_valid(ir.table());
+        assert_eq!(arena.segs[0].last as usize, fresh);
+        assert_eq!(arena.unlink(fresh, 0), Slot::Local(id));
+        arena.assert_segments_valid(ir.table());
+    }
+
+    #[test]
+    fn segment_skips_outnumber_visits_on_qft() {
+        let c = dqc_circuit::unroll_circuit(&dqc_workloads::qft(100)).unwrap();
+        let p = Partition::block(100, 10).unwrap();
+        let ir = CommIr::build_shared(&c, &p);
+        let (_, stats) = aggregate_ir_with_stats(Arc::clone(&ir), AggregateOptions::default());
+        assert!(
+            stats.skipped > stats.visited,
+            "skipped {} items but visited {}",
+            stats.skipped,
+            stats.visited
+        );
+        let (_, again) = aggregate_ir_with_stats(ir, AggregateOptions::default());
+        assert_eq!(stats, again, "walk counters must be deterministic");
     }
 
     #[test]

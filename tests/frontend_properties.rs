@@ -119,6 +119,8 @@ fn chunked_parse_matches_sequential_on_errors() {
         ("bad register", "qreg r[4];\n"),
         ("garbage", "%%%;\n"),
         ("non-finite parameter", "rz(inf) q[0];\n"),
+        ("oversized qreg", "qreg q[3000000000];\n"),
+        ("oversized creg", "creg c[3000000000];\n"),
     ] {
         let mut text = adversarial_qasm(PAR_THRESHOLD);
         // Inject the fault mid-program, then append a *different*,
