@@ -565,7 +565,7 @@ impl AutoComm {
         let mut work = PlacementWork::default();
         // Warm-start state for the hop-weighted OEE: carried across rounds
         // so a round re-refining an unchanged (graph, partition, map) state
-        // resumes from the cached candidate set instead of a cold O(n²)
+        // resumes from the cached gain table instead of a cold O(n²)
         // scan. The sparse traffic fingerprint of the round that produced
         // the current placement lets an unchanged-traffic round skip
         // re-refinement entirely (see below).

@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 mod distance;
+mod gain_table;
 mod graph;
 mod oee;
 mod place;

@@ -5,12 +5,15 @@
 //! The exchange loop runs in one of two modes, asserted bit-identical to
 //! each other by the `placement_scale` property tests and gate bench:
 //!
-//! - **Gain-cached** (default): every positive-gain candidate pair is held
-//!   in a deterministic best-tracking set keyed `(gain, a, b)`; after an
+//! - **Gain-cached** (default): every candidate pair's positive gain is
+//!   held in an upper-triangular table (at most `n(n−1)/2 × 8` bytes:
+//!   16.8 MB at 2048 qubits, 67 MB at 4096) whose rows track their own best
+//!   entry, so the next exchange is the maximum over row bests; after an
 //!   exchange of `(a, b)` only pairs touching `a`, `b`, or one of their
 //!   neighbors can change gain, so the loop delta-updates that affected
 //!   set (FM-style) instead of rescanning all O(n²) pairs per applied
-//!   exchange.
+//!   exchange. Per-node member lists, kept sorted across swaps, let a pure
+//!   neighbor's sweep visit only the nodes whose gain shift is non-zero.
 //! - **Full rescan** (`OeeOptions { full_rescan: true }`): the historical
 //!   O(n²·k)-per-exchange reference rail, kept selectable the way the
 //!   `sequential_rails` / `linear_scan_timeline` / `materialized_dag`
@@ -21,12 +24,11 @@
 //! results in input order — bit-identical to the sequential scan, which
 //! stays selectable via `OeeOptions { sequential_scan: true }`.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
 use std::sync::Once;
 
 use dqc_circuit::{par_map, CircuitError, NodeId, Partition, QubitId};
 
+use crate::gain_table::GainTable;
 use crate::{InteractionGraph, NodeDistance, UniformDistance};
 
 /// Tuning knobs for the OEE loop.
@@ -83,7 +85,7 @@ impl OeeStats {
 }
 
 /// Reusable warm-start state for [`oee_refine_cached`]: the per-qubit node
-/// weights and the positive-gain candidate set from the end of the previous
+/// weights and the positive-gain table from the end of the previous
 /// refinement. When the next call presents the same graph, assignment, and
 /// block→node distances, the cold O(n²) scan is skipped entirely — the
 /// refinement loop resumes exactly where it left off (trivially so when the
@@ -97,9 +99,7 @@ pub struct OeeCache {
     k: usize,
     node_w: Vec<i64>,
     mdist: Vec<i64>,
-    gains: HashMap<u64, i64>,
-    best: BTreeSet<(i64, Reverse<(u32, u32)>)>,
-    in_gains: PairBits,
+    gains: GainTable,
 }
 
 impl OeeCache {
@@ -128,10 +128,12 @@ impl OeeCache {
 /// exchange loop scans candidate pairs in ascending `(a, b)` qubit order
 /// and only a *strictly larger* gain displaces the running best, so equal
 /// gains always resolve to the lexicographically-first exchange. The
-/// gain-cached mode preserves this exactly — its best-tracking set is
-/// ordered by `(gain, Reverse((a, b)))`, so the maximal element is the
+/// gain-cached mode preserves this exactly — each row of its gain table
+/// keeps its highest gain at the smallest partner `b`, and the pick takes
+/// the highest row best at the smallest row `a`, rescanning any row whose
+/// best was lowered before it could be passed over, so the pick is the
 /// highest gain and, among equal gains, the smallest `(a, b)` pair — and
-/// the parallel cold scan merges per-row winners in ascending row order.
+/// the parallel cold scan merges per-row results in ascending row order.
 /// Placement baselines recorded from this partitioner are reproducible bit
 /// for bit.
 ///
@@ -217,53 +219,6 @@ pub fn oee_refine_cached(
     cache: &mut OeeCache,
 ) -> (Partition, OeeStats) {
     refine_impl(graph, partition, node_map, dist, options, Some(cache))
-}
-
-#[inline]
-fn pack(a: u32, b: u32) -> u64 {
-    debug_assert!(a < b);
-    (u64::from(a) << 32) | u64::from(b)
-}
-
-/// Membership bitset over upper-triangular qubit pairs (n²/8 bytes), kept
-/// in lockstep with the `gains` map so the delta-update sweep can rule out
-/// the overwhelmingly common case — a pair that is neither cached nor
-/// positive — with one bit test instead of a hash probe per pair.
-#[derive(Clone, Debug, Default)]
-struct PairBits {
-    words: Vec<u64>,
-    n: usize,
-}
-
-impl PairBits {
-    fn new(n: usize) -> Self {
-        PairBits { words: vec![0u64; (n * n).div_ceil(64)], n }
-    }
-
-    /// Membership is stored under both orders so the delta loop's probe is
-    /// always the row-major `x·n + y` bit — a sequential walk for a fixed
-    /// `x` — never the cache-line-per-probe column walk.
-    #[inline]
-    fn contains(&self, x: u32, y: u32) -> bool {
-        let bit = x as usize * self.n + y as usize;
-        self.words[bit >> 6] & (1 << (bit & 63)) != 0
-    }
-
-    #[inline]
-    fn insert(&mut self, lo: u32, hi: u32) {
-        let bit = lo as usize * self.n + hi as usize;
-        self.words[bit >> 6] |= 1 << (bit & 63);
-        let mirror = hi as usize * self.n + lo as usize;
-        self.words[mirror >> 6] |= 1 << (mirror & 63);
-    }
-
-    #[inline]
-    fn remove(&mut self, lo: u32, hi: u32) {
-        let bit = lo as usize * self.n + hi as usize;
-        self.words[bit >> 6] &= !(1 << (bit & 63));
-        let mirror = hi as usize * self.n + lo as usize;
-        self.words[mirror >> 6] &= !(1 << (mirror & 63));
-    }
 }
 
 /// Walks a qubit's ascending CSR neighbor row in lockstep with an ascending
@@ -523,7 +478,7 @@ fn refine_impl(
 
     if options.full_rescan {
         refine_full_rescan(graph, &mut partition, &dmat, k, options, &mut stats);
-        // The reference rail does not maintain the candidate set; a stale
+        // The reference rail does not maintain the gain table; a stale
         // cache must not outlive it.
         if let Some(cache) = cache {
             cache.valid = false;
@@ -602,10 +557,9 @@ fn refine_full_rescan(
     }
 }
 
-/// The gain-cached fast path: one cold scan fills the positive-candidate
-/// set; each applied exchange then delta-updates only the pairs whose gain
-/// can have changed — those touching the swapped qubits or one of their
-/// neighbors.
+/// The gain-cached fast path: one cold scan fills the gain table; each
+/// applied exchange then delta-updates only the pairs whose gain can have
+/// changed — those touching the swapped qubits or one of their neighbors.
 #[allow(clippy::too_many_arguments)]
 fn refine_gain_cached(
     graph: &InteractionGraph,
@@ -619,11 +573,6 @@ fn refine_gain_cached(
     let n = graph.num_qubits();
     let cross_pairs = cross_pair_count(partition);
 
-    // `gains` mirrors `best`: every positive-gain cross pair, keyed by the
-    // packed pair for O(1) stale-entry removal. `best.last()` is the
-    // highest gain and, among equal gains, the smallest (a, b) pair —
-    // exactly the sequential scan's strictly-greater / first-lexicographic
-    // winner.
     let mut cache = cache;
     let warm_state = cache.as_deref_mut().and_then(|c| {
         c.matches(graph, partition, dmat).then(|| {
@@ -631,22 +580,21 @@ fn refine_gain_cached(
                 std::mem::take(&mut c.node_w),
                 std::mem::take(&mut c.mdist),
                 std::mem::take(&mut c.gains),
-                std::mem::take(&mut c.best),
-                std::mem::take(&mut c.in_gains),
             )
         })
     });
-    let (mut node_w, mut mdist, mut gains, mut best, mut in_gains) = if let Some(state) = warm_state
-    {
+    let (mut node_w, mut mdist, mut gains) = if let Some(state) = warm_state {
         // Every candidate gain was reused instead of re-derived.
         stats.cache_hits += cross_pairs;
         state
     } else {
         let node_w = build_node_w(graph, partition, k);
         let mdist = build_mdist(&node_w, dmat, k);
-        let mut gains = HashMap::new();
-        let mut best = BTreeSet::new();
-        let mut in_gains = PairBits::new(n);
+        // A stale cache still lends its table, whose chunk storage is
+        // already faulted in.
+        let mut gains =
+            cache.as_deref_mut().map(|c| std::mem::take(&mut c.gains)).unwrap_or_default();
+        gains.clear(n);
         let assignment = partition.assignment();
         let per_row = scan_rows(n, options.sequential_scan, |&row| {
             let a = row as usize;
@@ -668,16 +616,18 @@ fn refine_gain_cached(
             }
             (positives, scanned)
         });
-        for (a, (positives, scanned)) in per_row.into_iter().enumerate() {
-            stats.scanned += scanned;
-            for (b, gain) in positives {
-                gains.insert(pack(a as u32, b), gain);
-                best.insert((gain, Reverse((a as u32, b))));
-                in_gains.insert(a as u32, b);
-            }
-        }
-        (node_w, mdist, gains, best, in_gains)
+        let (positives, scanned): (Vec<_>, Vec<u64>) = per_row.into_iter().unzip();
+        stats.scanned += scanned.iter().sum::<u64>();
+        gains.load(&positives);
+        (node_w, mdist, gains)
     };
+
+    // Ascending member list per node, kept in step with every exchange so
+    // the pure-neighbor sweep below visits only the nodes it must.
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); k];
+    for (q, node) in partition.assignment().iter().enumerate() {
+        members[node.index()].push(q as u32);
+    }
 
     // Per-exchange scratch (reset after each exchange): affected-set
     // membership marks, the net edge weight of each qubit toward the
@@ -687,7 +637,7 @@ fn refine_gain_cached(
     let mut cx = vec![0i64; n];
     let mut shift = vec![0i64; k];
 
-    while let Some(&(_, Reverse((a, b)))) = best.last() {
+    while let Some((a, b)) = gains.best() {
         if stats.exchanges == options.max_exchanges {
             stats.saturated = true;
             break;
@@ -700,6 +650,8 @@ fn refine_gain_cached(
         let nb = partition.node_of(qb).index();
         let delta: Vec<i64> = (0..k).map(|bb| dmat[bb * k + nb] - dmat[bb * k + na]).collect();
         apply_exchange_mdist(graph, partition, &mut node_w, &mut mdist, dmat, k, a, b);
+        move_member(&mut members[na], a, b);
+        move_member(&mut members[nb], b, a);
         stats.exchanges += 1;
 
         // Gains can only have changed for pairs with an endpoint in
@@ -739,27 +691,18 @@ fn refine_gain_cached(
             let mut walker = WeightWalker::new(graph, QubitId::new(xi));
             for &y in &affected[i + 1..] {
                 let w = walker.weight_to(y);
-                if in_gains.contains(x, y) {
-                    in_gains.remove(x, y);
-                    let old = gains.remove(&pack(x, y)).expect("bitset mirrors gains");
-                    best.remove(&(old, Reverse((x, y))));
-                }
                 let yi = y as usize;
                 let ny = assignment[yi].index();
                 if nx == ny {
+                    gains.set(x, y, 0);
                     continue;
                 }
                 // The endpoint-symmetric [`mdist_gain`] sum (NodeDistance
                 // guarantees d(A, B) = d(B, A)), so no lo/hi reorder here
                 // or below.
                 let my = &mdist[yi * k..(yi + 1) * k];
-                let gain = mx_nx - mx[ny] + my[ny] - my[nx] - 2 * w * dx[ny];
                 recomputed += 1;
-                if gain > 0 {
-                    gains.insert(pack(x, y), gain);
-                    best.insert((gain, Reverse((x, y))));
-                    in_gains.insert(x, y);
-                }
+                gains.set(x, y, mx_nx - mx[ny] + my[ny] - my[nx] - 2 * w * dx[ny]);
             }
         }
 
@@ -779,33 +722,22 @@ fn refine_gain_cached(
             let mx = &mdist[xi * k..(xi + 1) * k];
             let mx_nx = mx[nx];
             let dx = &dmat[nx * k..(nx + 1) * k];
-            let mut walker = WeightWalker::new(graph, QubitId::new(xi));
             if x == a || x == b {
+                let mut walker = WeightWalker::new(graph, QubitId::new(xi));
                 for y in 0..n as u32 {
                     let w = walker.weight_to(y);
-                    if in_affected[y as usize] {
+                    let yi = y as usize;
+                    if in_affected[yi] {
                         continue;
                     }
-                    if in_gains.contains(x, y) {
-                        let (lo, hi) = if x < y { (x, y) } else { (y, x) };
-                        in_gains.remove(lo, hi);
-                        let old = gains.remove(&pack(lo, hi)).expect("bitset mirrors gains");
-                        best.remove(&(old, Reverse((lo, hi))));
-                    }
-                    let yi = y as usize;
                     let ny = assignment[yi].index();
                     if nx == ny {
+                        gains.set(x, y, 0);
                         continue;
                     }
                     let my = &mdist[yi * k..(yi + 1) * k];
-                    let gain = mx_nx - mx[ny] + my[ny] - my[nx] - 2 * w * dx[ny];
                     recomputed += 1;
-                    if gain > 0 {
-                        let (lo, hi) = if x < y { (x, y) } else { (y, x) };
-                        gains.insert(pack(lo, hi), gain);
-                        best.insert((gain, Reverse((lo, hi))));
-                        in_gains.insert(lo, hi);
-                    }
+                    gains.set(x, y, mx_nx - mx[ny] + my[ny] - my[nx] - 2 * w * dx[ny]);
                 }
                 continue;
             }
@@ -815,42 +747,24 @@ fn refine_gain_cached(
             for (bb, s) in shift.iter_mut().enumerate() {
                 *s = c * (delta[nx] - delta[bb]);
             }
-            if shift.iter().all(|&s| s == 0) {
-                continue;
-            }
-            for y in 0..n as u32 {
-                let yi = y as usize;
-                if in_affected[yi] {
-                    continue;
-                }
-                let ny = assignment[yi].index();
-                let s = shift[ny];
+            for (ny, (&s, node_members)) in shift.iter().zip(&members).enumerate() {
                 if s == 0 {
                     continue;
                 }
-                recomputed += 1;
-                if in_gains.contains(x, y) {
-                    let (lo, hi) = if x < y { (x, y) } else { (y, x) };
-                    let old = gains.remove(&pack(lo, hi)).expect("bitset mirrors gains");
-                    best.remove(&(old, Reverse((lo, hi))));
-                    let gain = old + s;
-                    if gain > 0 {
-                        gains.insert(pack(lo, hi), gain);
-                        best.insert((gain, Reverse((lo, hi))));
-                    } else {
-                        in_gains.remove(lo, hi);
+                // Each member list ascends, so one walker per node.
+                let mut walker = WeightWalker::new(graph, QubitId::new(xi));
+                for &y in node_members {
+                    let yi = y as usize;
+                    if in_affected[yi] {
+                        continue;
                     }
-                } else if s > 0 {
-                    // Previously non-positive; only a positive shift can
-                    // push it across zero.
-                    let w = walker.weight_to(y);
-                    let my = &mdist[yi * k..(yi + 1) * k];
-                    let gain = mx_nx - mx[ny] + my[ny] - my[nx] - 2 * w * dx[ny];
-                    if gain > 0 {
-                        let (lo, hi) = if x < y { (x, y) } else { (y, x) };
-                        gains.insert(pack(lo, hi), gain);
-                        best.insert((gain, Reverse((lo, hi))));
-                        in_gains.insert(lo, hi);
+                    recomputed += 1;
+                    if !gains.shift(x, y, s) && s > 0 {
+                        // Previously non-positive; only a positive shift
+                        // can push it across zero.
+                        let w = walker.weight_to(y);
+                        let my = &mdist[yi * k..(yi + 1) * k];
+                        gains.set(x, y, mx_nx - mx[ny] + my[ny] - my[nx] - 2 * w * dx[ny]);
                     }
                 }
             }
@@ -873,9 +787,16 @@ fn refine_gain_cached(
         cache.node_w = node_w;
         cache.mdist = mdist;
         cache.gains = gains;
-        cache.best = best;
-        cache.in_gains = in_gains;
     }
+}
+
+/// Replaces `leaving` with `arriving` in an ascending member list, keeping
+/// it sorted.
+fn move_member(members: &mut Vec<u32>, leaving: u32, arriving: u32) {
+    let at = members.binary_search(&leaving).expect("exchanged qubit is a member of its node");
+    members.remove(at);
+    let at = members.binary_search(&arriving).unwrap_err();
+    members.insert(at, arriving);
 }
 
 #[cfg(test)]

@@ -3,11 +3,11 @@
 //! * the **CSR sparse interaction graph** agrees pairwise with a dense
 //!   brute-force weight matrix built straight from the gate list — weights,
 //!   degrees, and cut weights — on the suite and on random programs;
-//! * the **gain-cached exchange loop** (positive-candidate set + delta
-//!   updates) returns the same partition and exchange count as the
-//!   historical full-rescan reference ([`OeeOptions::full_rescan`]) — on
-//!   every suite workload across all five standard topologies and a range
-//!   of refinement budgets;
+//! * the **gain-cached exchange loop** (gain table + delta updates)
+//!   returns the same partition and exchange count as the historical
+//!   full-rescan reference ([`OeeOptions::full_rescan`]) — on every suite
+//!   workload and on a hub-heavy 512-qubit register across all five
+//!   standard topologies and a range of refinement budgets;
 //! * the **parallel cold scan** merges to the same result as the sequential
 //!   rail ([`OeeOptions::sequential_scan`]) on a register large enough to
 //!   actually cross the parallel fan-out threshold;
@@ -175,6 +175,34 @@ fn large_register_parallel_scan_matches_sequential() {
             parallel,
             &format!("4096-qubit parallel scan (cap {max_exchanges})"),
         );
+    }
+}
+
+/// Hub-heavy registers large enough that exchanges lower row bests and
+/// force dirty-row rescans in the gain table: the cached loop must walk the
+/// full-rescan rail's exact exchange sequence at every budget, under every
+/// standard topology's hop metric and at several node counts.
+#[test]
+fn hub_heavy_gain_cached_matches_full_rescan() {
+    let qubits = 512;
+    let circuit = unroll_circuit(&wl::large_sparse_circuit(qubits, qubits * 8, 0x4B0B)).unwrap();
+    let graph = InteractionGraph::from_circuit(&circuit);
+    for nodes in [4, 8, 16] {
+        let initial = Partition::block(qubits, nodes).unwrap();
+        for topology in topologies(nodes) {
+            for max_exchanges in [0, 1, 17, usize::MAX] {
+                let cached = OeeOptions { max_exchanges, ..OeeOptions::default() };
+                let rescan = OeeOptions { full_rescan: true, ..cached };
+                assert_refine_modes_match(
+                    &graph,
+                    &initial,
+                    &topology,
+                    rescan,
+                    cached,
+                    &format!("{qubits}-qubit hub-heavy, {nodes} nodes (cap {max_exchanges})"),
+                );
+            }
+        }
     }
 }
 
