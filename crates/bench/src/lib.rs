@@ -27,7 +27,7 @@ pub mod paper;
 
 use autocomm::{AutoComm, CommMetrics, CompileResult, ScheduleSummary};
 use dqc_baselines::{compile_ferrari, compile_gp_tp, BaselineResult};
-use dqc_circuit::{unroll_circuit, Circuit, CircuitStats, Partition};
+use dqc_circuit::{Circuit, CircuitStats, Partition};
 use dqc_hardware::HardwareSpec;
 use dqc_partition::{oee_partition, InteractionGraph};
 use dqc_workloads::{generate, node_ring_exchange, smoke_suite, BenchConfig};
@@ -87,8 +87,8 @@ fn ratio(num: f64, den: f64) -> f64 {
 ///
 /// Panics on impossible node counts or unrollable circuits.
 pub fn oee_mapping(circuit: &Circuit, num_nodes: usize) -> Partition {
-    let unrolled = unroll_circuit(circuit).expect("benchmark circuits unroll");
-    let graph = InteractionGraph::from_circuit(&unrolled);
+    let graph =
+        InteractionGraph::from_circuit_unrolled(circuit).expect("benchmark circuits unroll");
     oee_partition(&graph, num_nodes).expect("valid node count")
 }
 

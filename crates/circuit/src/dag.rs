@@ -94,7 +94,7 @@ impl HistoryRings {
 /// Each [`ConflictScan::advance`] call yields the next stream position's
 /// direct-conflict predecessors — the same nearest-blocker-per-wire sets
 /// the materialized build records, in the same order — while retaining only
-/// the bounded [`HistoryRings`] state: at most `window` positions per wire,
+/// the bounded `HistoryRings` state: at most `window` positions per wire,
 /// so the whole scan runs in `O(wires × window)` working set regardless of
 /// stream length ([`ConflictScan::peak_live_slots`] reports the observed
 /// peak, [`ConflictScan::slot_bound`] the bound).

@@ -282,8 +282,8 @@ impl Assembler {
 ///
 /// Large inputs (≥ [`crate::PAR_THRESHOLD`] lines) are parsed in parallel:
 /// the line list is split into contiguous chunks, each chunk's lines parse
-/// independently ([`parse_line`] is pure), and the per-line statements are
-/// spliced through the same sequential [`Assembler`] in input order — so
+/// independently (`parse_line` is pure), and the per-line statements are
+/// spliced through the same sequential `Assembler` in input order — so
 /// the result, including the first error in input order, is bit-identical
 /// to [`from_qasm_sequential`] by construction.
 ///

@@ -10,7 +10,7 @@ use autocomm::{
     Ablation, AutoComm, AutoCommOptions, BufferPolicy, CompileResult, PlacementConfig,
     PlacementReport,
 };
-use dqc_circuit::{unroll_circuit, Circuit, CircuitStats, Partition};
+use dqc_circuit::{Circuit, CircuitStats, Partition};
 use dqc_hardware::{HardwareSpec, NetworkTopology};
 use dqc_partition::{oee_partition, InteractionGraph};
 
@@ -385,9 +385,8 @@ pub fn run_job(circuit: &Circuit, job: &Job) -> Result<Compiled, CliError> {
             Partition::block(circuit.num_qubits(), job.nodes).map_err(|e| failed(&e))?
         }
         PartitionStrategy::Oee | PartitionStrategy::Topo => {
-            let unrolled = unroll_circuit(circuit).map_err(|e| failed(&e))?;
-            oee_partition(&InteractionGraph::from_circuit(&unrolled), job.nodes)
-                .map_err(|e| failed(&e))?
+            let graph = InteractionGraph::from_circuit_unrolled(circuit).map_err(|e| failed(&e))?;
+            oee_partition(&graph, job.nodes).map_err(|e| failed(&e))?
         }
     };
     let hardware = job.hardware()?;

@@ -322,7 +322,7 @@ fn assign_with(
 /// depends only on its body, and its scheme/cost only on the routed hop
 /// distance between its two physical endpoints, so an unmoved block's
 /// previous [`AssignedBlock`] is bit-identical to a fresh recompute. Only
-/// blocks with a moved endpoint re-run [`cat_segments`].
+/// blocks with a moved endpoint re-run `cat_segments`.
 ///
 /// This is the incremental-recompilation kernel of
 /// [`crate::AutoComm::compile_placed`]: a refinement round that moves two

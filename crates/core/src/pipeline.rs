@@ -525,6 +525,13 @@ impl AutoComm {
     /// `partition` — and on all-to-all machines (where every map costs the
     /// same) the identity compile is returned untouched.
     ///
+    /// The driver copies no compile artifact: the identity compile is the
+    /// round state, rounds read its assignment and metrics by reference,
+    /// and an accepted round moves its own artifacts in. With
+    /// `refine_iters == 0` (the `block`/`oee` strategies) the identity
+    /// compile is returned as built, so the zero-round driver costs one
+    /// compile plus the report's interaction graph.
+    ///
     /// # Errors
     ///
     /// See [`AutoComm::compile`].
@@ -539,28 +546,16 @@ impl AutoComm {
             return self.compile_placed_full(circuit, partition, hw, config);
         }
         let topology = hw.topology();
-        let mut placement = Placement::identity(partition);
-        let identity = self.compile_with_placement(circuit, &placement, hw)?;
-        let initial_epr_cost = identity.metrics.total_epr_cost;
-        // Round state: evaluating a candidate placement needs only the
-        // aggregated program, the assignment, and its metrics — never the
-        // schedule. The interaction graph is hoisted out of the loop and
-        // recomputed only when an accepted round changed the logical
-        // partition: it depends on the aggregated program alone, not on
-        // the block→node map.
-        let mut aggregated = identity.aggregated.clone();
-        let mut assigned = identity.assigned.clone();
-        let mut metrics = identity.metrics.clone();
-        // Circuit-level artifacts (unrolled circuit, indexed IR) and the
-        // pass reports of the run that produced the current artifacts.
-        // Partition-preserving rounds keep them valid (orientation and
-        // unrolling depend only on the circuit and the logical partition);
-        // partition-changing accepted rounds replace them from their
-        // analysis-pipeline run.
-        let mut unrolled = identity.unrolled.clone();
-        let mut ir = Arc::clone(&identity.ir);
-        let mut passes = identity.passes.clone();
-        let mut graph = comm_weighted_graph(&aggregated);
+        // The identity compile is the round state: rounds borrow its
+        // assignment and metrics, and an accepted round moves its artifacts
+        // in. Evaluating a candidate placement never needs the schedule,
+        // which is recomputed once after the loop, and only if a round was
+        // accepted. The interaction graph is rebuilt only when an accepted
+        // round changed the logical partition: it depends on the aggregated
+        // program alone, not on the block→node map.
+        let mut best = self.compile_with_placement(circuit, &Placement::identity(partition), hw)?;
+        let initial_epr_cost = best.metrics.total_epr_cost;
+        let mut graph = comm_weighted_graph(&best.aggregated);
         let mut iterations = 0usize;
         let mut work = PlacementWork::default();
         // Warm-start state for the hop-weighted OEE: carried across rounds
@@ -582,14 +577,14 @@ impl AutoComm {
             // round whose refinement terminated naturally: a changed
             // partition rebuilds the graph, and a saturated refinement is
             // not a fixed point.)
-            if prev_pair_comms.as_ref() == Some(&metrics.pair_comms) {
+            if prev_pair_comms.as_ref() == Some(&best.metrics.pair_comms) {
                 work.rounds_skipped += 1;
                 break;
             }
             // Measured communication traffic over logical blocks — what the
             // compiled program actually pays per pair, post-aggregation
             // (dense form of the sparse `CommMetrics::pair_comms`).
-            let traffic = metrics.traffic_matrix(placement.num_nodes());
+            let traffic = best.metrics.traffic_matrix(best.placement.num_nodes());
             let (node_map, place_stats) = place_blocks_stats(
                 &traffic,
                 topology.num_nodes(),
@@ -601,7 +596,7 @@ impl AutoComm {
             // Refine the partition under the candidate map's hop metric.
             let (refined, oee_stats) = oee_refine_cached(
                 &graph,
-                placement.partition().clone(),
+                best.placement.partition().clone(),
                 &node_map,
                 topology,
                 OeeOptions::default(),
@@ -613,7 +608,7 @@ impl AutoComm {
             work.saturated |= oee_stats.saturated;
             let refine_converged = !oee_stats.saturated;
             let candidate = Placement::new(refined, node_map)?;
-            if candidate == placement {
+            if candidate == best.placement {
                 break; // fixed point
             }
             // Refinement rounds usually permute the block→node map and
@@ -621,12 +616,12 @@ impl AutoComm {
             // physical endpoints moved are re-assigned (incremental
             // recompilation). A changed partition invalidates aggregation
             // and falls back to the analysis pipeline (no scheduling — the
-            // winning placement gets one full compile after the loop).
+            // winning placement gets its schedule after the loop).
             let (cand_rebuilt, cand_assigned, cand_metrics) =
-                if candidate.partition() == placement.partition() {
+                if candidate.partition() == best.placement.partition() {
                     let inc = crate::assign_incremental(
-                        &assigned,
-                        &placement,
+                        &best.assigned,
+                        &best.placement,
                         &candidate,
                         topology,
                         self.options.hybrid_assignment,
@@ -653,62 +648,51 @@ impl AutoComm {
                         out.metrics.ok_or(missing("metrics"))?,
                     )
                 };
-            if cand_metrics.total_epr_cost < metrics.total_epr_cost {
-                // Arm the unchanged-traffic skip only when its fixed-point
-                // argument holds for the next round: the interaction graph
-                // survives (partition-preserving round) and the refinement
-                // above converged rather than hitting its safety valve.
-                prev_pair_comms = (cand_rebuilt.is_none() && refine_converged)
-                    .then(|| metrics.pair_comms.clone());
-                if let Some((circ, cand_ir, agg, reports)) = cand_rebuilt {
-                    unrolled = circ;
-                    ir = cand_ir;
-                    passes = reports;
-                    aggregated = agg;
-                    graph = comm_weighted_graph(&aggregated);
-                }
-                assigned = cand_assigned;
-                metrics = cand_metrics;
-                placement = candidate;
-                iterations += 1;
-            } else {
+            if cand_metrics.total_epr_cost >= best.metrics.total_epr_cost {
                 break; // no improvement: keep the best-so-far placement
             }
+            // Arm the unchanged-traffic skip only when its fixed-point
+            // argument holds for the next round: the interaction graph
+            // survives (partition-preserving round) and the refinement
+            // above converged rather than hitting its safety valve.
+            let arm_skip = cand_rebuilt.is_none() && refine_converged;
+            let prev_metrics = std::mem::replace(&mut best.metrics, cand_metrics);
+            prev_pair_comms = arm_skip.then_some(prev_metrics.pair_comms);
+            if let Some((unrolled, ir, aggregated, passes)) = cand_rebuilt {
+                best.unrolled = unrolled;
+                best.ir = ir;
+                best.aggregated = aggregated;
+                best.passes = passes;
+                graph = comm_weighted_graph(&best.aggregated);
+            }
+            best.assigned = cand_assigned;
+            best.placement = candidate;
+            iterations += 1;
         }
-        // Schedule reuse: the loop already holds every pre-schedule
-        // artifact of the winning placement (`assigned` shares the same
+        // Schedule reuse: `best` already holds every pre-schedule artifact
+        // of the winning placement (`assigned` shares the same
         // `Arc<CommIr>` the scheduler resolves against), so instead of the
-        // historical full recompile only the never-computed schedule runs
-        // here. `force_full` keeps the full driver as the verification
-        // rail, the property suite pins both drivers artifact-for-artifact,
-        // and debug builds cross-check against a full recompile below.
-        let best = if iterations == 0 {
-            identity
-        } else {
+        // historical full recompile only the schedule runs here, and only
+        // when a round replaced the identity compile's. `force_full` keeps
+        // the full driver as the verification rail, the property suite
+        // pins both drivers artifact-for-artifact, and debug builds
+        // cross-check against a full recompile below.
+        if iterations > 0 {
             // The identity run's stale schedule report is replaced by the
             // fresh one (`--timings` keys on unique pass names).
-            passes.retain(|r| r.pass != "schedule");
+            best.passes.retain(|r| r.pass != "schedule");
             let started = std::time::Instant::now();
-            let schedule = crate::schedule(&assigned, &placement, hw, self.options.schedule);
-            passes.push(PassReport {
+            best.schedule =
+                crate::schedule(&best.assigned, &best.placement, hw, self.options.schedule);
+            best.passes.push(PassReport {
                 pass: "schedule",
                 duration: started.elapsed(),
-                metric: Some(schedule_metric(&schedule)),
+                metric: Some(schedule_metric(&best.schedule)),
             });
-            CompileResult {
-                unrolled,
-                placement: placement.clone(),
-                ir,
-                aggregated,
-                assigned,
-                metrics,
-                schedule,
-                passes,
-            }
-        };
+        }
         #[cfg(debug_assertions)]
         if iterations > 0 {
-            let full = self.compile_with_placement(circuit, &placement, hw)?;
+            let full = self.compile_with_placement(circuit, &best.placement, hw)?;
             assert_eq!(
                 full.metrics, best.metrics,
                 "incremental round metrics drifted from the full recompile"
@@ -718,6 +702,7 @@ impl AutoComm {
                 "reused schedule drifted from the full recompile"
             );
         }
+        let placement = &best.placement;
         let report = PlacementReport {
             iterations,
             cut_weight: graph.cut_weight(placement.partition()),

@@ -498,10 +498,11 @@ impl Scheduler<'_> {
         // their own operand wires.
         let mut comm_cursor = ent_end;
         let mut body_end = ent_end;
+        let mut partners = Vec::new();
         for gate in block.gates(self.table) {
             if gate.acts_on(q) {
-                let partners: Vec<QubitId> =
-                    gate.qubits().iter().copied().filter(|&x| x != q).collect();
+                partners.clear();
+                partners.extend(gate.qubits().iter().copied().filter(|&x| x != q));
                 let start =
                     partners.iter().map(|&x| tl.qubit_free_at(x)).fold(comm_cursor, f64::max);
                 let end = start + lat.gate(gate);
@@ -621,10 +622,11 @@ impl Scheduler<'_> {
             // Body on `node`, with the comm qubit (holding q) serializing.
             let mut comm_cursor = state_time;
             let tl = self.rm.timeline_mut();
+            let mut partners = Vec::new();
             for gate in block.gates(self.table) {
                 if gate.acts_on(q) {
-                    let partners: Vec<QubitId> =
-                        gate.qubits().iter().copied().filter(|&x| x != q).collect();
+                    partners.clear();
+                    partners.extend(gate.qubits().iter().copied().filter(|&x| x != q));
                     let start =
                         partners.iter().map(|&x| tl.qubit_free_at(x)).fold(comm_cursor, f64::max);
                     let end = start + lat.gate(gate);
@@ -970,6 +972,34 @@ mod tests {
         let opts = ScheduleOptions { record_events: true, ..buffered(4) };
         let s = schedule(&program, &Placement::identity(&p), &hw, opts);
         dqc_hardware::validate_events(&s.events.expect("recording enabled"), &hw).unwrap();
+    }
+
+    /// A whole prefetch:4 schedule on a chain, where claims route through
+    /// relays: the recorded log validates against the hardware, and its
+    /// length and digest match the log recorded before event bookkeeping
+    /// stopped allocating when recording is off.
+    #[test]
+    fn buffered_event_log_is_pinned() {
+        let p = Partition::block(8, 4).unwrap();
+        let c = dqc_circuit::unroll_circuit(&dqc_workloads::qft(8)).unwrap();
+        let program = assign(&aggregate(&c, &p, AggregateOptions::default()));
+        let hw = linear_hw(&p);
+        let opts = ScheduleOptions { record_events: true, ..buffered(4) };
+        let s = schedule(&program, &Placement::identity(&p), &hw, opts);
+        let events = s.events.expect("recording enabled");
+        dqc_hardware::validate_events(&events, &hw).unwrap();
+        // FNV-1a over each event's `Debug` form: label, times, qubits and
+        // slots, in order.
+        let digest = events.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, e| {
+            format!("{e:?}")
+                .bytes()
+                .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        });
+        let swaps = events.iter().filter(|e| e.label == "swap").count();
+        assert!(!s.buffering.fell_back, "the buffered engine's own log is the one pinned");
+        assert_eq!(s.buffering.prefetch_hits, 20);
+        assert_eq!((events.len(), swaps), (249, 9));
+        assert_eq!(digest, 0xa1b5_694a_2f8d_b341);
     }
 
     #[test]

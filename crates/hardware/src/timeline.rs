@@ -164,6 +164,11 @@ pub struct Timeline {
     slot_queue: Vec<FreeQueue>,
     free_slots: Vec<usize>,
     link_queue: Vec<FreeQueue>,
+    /// Reused buffers of [`Timeline::run_hops`]: the routed path and the
+    /// `(in, out)` slot pair of each relay on it. Kept across claims so a
+    /// routed generation allocates nothing.
+    path_buf: Vec<NodeId>,
+    relay_buf: Vec<(usize, usize)>,
 }
 
 impl Timeline {
@@ -192,6 +197,8 @@ impl Timeline {
             slot_queue,
             free_slots,
             link_queue,
+            path_buf: Vec::new(),
+            relay_buf: Vec::new(),
         }
     }
 
@@ -280,7 +287,7 @@ impl Timeline {
             self.qubit_free[q.index()] = end;
         }
         self.makespan = self.makespan.max(end);
-        self.record(gate.kind().name().to_owned(), start, end, gate.qubits().to_vec(), vec![]);
+        self.record(gate.kind().name(), start, end, gate.qubits(), &[]);
         (start, end)
     }
 
@@ -291,7 +298,7 @@ impl Timeline {
             self.qubit_free[q.index()] = self.qubit_free[q.index()].max(end);
         }
         self.makespan = self.makespan.max(end);
-        self.record(label.to_owned(), start, end, qubits.to_vec(), vec![]);
+        self.record(label, start, end, qubits, &[]);
     }
 
     /// Establishes end-to-end entanglement between `a` and `b` along the
@@ -316,16 +323,12 @@ impl Timeline {
     /// disconnected in the topology, or a required node has every
     /// communication slot held open.
     pub fn claim_comm(&mut self, a: NodeId, b: NodeId, earliest: f64) -> CommClaim {
-        assert_ne!(a, b, "communication requires two distinct nodes");
-        let path = self
-            .topology
-            .path(a, b)
-            .unwrap_or_else(|| panic!("no route between {a} and {b} in the topology"));
+        let path = self.route(a, b);
         // One slot at each end, claimed for the whole generation-to-release
         // window (the legacy engine's defining constraint).
         let slot_a = self.best_slot(a);
         let slot_b = self.best_slot(b);
-        let plan = self.run_hops(&path, earliest, Some((slot_a, slot_b)));
+        let plan = self.run_hops(path, earliest, Some((slot_a, slot_b)));
         self.hold_slot(a, slot_a);
         self.hold_slot(b, slot_b);
         CommClaim {
@@ -337,6 +340,24 @@ impl Timeline {
             epr_ready: plan.epr_ready,
             hops: plan.hops,
         }
+    }
+
+    /// The routed path `a → b`, loaded into the reusable path buffer;
+    /// [`Timeline::run_hops`] hands the buffer back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a == b` or the pair is disconnected in the topology.
+    fn route(&mut self, a: NodeId, b: NodeId) -> Vec<NodeId> {
+        assert_ne!(a, b, "communication requires two distinct nodes");
+        let route = self
+            .topology
+            .route(a, b)
+            .unwrap_or_else(|| panic!("no route between {a} and {b} in the topology"));
+        let mut path = std::mem::take(&mut self.path_buf);
+        path.clear();
+        path.extend(route);
+        path
     }
 
     /// The shared routed-generation engine behind [`Timeline::claim_comm`]
@@ -353,26 +374,20 @@ impl Timeline {
     /// relay availability bound the start.
     fn run_hops(
         &mut self,
-        path: &[NodeId],
+        path: Vec<NodeId>,
         earliest: f64,
         ends: Option<(usize, usize)>,
     ) -> HopPlan {
         let hops = path.len() - 1;
-        // Slot assignment along the path: two slots at each relay (left
-        // half toward the previous node, right half toward the next);
-        // `usize::MAX` marks an unconstrained end.
-        let mut out_slot = vec![usize::MAX; path.len()]; // toward path[i+1]
-        let mut in_slot = vec![usize::MAX; path.len()]; // toward path[i-1]
-        if let Some((slot_a, slot_b)) = ends {
-            out_slot[0] = slot_a;
-            in_slot[hops] = slot_b;
-        }
-        for i in 1..hops {
-            // In indexed mode this pops both entries; the relay-release
-            // loop below pushes them back at `epr_ready`.
-            let (first, second) = self.two_best_slots(path[i]);
-            in_slot[i] = first;
-            out_slot[i] = second;
+        let relays = &path[1..hops];
+        // Two slots at each relay `relays[k]`: `(in, out)`, the half toward
+        // the previous node and the half toward the next. In indexed mode
+        // this pops both entries; the relay-release loop below pushes them
+        // back at `epr_ready`.
+        let mut relay_slots = std::mem::take(&mut self.relay_buf);
+        relay_slots.clear();
+        for &relay in relays {
+            relay_slots.push(self.two_best_slots(relay));
         }
 
         // Each hop's generation starts as soon as its slots and a link
@@ -380,21 +395,18 @@ impl Timeline {
         // after the slowest hop.
         let mut first_start = f64::INFINITY;
         let mut all_ready: f64 = 0.0;
-        let mut hop_spans = Vec::with_capacity(hops);
         for i in 0..hops {
             let (u, v) = (path[i], path[i + 1]);
+            // The slot at `u` toward `v` and the slot at `v` toward `u`;
+            // `None` marks an unconstrained end.
+            let out_u =
+                if i == 0 { ends.map(|(slot_a, _)| slot_a) } else { Some(relay_slots[i - 1].1) };
+            let in_v =
+                if i + 1 == hops { ends.map(|(_, slot_b)| slot_b) } else { Some(relay_slots[i].0) };
             let link_idx =
                 self.topology.link_between(u, v).expect("routed path steps along existing links");
-            let su = if out_slot[i] == usize::MAX {
-                0.0
-            } else {
-                self.slot_free[u.index()][out_slot[i]]
-            };
-            let sv = if in_slot[i + 1] == usize::MAX {
-                0.0
-            } else {
-                self.slot_free[v.index()][in_slot[i + 1]]
-            };
+            let su = out_u.map_or(0.0, |s| self.slot_free[u.index()][s]);
+            let sv = in_v.map_or(0.0, |s| self.slot_free[v.index()][s]);
             let channel = self.best_channel(link_idx);
             let channel_free = channel.map(|c| self.link_free[link_idx][c]).unwrap_or(0.0);
             let start = su.max(sv).max(channel_free).max(earliest);
@@ -411,40 +423,50 @@ impl Timeline {
             self.link_traffic[link_idx] += 1;
             first_start = first_start.min(start);
             all_ready = all_ready.max(ready);
-            let mut slots = Vec::with_capacity(2);
-            if out_slot[i] != usize::MAX {
-                slots.push((u, out_slot[i]));
+            let mut slots = [(u, 0); 2];
+            let mut held = 0;
+            for (node, slot) in [(u, out_u), (v, in_v)] {
+                if let Some(slot) = slot {
+                    slots[held] = (node, slot);
+                    held += 1;
+                }
             }
-            if in_slot[i + 1] != usize::MAX {
-                slots.push((v, in_slot[i + 1]));
-            }
-            hop_spans.push((start, ready, slots));
+            self.record("epr", start, ready, &[], &slots[..held]);
         }
         let epr_ready = all_ready + (hops - 1) as f64 * self.latency.entanglement_swap();
 
         // Relay slots free once their halves are measured out by the swaps.
-        let mut relay_slots = Vec::with_capacity(2 * hops.saturating_sub(1));
-        for i in 1..hops {
-            self.slot_free[path[i].index()][in_slot[i]] = epr_ready;
-            self.slot_free[path[i].index()][out_slot[i]] = epr_ready;
+        for (&relay, &(in_slot, out_slot)) in relays.iter().zip(&relay_slots) {
+            self.slot_free[relay.index()][in_slot] = epr_ready;
+            self.slot_free[relay.index()][out_slot] = epr_ready;
             if self.indexed {
-                let q = &mut self.slot_queue[path[i].index()];
-                q.push(Reverse((TimeKey(epr_ready), in_slot[i])));
-                q.push(Reverse((TimeKey(epr_ready), out_slot[i])));
+                let q = &mut self.slot_queue[relay.index()];
+                q.push(Reverse((TimeKey(epr_ready), in_slot)));
+                q.push(Reverse((TimeKey(epr_ready), out_slot)));
             }
-            relay_slots.push((path[i], in_slot[i]));
-            relay_slots.push((path[i], out_slot[i]));
         }
 
         self.epr_count += hops;
         self.swap_count += hops - 1;
         self.makespan = self.makespan.max(epr_ready);
-        for (start, ready, slots) in hop_spans {
-            self.record("epr".to_owned(), start, ready, vec![], slots);
+        // The swap event lists every relay slot, so it is built here, and
+        // only when recording.
+        if let Some(events) = self.events.as_mut().filter(|_| hops > 1) {
+            let slots = relays
+                .iter()
+                .zip(&relay_slots)
+                .flat_map(|(&relay, &(in_slot, out_slot))| [(relay, in_slot), (relay, out_slot)])
+                .collect();
+            events.push(TimelineEvent {
+                label: "swap".to_owned(),
+                start: all_ready,
+                end: epr_ready,
+                qubits: Vec::new(),
+                slots,
+            });
         }
-        if hops > 1 {
-            self.record("swap".to_owned(), all_ready, epr_ready, vec![], relay_slots);
-        }
+        self.path_buf = path;
+        self.relay_buf = relay_slots;
         HopPlan { first_start, epr_ready, hops }
     }
 
@@ -466,12 +488,8 @@ impl Timeline {
     /// Panics under the same conditions as [`Timeline::claim_comm`], minus
     /// the end-slot exhaustion case (end slots are not touched here).
     pub fn generate_routed(&mut self, a: NodeId, b: NodeId, earliest: f64) -> PendingPair {
-        assert_ne!(a, b, "communication requires two distinct nodes");
-        let path = self
-            .topology
-            .path(a, b)
-            .unwrap_or_else(|| panic!("no route between {a} and {b} in the topology"));
-        let plan = self.run_hops(&path, earliest, None);
+        let path = self.route(a, b);
+        let plan = self.run_hops(path, earliest, None);
         PendingPair { a, b, start: plan.first_start, ready: plan.epr_ready, hops: plan.hops }
     }
 
@@ -481,13 +499,14 @@ impl Timeline {
     /// needs both). Prefetch engines use this to stall lookahead instead of
     /// tripping the relay-slot assertion.
     pub fn can_generate(&self, a: NodeId, b: NodeId) -> bool {
-        let Some(path) = self.topology.path(a, b) else {
+        let Some(route) = self.topology.route(a, b) else {
             return false;
         };
+        let mut relays = route.filter(|&node| node != a && node != b);
         if self.indexed {
-            path[1..path.len() - 1].iter().all(|relay| self.free_slots[relay.index()] >= 2)
+            relays.all(|relay| self.free_slots[relay.index()] >= 2)
         } else {
-            path[1..path.len() - 1].iter().all(|relay| {
+            relays.all(|relay| {
                 self.slot_free[relay.index()].iter().filter(|t| t.is_finite()).count() >= 2
             })
         }
@@ -574,13 +593,7 @@ impl Timeline {
         self.release_slot(claim.node_a, claim.slot_a, at);
         self.makespan = self.makespan.max(at);
         if at > claim.epr_ready {
-            self.record(
-                "comm".to_owned(),
-                claim.epr_ready,
-                at,
-                vec![],
-                vec![(claim.node_a, claim.slot_a)],
-            );
+            self.record("comm", claim.epr_ready, at, &[], &[(claim.node_a, claim.slot_a)]);
         }
     }
 
@@ -603,13 +616,7 @@ impl Timeline {
         self.release_slot(claim.node_b, claim.slot_b, at);
         self.makespan = self.makespan.max(at);
         if at > claim.epr_ready {
-            self.record(
-                "comm".to_owned(),
-                claim.epr_ready,
-                at,
-                vec![],
-                vec![(claim.node_b, claim.slot_b)],
-            );
+            self.record("comm", claim.epr_ready, at, &[], &[(claim.node_b, claim.slot_b)]);
         }
     }
 
@@ -637,13 +644,8 @@ impl Timeline {
         self.release_slot(claim.node_b, claim.slot_b, at);
         self.makespan = self.makespan.max(at);
         if at > claim.epr_ready {
-            self.record(
-                "comm".to_owned(),
-                claim.epr_ready,
-                at,
-                vec![],
-                vec![(claim.node_a, claim.slot_a), (claim.node_b, claim.slot_b)],
-            );
+            let slots = [(claim.node_a, claim.slot_a), (claim.node_b, claim.slot_b)];
+            self.record("comm", claim.epr_ready, at, &[], &slots);
         }
     }
 
@@ -772,16 +774,24 @@ impl Timeline {
         Some(best)
     }
 
+    /// Appends an event when recording is on. Borrows its fields, so a
+    /// timeline that does not record (the default) allocates nothing here.
     fn record(
         &mut self,
-        label: String,
+        label: &str,
         start: f64,
         end: f64,
-        qubits: Vec<QubitId>,
-        slots: Vec<(NodeId, usize)>,
+        qubits: &[QubitId],
+        slots: &[(NodeId, usize)],
     ) {
         if let Some(events) = &mut self.events {
-            events.push(TimelineEvent { label, start, end, qubits, slots });
+            events.push(TimelineEvent {
+                label: label.to_owned(),
+                start,
+                end,
+                qubits: qubits.to_vec(),
+                slots: slots.to_vec(),
+            });
         }
     }
 }
@@ -882,6 +892,62 @@ mod tests {
         assert!(events.iter().any(|e| e.label == "h"));
         assert!(events.iter().any(|e| e.label == "epr"));
         assert!(events.iter().any(|e| e.label == "comm"));
+    }
+
+    /// Every recording call site at once, on a machine where claims route
+    /// through relays: gates, a labelled occupancy, a two-relay claim with
+    /// its swap, a buffered generation attached later, and an asymmetric
+    /// source/destination release. The expected log was recorded from the
+    /// allocating `record` this test guards, so the log is pinned field by
+    /// field, in order.
+    #[test]
+    fn recording_pins_the_exact_event_log() {
+        let mut tl = Timeline::new(4, &linear_hw(4)).with_recording();
+        tl.schedule_gate(&Gate::cx(q(0), q(1)));
+        tl.occupy_qubits("cat-body", &[q(1), q(2)], 1.0, 3.0);
+        let far = tl.claim_comm(n(0), n(3), 0.5);
+        tl.release_comm(&far, far.epr_ready + 4.0);
+        let near = tl.claim_comm(n(1), n(2), 2.0);
+        tl.release_comm_source(&near, near.epr_ready + 1.0);
+        tl.release_comm_dest(&near, near.epr_ready + 6.0);
+        let pending = tl.generate_routed(n(0), n(2), 3.0);
+        let attached = tl.attach_pair(&pending);
+        tl.release_comm_sides(&attached, attached.epr_ready, attached.epr_ready + 2.5);
+        tl.schedule_gate(&Gate::h(q(3)));
+        type Row = (String, f64, f64, Vec<usize>, Vec<(usize, usize)>);
+        let row = |label: &str, start, end, qubits: &[usize], slots: &[(usize, usize)]| -> Row {
+            (label.to_owned(), start, end, qubits.to_vec(), slots.to_vec())
+        };
+        let got: Vec<Row> = tl
+            .events()
+            .unwrap()
+            .iter()
+            .map(|e| {
+                let qubits: Vec<usize> = e.qubits.iter().map(|q| q.index()).collect();
+                let slots: Vec<(usize, usize)> =
+                    e.slots.iter().map(|&(node, slot)| (node.index(), slot)).collect();
+                row(&e.label, e.start, e.end, &qubits, &slots)
+            })
+            .collect();
+        let expected = vec![
+            row("cx", 0.0, 1.0, &[0, 1], &[]),
+            row("cat-body", 1.0, 3.0, &[1, 2], &[]),
+            row("epr", 0.5, 12.5, &[], &[(0, 0), (1, 0)]),
+            row("epr", 0.5, 12.5, &[], &[(1, 1), (2, 0)]),
+            row("epr", 0.5, 12.5, &[], &[(2, 1), (3, 0)]),
+            row("swap", 12.5, 27.1, &[], &[(1, 0), (1, 1), (2, 0), (2, 1)]),
+            row("comm", 27.1, 31.1, &[], &[(0, 0), (3, 0)]),
+            row("epr", 27.1, 39.1, &[], &[(1, 0), (2, 0)]),
+            row("comm", 39.1, 40.1, &[], &[(1, 0)]),
+            row("comm", 39.1, 45.1, &[], &[(2, 0)]),
+            row("epr", 27.1, 39.1, &[], &[(1, 1)]),
+            row("epr", 40.1, 52.1, &[], &[(1, 0)]),
+            row("swap", 52.1, 59.4, &[], &[(1, 1), (1, 0)]),
+            row("comm", 59.4, 61.9, &[], &[(2, 1)]),
+            row("h", 0.0, 0.1, &[3], &[]),
+        ];
+        assert_eq!(got, expected);
+        crate::validate_events(tl.events().unwrap(), &linear_hw(4)).unwrap();
     }
 
     #[test]

@@ -487,14 +487,20 @@ impl NetworkTopology {
     /// The routed node sequence `a, …, b` (just `[a]` when `a == b`), or
     /// `None` when disconnected.
     pub fn path(&self, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
+        Some(self.route(a, b)?.collect())
+    }
+
+    /// [`NetworkTopology::path`] as an iterator, for callers that walk the
+    /// route without keeping it.
+    pub(crate) fn route(&self, a: NodeId, b: NodeId) -> Option<impl Iterator<Item = NodeId> + '_> {
         self.hop_distance(a, b)?;
-        let mut path = vec![a];
-        let mut cur = a;
-        while cur != b {
-            cur = NodeId::new(self.next[cur.index() * self.num_nodes + b.index()] as usize);
-            path.push(cur);
-        }
-        Some(path)
+        let mut next = Some(a);
+        Some(std::iter::from_fn(move || {
+            let cur = next?;
+            next = (cur != b)
+                .then(|| NodeId::new(self.next[cur.index() * self.num_nodes + b.index()] as usize));
+            Some(cur)
+        }))
     }
 
     /// Whether every node pair has a route.

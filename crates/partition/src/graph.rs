@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use dqc_circuit::{Circuit, NodeId, Partition, QubitId};
+use dqc_circuit::{unroll_gate, Circuit, CircuitError, Gate, GateKind, NodeId, Partition, QubitId};
 
 use crate::NodeDistance;
 
@@ -108,17 +108,64 @@ impl InteractionGraph {
     pub fn from_circuit(circuit: &Circuit) -> Self {
         let mut g = InteractionGraph::new(circuit.num_qubits());
         for gate in circuit.gates() {
-            if !gate.kind().is_unitary() || gate.num_qubits() < 2 {
-                continue;
-            }
-            let qs = gate.qubits();
-            for i in 0..qs.len() {
-                for j in i + 1..qs.len() {
-                    g.add_weight(qs[i], qs[j], 1);
+            g.count_gate(gate);
+        }
+        g
+    }
+
+    /// The graph of `circuit` after unrolling into the CX + U3 basis —
+    /// equal to `from_circuit(&unroll_circuit(circuit)?)` — built gate by
+    /// gate without materializing the unrolled circuit.
+    ///
+    /// CX, single-qubit and non-unitary gates count as they stand (they
+    /// unroll to themselves or to single-qubit gates); every other gate
+    /// counts through its [`unroll_gate`] expansion. `unroll_circuit` is
+    /// the in-order concatenation of those expansions, so the weights are
+    /// the same by construction, and so is the first error.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::InsufficientAncillas`] for the first multi-controlled
+    /// gate with no free qubit to borrow, exactly as `unroll_circuit`.
+    ///
+    /// ```
+    /// use dqc_circuit::{unroll_circuit, Circuit, Gate, QubitId};
+    /// use dqc_partition::InteractionGraph;
+    /// let q = |i| QubitId::new(i);
+    /// let mut c = Circuit::new(3);
+    /// c.push(Gate::cx(q(0), q(1))).unwrap();
+    /// c.push(Gate::ccx(q(0), q(1), q(2))).unwrap();
+    /// let g = InteractionGraph::from_circuit_unrolled(&c).unwrap();
+    /// assert_eq!(g, InteractionGraph::from_circuit(&unroll_circuit(&c).unwrap()));
+    /// assert_eq!(g.weight(q(0), q(1)), 3);
+    /// ```
+    pub fn from_circuit_unrolled(circuit: &Circuit) -> Result<Self, CircuitError> {
+        let mut g = InteractionGraph::new(circuit.num_qubits());
+        for gate in circuit.gates() {
+            if gate.kind() == GateKind::Cx || gate.num_qubits() < 2 || !gate.kind().is_unitary() {
+                g.count_gate(gate);
+            } else {
+                for part in unroll_gate(gate, circuit.num_qubits())? {
+                    g.count_gate(&part);
                 }
             }
         }
-        g
+        Ok(g)
+    }
+
+    /// The [`InteractionGraph::from_circuit`] rule for one gate: a unitary
+    /// multi-qubit gate adds one unit of weight to each pair of its
+    /// operands.
+    fn count_gate(&mut self, gate: &Gate) {
+        if !gate.kind().is_unitary() || gate.num_qubits() < 2 {
+            return;
+        }
+        let qs = gate.qubits();
+        for i in 0..qs.len() {
+            for j in i + 1..qs.len() {
+                self.add_weight(qs[i], qs[j], 1);
+            }
+        }
     }
 
     /// Number of qubits (vertices).
@@ -346,7 +393,7 @@ fn order(a: usize, b: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqc_circuit::Gate;
+    use proptest::prelude::*;
 
     fn q(i: usize) -> QubitId {
         QubitId::new(i)
@@ -517,5 +564,130 @@ mod tests {
         let cut: u64 =
             (0..3).flat_map(|i| (i + 1..3).map(move |j| (i, j))).map(|(i, j)| t[i][j]).sum();
         assert_eq!(cut, g.cut_weight(&p), "traffic totals the cut");
+    }
+
+    /// The reference the streaming constructor must equal: unroll the
+    /// whole circuit, then count it.
+    fn via_unrolled(c: &Circuit) -> Result<InteractionGraph, CircuitError> {
+        dqc_circuit::unroll_circuit(c).map(|u| InteractionGraph::from_circuit(&u))
+    }
+
+    fn assert_streams_like_unrolled(c: &Circuit, label: &str) {
+        let got = InteractionGraph::from_circuit_unrolled(c);
+        let expected = via_unrolled(c);
+        if let (Ok(g), Ok(e)) = (&got, &expected) {
+            assert_eq!(g.num_qubits(), e.num_qubits(), "{label}");
+            assert_eq!(g.edges().collect::<Vec<_>>(), e.edges().collect::<Vec<_>>(), "{label}");
+        }
+        assert_eq!(got, expected, "{label}");
+    }
+
+    #[test]
+    fn streamed_graph_matches_unrolled_on_every_table2_generator() {
+        for config in dqc_workloads::smoke_suite() {
+            let c = dqc_workloads::generate(&config);
+            let g = InteractionGraph::from_circuit_unrolled(&c).unwrap();
+            assert!(g.total_weight() > 0, "{}", config.label());
+            assert_streams_like_unrolled(&c, &config.label());
+        }
+    }
+
+    #[test]
+    fn ancilla_starved_mcx_fails_like_unroll_circuit() {
+        // Four controls and the target fill the register: no qubit to
+        // borrow. The CX before it must not mask the error.
+        let mut c = Circuit::new(5);
+        c.push(Gate::cx(q(0), q(1))).unwrap();
+        c.push(Gate::mcx(&[q(0), q(1), q(2), q(3)], q(4))).unwrap();
+        let err = InteractionGraph::from_circuit_unrolled(&c).unwrap_err();
+        assert_eq!(Err(err.clone()), via_unrolled(&c));
+        assert!(matches!(err, CircuitError::InsufficientAncillas { .. }), "{err}");
+        // One spare qubit is enough.
+        let mut c = Circuit::new(6);
+        c.push(Gate::mcx(&[q(0), q(1), q(2), q(3)], q(4))).unwrap();
+        assert_streams_like_unrolled(&c, "mcx with one free ancilla");
+    }
+
+    /// `count` distinct qubits of `0..n`, drawn from `bits` (a partial
+    /// Fisher–Yates shuffle).
+    fn distinct(n: usize, count: usize, mut bits: u64) -> Vec<QubitId> {
+        let mut pool: Vec<usize> = (0..n).collect();
+        for i in 0..count {
+            let j = i + (bits % (n - i) as u64) as usize;
+            bits = bits.rotate_right(7).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            pool.swap(i, j);
+        }
+        pool[..count].iter().map(|&i| q(i)).collect()
+    }
+
+    /// One gate of kind `pick` over an `n`-qubit, `n`-cbit register.
+    fn random_gate(n: usize, pick: u8, bits: u64) -> Gate {
+        let theta = (bits % 628) as f64 / 100.0;
+        let c = dqc_circuit::CBitId::new((bits >> 32) as usize % n);
+        match pick {
+            0 => {
+                let p = distinct(n, 2, bits);
+                Gate::cx(p[0], p[1])
+            }
+            1 => {
+                let p = distinct(n, 2, bits);
+                Gate::cz(p[0], p[1])
+            }
+            2 => {
+                let p = distinct(n, 2, bits);
+                Gate::cp(theta, p[0], p[1])
+            }
+            3 => {
+                let p = distinct(n, 2, bits);
+                Gate::crz(theta, p[0], p[1])
+            }
+            4 => {
+                let p = distinct(n, 2, bits);
+                Gate::rzz(theta, p[0], p[1])
+            }
+            5 => {
+                let p = distinct(n, 2, bits);
+                Gate::swap(p[0], p[1])
+            }
+            6 => {
+                let p = distinct(n, 3, bits);
+                Gate::ccx(p[0], p[1], p[2])
+            }
+            7 => {
+                // 1..n-1 controls: a full register leaves no free ancilla.
+                let controls = 1 + (bits >> 40) as usize % (n - 1);
+                let p = distinct(n, controls + 1, bits);
+                Gate::mcx(&p[..controls], p[controls])
+            }
+            8 => Gate::barrier(&distinct(n, 1 + (bits >> 40) as usize % n, bits)),
+            9 => Gate::measure(distinct(n, 1, bits)[0], c),
+            10 => {
+                let p = distinct(n, 2, bits);
+                Gate::cx(p[0], p[1]).with_condition(c)
+            }
+            11 => Gate::rz(theta, distinct(n, 1, bits)[0]).with_condition(c),
+            _ => Gate::h(distinct(n, 1, bits)[0]),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random circuits mixing every non-basis kind the unroller
+        /// rewrites with barriers, measurements and conditioned gates: the
+        /// streamed graph equals the unrolled circuit's, and an
+        /// ancilla-starved `Mcx` yields the same first error.
+        #[test]
+        fn streamed_graph_matches_unrolled_on_random_circuits(
+            n in 3usize..8,
+            raw in proptest::collection::vec((0u8..13, 0u64..u64::MAX), 0..40),
+        ) {
+            let mut c = Circuit::with_cbits(n, n);
+            for &(pick, bits) in &raw {
+                c.push(random_gate(n, pick, bits)).unwrap();
+            }
+            let got = InteractionGraph::from_circuit_unrolled(&c);
+            prop_assert_eq!(got, via_unrolled(&c));
+        }
     }
 }

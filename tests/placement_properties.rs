@@ -6,14 +6,17 @@
 //!   across the whole workload suite and on random programs;
 //! * on all-to-all machines, the `--placement oee` path (the driver with
 //!   zero refinement rounds) is *bit-identical* to the historical pipeline
-//!   — same assignment, same metrics, same schedule;
+//!   — same assignment, same metrics, same schedule — and on every
+//!   topology, sparse ones included, zero rounds return the identity
+//!   compile artifact for artifact;
 //! * compiles under a non-identity placement still lower to
 //!   simulator-exact physical programs (placement relabels routes, never
 //!   semantics).
 
 use autocomm_repro::circuit::{unroll_circuit, Circuit, Partition};
 use autocomm_repro::core::{
-    lower_assigned_on, AutoComm, CommMetrics, CompileResult, PlacementConfig, PlacementReport,
+    comm_weighted_graph, lower_assigned_on, AutoComm, CommMetrics, CompileResult, Placement,
+    PlacementConfig, PlacementReport,
 };
 use autocomm_repro::hardware::{HardwareSpec, NetworkTopology};
 use autocomm_repro::partition::{oee_partition, InteractionGraph};
@@ -69,6 +72,60 @@ fn suite_topo_placement_never_loses_to_identity() {
             let mut seen: Vec<usize> = report.node_map.iter().map(|n| n.index()).collect();
             seen.sort_unstable();
             assert_eq!(seen, (0..nodes).collect::<Vec<_>>());
+        }
+    }
+}
+
+/// The zero-round driver (the `block` and `oee` strategies) on every
+/// topology, sparse ones included: it returns the identity compile
+/// artifact for artifact, and its report carries the identity placement's
+/// cut weights and EPR cost.
+#[test]
+fn zero_round_driver_is_the_identity_compile_on_every_topology() {
+    let nodes = 4;
+    let zero = PlacementConfig { refine_iters: 0, force_full: false };
+    for config in wl::smoke_suite() {
+        let circuit = wl::generate(&config);
+        let unrolled = unroll_circuit(&circuit).unwrap();
+        let oee = oee_partition(&InteractionGraph::from_circuit(&unrolled), nodes).unwrap();
+        let block = Partition::block(circuit.num_qubits(), nodes).unwrap();
+        for partition in [block, oee] {
+            let topologies = [
+                NetworkTopology::linear(nodes).unwrap(),
+                NetworkTopology::ring(nodes).unwrap(),
+                NetworkTopology::star(nodes).unwrap(),
+                NetworkTopology::grid(2, nodes / 2).unwrap(),
+                NetworkTopology::all_to_all(nodes),
+            ];
+            for topology in topologies {
+                let label = format!("{}/{}", config.label(), topology.name());
+                let hw = HardwareSpec::for_partition(&partition).with_topology(topology).unwrap();
+                let identity = Placement::identity(&partition);
+                let expected =
+                    AutoComm::new().compile_with_placement(&circuit, &identity, &hw).unwrap();
+                let (placed, report) =
+                    AutoComm::new().compile_placed(&circuit, &partition, &hw, &zero).unwrap();
+                assert_eq!(placed.placement, identity, "{label}");
+                assert_eq!(placed.unrolled, expected.unrolled, "{label}");
+                assert_eq!(placed.aggregated, expected.aggregated, "{label}");
+                assert_eq!(placed.assigned, expected.assigned, "{label}");
+                assert_eq!(placed.metrics, expected.metrics, "{label}");
+                assert_eq!(placed.schedule, expected.schedule, "{label}");
+                let names = |r: &CompileResult| r.passes.iter().map(|p| p.pass).collect::<Vec<_>>();
+                assert_eq!(names(&placed), names(&expected), "{label}");
+
+                let graph = comm_weighted_graph(&expected.aggregated);
+                assert_eq!(report.iterations, 0, "{label}");
+                assert_eq!(report.cut_weight, graph.cut_weight(&partition), "{label}");
+                assert_eq!(
+                    report.weighted_cost,
+                    graph.placed_cut_weight(&partition, identity.node_map(), hw.topology()),
+                    "{label}"
+                );
+                assert_eq!(report.node_map, identity.node_map(), "{label}");
+                assert_eq!(report.initial_epr_cost, expected.metrics.total_epr_cost, "{label}");
+                assert_eq!(report.final_epr_cost, expected.metrics.total_epr_cost, "{label}");
+            }
         }
     }
 }
