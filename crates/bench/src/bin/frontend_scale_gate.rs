@@ -1,7 +1,7 @@
 //! Front-end scale regression gate: the deterministic, asserting evidence
 //! for the flattened front end (chunked parallel QASM parsing, par-fanned
-//! orient/unroll, and streaming aggregation that never materializes the
-//! conflict DAG). The deterministic stdout of this binary is diffed by CI
+//! unroll, and streaming aggregation that never materializes the conflict
+//! DAG). The deterministic stdout of this binary is diffed by CI
 //! against `crates/bench/baselines/frontend_scale.json` (recorded from a
 //! `--quick` run, which is what the CI job executes).
 //!
@@ -17,13 +17,9 @@
 //!   wire, independent of stream length), and a full [`ConflictScan`] sweep
 //!   must respect its `O(wires × window)` ring-slot bound — neither may
 //!   scale with the gate count;
-//! * **Parallel parse** — parsing 1M gates of generated QASM through the
-//!   chunked `from_qasm` must be ≥ 2× faster than the sequential reference
-//!   rail ([`from_qasm_sequential`]) and return a bit-identical circuit
-//!   (the ratio needs a second core; identity is asserted regardless);
-//! * **Fanned orient/unroll** — the par-mapped [`unroll_circuit`] and
-//!   [`orient_symmetric_gates`] paths must match their sequential rails
-//!   gate for gate;
+//! * **Parse round trip** — 1M gates of generated QASM parse back through
+//!   the chunked [`from_qasm`] to the generating circuit (the timing goes
+//!   to stderr, next to the fanned [`unroll_circuit`]'s);
 //! * **Wide aggregation** — unrolled `qft(128)` over an 8-node block
 //!   partition (more than 64 wires, so the walk's wire summaries span
 //!   several words) must match the materialized-DAG rail; its block and
@@ -36,13 +32,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use autocomm::{
-    aggregate_ir_with_stats, orient_symmetric_gates, orient_symmetric_gates_sequential,
-    AggregateOptions, CommIr, DAG_WINDOW,
-};
+use autocomm::{aggregate_ir_with_stats, AggregateOptions, CommIr, DAG_WINDOW};
 use dqc_circuit::{
-    from_qasm, from_qasm_sequential, to_qasm, unroll_circuit, unroll_circuit_sequential, Circuit,
-    ConflictScan, Gate, Partition, QubitId,
+    from_qasm, to_qasm, unroll_circuit, Circuit, ConflictScan, Gate, Partition, QubitId,
 };
 use dqc_workloads::{qft, random_distributed_circuit};
 
@@ -106,8 +98,8 @@ fn timed<T>(rounds: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 fn main() {
     let quick = dqc_bench::quick_requested();
     // --quick shrinks every input ~10× (same code paths, CI-smoke speed)
-    // and relaxes the ratio rails, which need 100k-gate aggregations and
-    // 1M-gate parses for the filter and chunking costs to dominate noise.
+    // and relaxes the ratio rail, which needs 100k-gate aggregations for
+    // the filter cost to dominate noise.
     let scale = if quick { 10_000 } else { 100_000 };
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
@@ -196,51 +188,22 @@ fn main() {
     };
     assert_eq!(scanned_edges, dag_edges, "conflict scan drifted from the materialized build");
 
-    // ── Rail 3: chunked parallel parse vs sequential reference ─────────
+    // ── Rail 3: chunked parse round trip, fanned unroll ────────────────
     let (parse_circuit, _) = random_distributed_circuit(32, 4, scale * 10, 7);
     let qasm = to_qasm(&parse_circuit);
-    let (parallel_ms, parsed_parallel) = timed(3, || from_qasm(&qasm).expect("generated QASM"));
-    let (sequential_ms, parsed_sequential) =
-        timed(3, || from_qasm_sequential(&qasm).expect("generated QASM"));
-    assert_eq!(
-        parsed_parallel, parsed_sequential,
-        "chunked parallel parse drifted from the sequential reference"
-    );
-    assert_eq!(parsed_parallel, parse_circuit, "QASM round trip drifted");
-    let parse_speedup = sequential_ms / parallel_ms;
-    eprintln!(
-        "parse ({} gates, {} MiB): sequential {sequential_ms:.1} ms, chunked {parallel_ms:.1} \
-         ms ({parse_speedup:.2}x, {cores} core(s))",
-        parse_circuit.len(),
-        qasm.len() >> 20
-    );
-    // The ratio rail needs a second core — on one core the chunk workers
-    // time-slice and the speedup is physically capped at 1.0x (identity
-    // above is still asserted).
-    if !quick && cores >= 2 {
-        assert!(
-            parse_speedup >= 2.0,
-            "chunked parse must be >= 2x the sequential reference, got {parse_speedup:.2}x"
-        );
-    }
-
-    // ── Rail 4: fanned orient/unroll match their sequential rails ──────
+    let (parse_ms, parsed) = timed(3, || from_qasm(&qasm).expect("generated QASM"));
+    assert_eq!(parsed, parse_circuit, "QASM round trip drifted");
     let (unrolled_ms, unrolled) =
         timed(1, || unroll_circuit(&parse_circuit).expect("workload unrolls"));
-    let t = Instant::now();
-    let unrolled_seq = unroll_circuit_sequential(&parse_circuit).expect("workload unrolls");
-    let unrolled_seq_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(unrolled, unrolled_seq, "fanned unroll drifted from the sequential rail");
     eprintln!(
-        "unroll ({} gates -> {}): sequential {unrolled_seq_ms:.1} ms, fanned {unrolled_ms:.1} ms",
+        "parse ({} gates, {} MiB): {parse_ms:.1} ms; unroll ({} gates): {unrolled_ms:.1} ms \
+         ({cores} core(s))",
         parse_circuit.len(),
+        qasm.len() >> 20,
         unrolled.len()
     );
-    let oriented = orient_symmetric_gates(&circuit, &partition);
-    let oriented_seq = orient_symmetric_gates_sequential(&circuit, &partition);
-    assert_eq!(oriented, oriented_seq, "fanned orient drifted from the sequential rail");
 
-    // ── Rail 5: aggregation over more than 64 wires ────────────────────
+    // ── Rail 4: aggregation over more than 64 wires ────────────────────
     let wide = unroll_circuit(&qft(128)).expect("qft unrolls");
     let wide_partition = Partition::block(128, 8).expect("8-node block partition");
     let wide_ir = CommIr::build(&wide, &wide_partition);
@@ -296,20 +259,12 @@ fn main() {
         base_ir.table().len(),
         base_ir.stream().len()
     );
-    println!(
-        "  \"parse\": {{\"gates\": {}, \"chunked_matches_sequential\": true, \
-         \"round_trips\": true}},",
-        parse_circuit.len()
-    );
-    println!(
-        "  \"fanned_rails\": {{\"unrolled_gates\": {}, \"unroll_matches_sequential\": true, \
-         \"orient_matches_sequential\": true}}",
-        unrolled.len()
-    );
+    println!("  \"parse\": {{\"gates\": {}, \"round_trips\": true}},", parse_circuit.len());
+    println!("  \"fanned_rails\": {{\"unrolled_gates\": {}}}", unrolled.len());
     println!("}}");
     eprintln!(
-        "frontend scale gate OK: streaming aggregation {agg_speedup:.2}x, chunked parse \
-         {parse_speedup:.2}x, peak tracked {}/{} entries, peak rings {}/{} slots",
+        "frontend scale gate OK: streaming aggregation {agg_speedup:.2}x, peak tracked {}/{} \
+         entries, peak rings {}/{} slots",
         streaming_stats.peak_tracked_entries,
         streaming_stats.tracked_entry_bound,
         scan.peak_live_slots(),

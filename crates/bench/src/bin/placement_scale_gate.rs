@@ -1,7 +1,6 @@
-//! Placement-scale regression gate: the deterministic, asserting companion
-//! of the `placement_scale` criterion bench and the acceptance evidence for
-//! the placement-stage scaling work (sparse CSR interaction graph,
-//! gain-cached exchange loop, parallel cold scan, warm-started refinement).
+//! Placement-scale regression gate: the deterministic, asserting evidence
+//! for the placement-stage scaling work (sparse CSR interaction graph,
+//! gain-cached exchange loop, warm-started refinement).
 //! The deterministic stdout of this binary is diffed by CI against
 //! `crates/bench/baselines/placement_scale.json` (recorded under `--quick`,
 //! which is also how CI runs it).
@@ -14,15 +13,12 @@
 //!   produce a bit-identical assignment with identical exchange counts
 //!   (the ratio is relaxed under `--quick`, which shrinks the register;
 //!   identity is asserted always);
-//! * **Parallel cold scan** — at 4096 qubits (above `PAR_THRESHOLD` rows)
-//!   the fanned first-round candidate scan must be ≥ 1.6× faster than the
-//!   sequential rail ([`OeeOptions::sequential_scan`]) when a second core
-//!   exists, and bit-identical regardless;
 //! * **4096-qubit refinement** — a full gain-cached refinement of the
 //!   4096-qubit graph completes within a generous wall-clock budget;
 //! * **Warm-started driver** — the incremental `compile_placed` (warm OEE
-//!   cache, round skipping) matches the `force_full` reference
-//!   report-for-report and metric-for-metric.
+//!   cache, round skipping) matches the full-recompile reference driver
+//!   ([`dqc_bench::full_recompile_placed`]) report-for-report and
+//!   metric-for-metric.
 //!
 //! Timings go to stderr (they vary per machine); stdout carries only
 //! deterministic counts, cut weights, and metrics.
@@ -74,7 +70,6 @@ fn timed_refine(
 
 fn main() {
     let quick = dqc_bench::quick_requested();
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let identity = |k: usize| -> Vec<NodeId> { (0..k).map(NodeId::new).collect() };
 
     // ── Rail 1: gain-cached loop vs full-rescan reference ──────────────
@@ -86,8 +81,7 @@ fn main() {
     let initial1 = Partition::block(n1, nodes1).expect("divisible register");
     let map1 = identity(nodes1);
     let cached_opts = OeeOptions::default();
-    let rescan_opts =
-        OeeOptions { full_rescan: true, sequential_scan: true, ..OeeOptions::default() };
+    let rescan_opts = OeeOptions { full_rescan: true, ..OeeOptions::default() };
     let (cached_ms, cached_p, cached_stats) = timed_refine(&graph1, &initial1, &map1, cached_opts);
     let (rescan_ms, rescan_p, rescan_stats) = timed_refine(&graph1, &initial1, &map1, rescan_opts);
     assert_eq!(cached_p, rescan_p, "gain-cached refinement drifted from the full-rescan reference");
@@ -109,33 +103,7 @@ fn main() {
         );
     }
 
-    // ── Rail 2: parallel cold scan vs sequential rail ──────────────────
-    // 4096 rows puts the per-row fan above PAR_THRESHOLD on both modes'
-    // input; capping exchanges at 0 isolates the cold candidate scan.
-    let n2 = 4096;
-    let graph2 = sparse_graph(n2);
-    let initial2 = Partition::block(n2, nodes1).expect("divisible register");
-    let map2 = identity(nodes1);
-    let scan_only = OeeOptions { max_exchanges: 0, ..OeeOptions::default() };
-    let (par_ms, par_p, par_stats) = timed_refine(&graph2, &initial2, &map2, scan_only);
-    let seq_only = OeeOptions { sequential_scan: true, ..scan_only };
-    let (seq_ms, seq_p, seq_stats) = timed_refine(&graph2, &initial2, &map2, seq_only);
-    assert_eq!(par_p, seq_p, "parallel cold scan drifted from the sequential rail");
-    assert_eq!(par_stats.scanned, seq_stats.scanned, "parallel scan covered a different set");
-    let scan_speedup = seq_ms / par_ms;
-    eprintln!(
-        "cold scan ({n2} qubits, {} candidates): sequential {seq_ms:.1} ms, parallel \
-         {par_ms:.1} ms ({scan_speedup:.2}x, {cores} core(s))",
-        par_stats.scanned
-    );
-    if !quick && cores >= 2 {
-        assert!(
-            scan_speedup >= 1.6,
-            "parallel cold scan must be >= 1.6x the sequential rail, got {scan_speedup:.2}x"
-        );
-    }
-
-    // ── Rail 3: large-register refinement completes ────────────────────
+    // ── Rail 2: large-register refinement completes ────────────────────
     let n3 = if quick { 1024 } else { 4096 };
     let graph3 = sparse_graph(n3);
     let initial3 = Partition::block(n3, nodes1).expect("divisible register");
@@ -153,7 +121,7 @@ fn main() {
         assert!(big_ms < 60_000.0, "4096-qubit refinement took {big_ms:.0} ms (budget 60 s)");
     }
 
-    // ── Rail 4: warm-started driver vs force_full reference ────────────
+    // ── Rail 3: warm-started driver vs full-recompile reference ────────
     let n4 = if quick { 256 } else { 1024 };
     let circuit4 = large_sparse_circuit(n4, n4 * 8, 0x5EED);
     let partition4 = {
@@ -165,24 +133,24 @@ fn main() {
         .with_topology(NetworkTopology::grid(2, 2).expect("2x2 grid is valid"))
         .expect("grid covers the 4 placed nodes");
     let config = PlacementConfig::default();
-    let full_config = PlacementConfig { force_full: true, ..config };
+    let compiler = AutoComm::new();
     let t = Instant::now();
-    let (warm_result, warm_report) = AutoComm::new()
+    let (warm_result, warm_report) = compiler
         .compile_placed(&circuit4, &partition4, &hw, &config)
         .expect("sparse workload compiles");
     let warm_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
-    let (full_result, full_report) = AutoComm::new()
-        .compile_placed(&circuit4, &partition4, &hw, &full_config)
-        .expect("sparse workload compiles");
+    let (full_result, full_report) =
+        dqc_bench::full_recompile_placed(&compiler, &circuit4, &partition4, &hw, &config)
+            .expect("sparse workload compiles");
     let full_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(warm_report, full_report, "warm driver drifted from the force_full reference");
+    assert_eq!(warm_report, full_report, "warm driver drifted from the full-recompile reference");
     assert_eq!(
         warm_result.metrics, full_result.metrics,
-        "warm driver metrics drifted from the force_full reference"
+        "warm driver metrics drifted from the full-recompile reference"
     );
     eprintln!(
-        "warm driver ({n4} qubits, grid 2x2): force_full {full_ms:.1} ms, incremental \
+        "warm driver ({n4} qubits, grid 2x2): full recompile {full_ms:.1} ms, incremental \
          {warm_ms:.1} ms ({} round(s) skipped, {} cache hits)",
         warm_report.work.rounds_skipped, warm_report.work.oee_cache_hits
     );
@@ -199,12 +167,6 @@ fn main() {
         rescan_stats.scanned,
         graph1.cut_weight(&initial1),
         graph1.cut_weight(&cached_p)
-    );
-    println!(
-        "  \"parallel_scan\": {{\"qubits\": {n2}, \"edges\": {}, \"scanned\": {}, \
-         \"identical_to_sequential\": true}},",
-        graph2.num_edges(),
-        par_stats.scanned
     );
     println!(
         "  \"large_refine\": {{\"qubits\": {n3}, \"edges\": {}, \"exchanges\": {}, \
@@ -226,7 +188,7 @@ fn main() {
     );
     println!("}}");
     eprintln!(
-        "placement scale gate OK: gain cache {cached_speedup:.2}x, parallel scan \
-         {scan_speedup:.2}x, {n3}-qubit refinement {big_ms:.0} ms"
+        "placement scale gate OK: gain cache {cached_speedup:.2}x, {n3}-qubit refinement \
+         {big_ms:.0} ms"
     );
 }

@@ -69,7 +69,6 @@ fn main() {
                     .expect("standard topologies are valid for 4 nodes");
                 let config = PlacementConfig {
                     refine_iters: if *strategy == "topo" { refine_iters } else { 0 },
-                    ..Default::default()
                 };
                 let (result, report) = AutoComm::new()
                     .compile_placed(circuit, &partition, &hw, &config)

@@ -1,17 +1,10 @@
-//! Schedule-scale regression gate: the deterministic, asserting companion
-//! of the `schedule_scale` criterion bench and the acceptance evidence for
-//! the schedule-stage scaling work (parallel dual-rail evaluation, indexed
-//! timeline, schedule reuse). The deterministic stdout of this binary is
-//! diffed by CI against `crates/bench/baselines/schedule_scale.json`.
+//! Schedule-scale regression gate: the deterministic, asserting evidence
+//! for the schedule-stage scaling work (indexed timeline, buffered
+//! schedules at scale). The deterministic stdout of this binary is diffed
+//! by CI against `crates/bench/baselines/schedule_scale.json`.
 //!
 //! In-binary rails, asserted on every run:
 //!
-//! * **Parallel dual-rail** — under a buffered policy the scheduler runs
-//!   the on-demand base rail and the buffered rail on two scoped threads;
-//!   at 100k gates that must be ≥ 1.6× faster than the sequential
-//!   reference ([`ScheduleOptions::sequential_rails`]) and return a
-//!   bit-identical [`ScheduleSummary`] (the ratio needs a second core;
-//!   on one-core machines only the identity half is asserted);
 //! * **Indexed timeline** — the earliest-free slot/channel indexes must
 //!   make a 100k-gate buffered schedule on a comm-rich `grid` machine
 //!   ≥ 2× faster than the historical linear-scan lookups
@@ -72,39 +65,10 @@ fn main() {
     let compiled = AutoComm::new().compile_on(&circuit, &partition, &hw).expect("100k compile");
     let buffered = ScheduleOptions::default().with_buffer(BufferPolicy::Prefetch { depth: 4 });
 
-    // ── Rail 1: parallel dual-rail vs sequential reference ─────────────
-    let (parallel_ms, parallel_summary) =
-        timed_schedule(&compiled.assigned, &compiled.placement, &hw, buffered);
-    let sequential = ScheduleOptions { sequential_rails: true, ..buffered };
-    let (sequential_ms, sequential_summary) =
-        timed_schedule(&compiled.assigned, &compiled.placement, &hw, sequential);
-    assert_eq!(
-        parallel_summary, sequential_summary,
-        "parallel dual-rail schedule drifted from the sequential reference"
-    );
-    let rail_speedup = sequential_ms / parallel_ms;
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    eprintln!(
-        "dual-rail ({} gates): sequential {sequential_ms:.1} ms, parallel {parallel_ms:.1} ms \
-         ({rail_speedup:.2}x, {cores} core(s))",
-        circuit.len()
-    );
-    // The ratio rail needs a second core to mean anything — on a one-core
-    // machine the two scoped threads time-slice and the speedup is
-    // physically capped at 1.0x (identity above is still asserted).
-    if !quick && cores >= 2 {
-        assert!(
-            rail_speedup >= 1.6,
-            "parallel dual-rail must be >= 1.6x the sequential reference, got {rail_speedup:.2}x"
-        );
-    }
-
-    // ── Rail 2: indexed timeline vs linear-scan reference ──────────────
-    // Both modes run sequential rails so the comparison isolates the
-    // timeline lookups from thread scheduling.
-    let linear = ScheduleOptions { linear_scan_timeline: true, ..sequential };
+    // ── Rail 1: indexed timeline vs linear-scan reference ──────────────
+    let linear = ScheduleOptions { linear_scan_timeline: true, ..buffered };
     let (indexed_ms, indexed_summary) =
-        timed_schedule(&compiled.assigned, &compiled.placement, &hw, sequential);
+        timed_schedule(&compiled.assigned, &compiled.placement, &hw, buffered);
     let (linear_ms, linear_summary) =
         timed_schedule(&compiled.assigned, &compiled.placement, &hw, linear);
     assert_eq!(
@@ -124,7 +88,7 @@ fn main() {
         );
     }
 
-    // ── Rail 3: the 1M-gate buffered schedule completes ────────────────
+    // ── Rail 2: the 1M-gate buffered schedule completes ────────────────
     let (big, big_partition) = random_distributed_circuit(32, 4, scale * 10, 7);
     let big_hw = HardwareSpec::for_partition(&big_partition)
         .with_comm_qubits(8)
@@ -143,7 +107,7 @@ fn main() {
 
     // Deterministic JSON, diffed against the recorded baseline by CI
     // (full runs only — --quick shrinks the inputs).
-    let s = &parallel_summary;
+    let s = &indexed_summary;
     let b = &big_summary;
     println!("{{");
     println!(
@@ -163,10 +127,7 @@ fn main() {
         s.buffering.prefetch_hits,
         s.buffering.fell_back
     );
-    println!(
-        "  \"identity\": {{\"parallel_matches_sequential\": true, \
-         \"indexed_matches_linear_scan\": true}},"
-    );
+    println!("  \"identity\": {{\"indexed_matches_linear_scan\": true}},");
     println!(
         "  \"one_million\": {{\"gates\": {}, \"makespan\": {:.2}, \"epr_pairs\": {}, \"swaps\": \
          {}, \"fell_back\": {}}}",
@@ -178,7 +139,7 @@ fn main() {
     );
     println!("}}");
     eprintln!(
-        "schedule scale gate OK: dual-rail {rail_speedup:.2}x, indexed timeline \
-         {timeline_speedup:.2}x, 1M buffered schedule {big_ms:.0} ms"
+        "schedule scale gate OK: indexed timeline {timeline_speedup:.2}x, 1M buffered schedule \
+         {big_ms:.0} ms"
     );
 }

@@ -17,19 +17,27 @@
 //! Every binary accepts `--quick` to run scaled-down configurations (same
 //! code paths, minutes → seconds). The library exposes the plumbing:
 //! [`run_config`] compiles one Table-2 row with AutoComm and both
-//! baselines, and [`paper`] holds the published numbers for side-by-side
-//! reporting.
+//! baselines, [`paper`] holds the published numbers for side-by-side
+//! reporting, and [`full_recompile_placed`] is the reference placement
+//! driver the placement tests and gates compare
+//! [`AutoComm::compile_placed`] against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod paper;
 
-use autocomm::{AutoComm, CommMetrics, CompileResult, ScheduleSummary};
+use autocomm::{
+    comm_weighted_graph, AutoComm, CommMetrics, CompileError, CompileResult, Placement,
+    PlacementConfig, PlacementReport, PlacementWork, ScheduleSummary,
+};
 use dqc_baselines::{compile_ferrari, compile_gp_tp, BaselineResult};
 use dqc_circuit::{Circuit, CircuitStats, Partition};
 use dqc_hardware::HardwareSpec;
-use dqc_partition::{oee_partition, InteractionGraph};
+use dqc_partition::{
+    oee_partition, oee_refine_on_stats, place_blocks_stats, InteractionGraph, OeeOptions,
+    PlaceOptions,
+};
 use dqc_workloads::{generate, node_ring_exchange, smoke_suite, BenchConfig};
 
 /// Everything measured for one benchmark configuration.
@@ -115,6 +123,84 @@ pub fn run_config(config: &BenchConfig) -> ExperimentRow {
         baseline,
         gp_tp,
     }
+}
+
+/// The full-recompile reference for [`AutoComm::compile_placed`], built
+/// from public stage functions: each round re-places the blocks from the
+/// measured traffic, re-refines the partition with a cold OEE run under the
+/// candidate map's hop metric, and recompiles the whole program through
+/// `compiler`; the first round that does not strictly lower the EPR cost
+/// ends the loop.
+///
+/// `compile_placed` reaches the same result with less work: it skips
+/// rounds whose traffic is unchanged, warms the OEE cache across rounds,
+/// re-assigns only moved blocks, and schedules once. The property tests
+/// and `placement_scale_gate` assert that the two drivers agree on the
+/// compile and the report. The work counters differ by design (this driver
+/// never skips a round or reuses a cached gain), which is why
+/// [`PlacementReport`] equality excludes them.
+///
+/// # Errors
+///
+/// As [`AutoComm::compile_placed`].
+pub fn full_recompile_placed(
+    compiler: &AutoComm,
+    circuit: &Circuit,
+    partition: &Partition,
+    hw: &HardwareSpec,
+    config: &PlacementConfig,
+) -> Result<(CompileResult, PlacementReport), CompileError> {
+    let topology = hw.topology();
+    let mut placement = Placement::identity(partition);
+    let mut best = compiler.compile_with_placement(circuit, &placement, hw)?;
+    let initial_epr_cost = best.metrics.total_epr_cost;
+    let mut iterations = 0usize;
+    let mut work = PlacementWork::default();
+    for _ in 0..config.refine_iters {
+        let traffic = best.metrics.traffic_matrix(placement.num_nodes());
+        let (node_map, place_stats) =
+            place_blocks_stats(&traffic, topology.num_nodes(), topology, PlaceOptions::default());
+        work.place_exchanges += place_stats.exchanges;
+        work.saturated |= place_stats.saturated;
+        let graph = comm_weighted_graph(&best.aggregated);
+        let (refined, oee_stats) = oee_refine_on_stats(
+            &graph,
+            placement.partition().clone(),
+            &node_map,
+            topology,
+            OeeOptions::default(),
+        );
+        work.oee_exchanges += oee_stats.exchanges;
+        work.oee_scanned += oee_stats.scanned;
+        work.oee_cache_hits += oee_stats.cache_hits;
+        work.saturated |= oee_stats.saturated;
+        let candidate = Placement::new(refined, node_map)?;
+        if candidate == placement {
+            break; // fixed point
+        }
+        let result = compiler.compile_with_placement(circuit, &candidate, hw)?;
+        if result.metrics.total_epr_cost >= best.metrics.total_epr_cost {
+            break; // no improvement: keep the best-so-far compile
+        }
+        best = result;
+        placement = candidate;
+        iterations += 1;
+    }
+    let graph = comm_weighted_graph(&best.aggregated);
+    let report = PlacementReport {
+        iterations,
+        cut_weight: graph.cut_weight(placement.partition()),
+        weighted_cost: graph.placed_cut_weight(
+            placement.partition(),
+            placement.node_map(),
+            topology,
+        ),
+        node_map: placement.node_map().to_vec(),
+        initial_epr_cost,
+        final_epr_cost: best.metrics.total_epr_cost,
+        work,
+    };
+    Ok((best, report))
 }
 
 /// The benchmark list, scaled down when `quick` is set (same workloads and

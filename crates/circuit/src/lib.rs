@@ -70,10 +70,10 @@ pub use error::CircuitError;
 pub use gate::{Gate, GateKind};
 pub use hash::{circuit_content_hash, stream_content_hash, ContentHash};
 pub use ids::{CBitId, NodeId, QubitId};
-pub use par::{par_map, worker_count, PAR_THRESHOLD};
+pub use par::{par_map, PAR_THRESHOLD};
 pub use partition::Partition;
 pub use qasm::to_qasm;
-pub use qasm_parse::{from_qasm, from_qasm_sequential, QasmParseError, MAX_REGISTER_WIDTH};
+pub use qasm_parse::{from_qasm, QasmParseError, MAX_REGISTER_WIDTH};
 pub use stats::{circuit_depth, CircuitStats};
 pub use table::{CommSummary, GateId, GateTable, WireClass};
-pub use unroll::{unroll_circuit, unroll_circuit_sequential, unroll_gate};
+pub use unroll::{unroll_circuit, unroll_gate};

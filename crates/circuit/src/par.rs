@@ -24,7 +24,7 @@ pub const PAR_THRESHOLD: usize = 4096;
 /// Number of worker threads `par_map` forks: the machine's available
 /// parallelism, capped at 8 (the fan-out stops paying past that on the
 /// memory-bound compile stages).
-pub fn worker_count() -> usize {
+fn worker_count() -> usize {
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1).min(8)
 }
 

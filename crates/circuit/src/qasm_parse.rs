@@ -78,8 +78,8 @@ impl From<CircuitError> for QasmParseError {
 
 /// One statement of a parsed line, position-independent: everything the
 /// splice state machine ([`Assembler`]) needs to grow the circuit in input
-/// order. Produced by the pure per-line parser shared by the sequential
-/// and chunked-parallel rails.
+/// order. Produced by the pure per-line parser, which may run on worker
+/// threads.
 #[derive(Clone, Debug)]
 enum LineStmt {
     /// `qreg q[n];`
@@ -136,7 +136,7 @@ fn parse_line(raw: &str, line_no: usize) -> Result<ParsedLine, QasmParseError> {
         _ => {
             // Multi-statement (or malformed) line: every statement must be
             // terminated, so text after the final `;` is an error — checked
-            // before any statement parses, matching the sequential rail.
+            // before any statement parses.
             if !line.ends_with(';') {
                 return Err(QasmParseError::Syntax {
                     line: line_no,
@@ -210,11 +210,10 @@ fn parse_statement(stmt: &str, line_no: usize) -> Result<LineStmt, QasmParseErro
     }))
 }
 
-/// The sequential splice state machine both rails feed parsed statements
-/// through, in input order: register declarations, the
-/// statement-before-qreg check, classical-register growth, and gate
-/// validation all live here, so the rails cannot diverge on anything but
-/// *where* lines were parsed.
+/// The sequential splice state machine parsed statements are fed through,
+/// in input order: register declarations, the statement-before-qreg check,
+/// classical-register growth, and gate validation all live here, so the
+/// result cannot depend on *where* lines were parsed.
 #[derive(Default)]
 struct Assembler {
     circuit: Option<Circuit>,
@@ -280,12 +279,12 @@ impl Assembler {
 
 /// Parses OpenQASM-2 text into a [`Circuit`].
 ///
-/// Large inputs (≥ [`crate::PAR_THRESHOLD`] lines) are parsed in parallel:
-/// the line list is split into contiguous chunks, each chunk's lines parse
-/// independently (`parse_line` is pure), and the per-line statements are
-/// spliced through the same sequential `Assembler` in input order — so
-/// the result, including the first error in input order, is bit-identical
-/// to [`from_qasm_sequential`] by construction.
+/// Lines parse through [`crate::par_map`]: large inputs
+/// (≥ [`crate::PAR_THRESHOLD`] lines) are split into contiguous chunks
+/// whose lines parse independently (`parse_line` is pure), and the
+/// per-line statements are spliced through one sequential `Assembler` in
+/// input order — so the result, including the first error in input order,
+/// is the same as parsing line by line.
 ///
 /// # Errors
 ///
@@ -305,30 +304,10 @@ impl Assembler {
 /// ```
 pub fn from_qasm(text: &str) -> Result<Circuit, QasmParseError> {
     let lines: Vec<(usize, &str)> = text.lines().enumerate().collect();
-    if lines.len() < crate::PAR_THRESHOLD || crate::worker_count() < 2 {
-        return from_qasm_sequential(text);
-    }
     let parsed = crate::par_map(&lines, |&(idx, raw)| parse_line(raw, idx + 1));
     let mut asm = Assembler::default();
     for (result, &(idx, _)) in parsed.into_iter().zip(&lines) {
         asm.feed_line(result?, idx + 1)?;
-    }
-    asm.finish()
-}
-
-/// The sequential reference rail of [`from_qasm`]: parses line by line on
-/// the calling thread with no intermediate line table. Kept
-/// runtime-selectable (mirroring `sequential_rails` elsewhere) as the
-/// bit-identity baseline the property tests and the `frontend_scale_gate`
-/// bench compare the chunked-parallel parse against.
-///
-/// # Errors
-///
-/// Returns [`QasmParseError`] exactly as [`from_qasm`] does.
-pub fn from_qasm_sequential(text: &str) -> Result<Circuit, QasmParseError> {
-    let mut asm = Assembler::default();
-    for (idx, raw) in text.lines().enumerate() {
-        asm.feed_line(parse_line(raw, idx + 1)?, idx + 1)?;
     }
     asm.finish()
 }
@@ -562,6 +541,16 @@ mod tests {
         QubitId::new(i)
     }
 
+    /// The line-by-line oracle for [`from_qasm`]: each line parsed and fed
+    /// in input order on the calling thread, stopping at the first error.
+    fn sequential(text: &str) -> Result<Circuit, QasmParseError> {
+        let mut asm = Assembler::default();
+        for (idx, raw) in text.lines().enumerate() {
+            asm.feed_line(parse_line(raw, idx + 1)?, idx + 1)?;
+        }
+        asm.finish()
+    }
+
     #[test]
     fn parses_basic_program() {
         let text = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[1];\nh q[0];\ncx q[0], q[1];\nrz(0.5) q[2];\nmeasure q[2] -> c[0];\n";
@@ -659,7 +648,7 @@ mod tests {
             (format!("qreg q[2];\nif (c[{wide}] == 1) x q[0];\n"), format!("c[{wide}] on line 2")),
         ] {
             let (text, needle): (String, String) = (text, needle);
-            for err in [from_qasm(&text).unwrap_err(), from_qasm_sequential(&text).unwrap_err()] {
+            for err in [from_qasm(&text).unwrap_err(), sequential(&text).unwrap_err()] {
                 assert!(
                     matches!(&err, QasmParseError::Register { message } if message.contains(&needle)),
                     "{text:?}: {err}"
@@ -733,33 +722,79 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_parse_matches_sequential_rail() {
-        // Enough lines to cross PAR_THRESHOLD and engage the chunked path,
-        // with adversarial shapes sprinkled at chunk-boundary-agnostic
-        // positions: comments, blank lines, multi-statement lines.
-        let mut text = String::from("OPENQASM 2.0;\nqreg q[4];\ncreg c[2];\n");
-        for i in 0..(2 * crate::PAR_THRESHOLD) {
+    /// An adversarial QASM program bigger than the parallel threshold: block
+    /// comments, blank lines, inline comments, multi-statement lines, and
+    /// conditioned gates land on arbitrary chunk boundaries.
+    fn adversarial_qasm(lines: usize) -> String {
+        let mut text =
+            String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[6];\ncreg c[2];\n");
+        for i in 0..lines {
             match i % 7 {
-                0 => text.push_str("// comment line\n"),
+                0 => text.push_str("// chunk-boundary comment\n"),
                 1 => text.push('\n'),
-                2 => text.push_str("h q[0]; t q[1]; cx q[1], q[2];\n"),
-                3 => text.push_str(&format!("rz({}.125) q[3];\n", i % 10)),
-                4 => text.push_str("if (c[1] == 1) x q[2];\n"),
-                5 => text.push_str("cx q[0], q[3]; // trailing comment\n"),
-                _ => text.push_str("measure q[2] -> c[0];\n"),
+                2 => text.push_str(&format!("h q[{}];\n", i % 6)),
+                3 => text.push_str(&format!(
+                    "h q[{}]; cx q[{}],q[{}]; t q[1];\n",
+                    i % 6,
+                    i % 6,
+                    (i + 1) % 6
+                )),
+                4 => text.push_str(&format!(
+                    "rz({}) q[{}]; // trailing comment\n",
+                    (i % 31) as f64 / 10.0,
+                    i % 6
+                )),
+                5 => text.push_str("measure q[0] -> c[0];\n"),
+                _ => text.push_str("if (c[0] == 1) x q[3];\n"),
             }
         }
-        let parallel = from_qasm(&text).unwrap();
-        let sequential = from_qasm_sequential(&text).unwrap();
-        assert_eq!(parallel, sequential);
-        assert!(parallel.len() > 2 * crate::PAR_THRESHOLD / 2);
+        text
+    }
+
+    /// The chunked parser must agree with the line-by-line oracle on
+    /// adversarial input spanning many chunk boundaries.
+    #[test]
+    fn chunked_parse_matches_sequential_on_adversarial_qasm() {
+        let text = adversarial_qasm(2 * crate::PAR_THRESHOLD + 13);
+        let parsed = from_qasm(&text).unwrap();
+        assert_eq!(parsed, sequential(&text).unwrap());
+        assert!(parsed.len() > crate::PAR_THRESHOLD);
+    }
+
+    /// The chunked parser must report the *same first error in input
+    /// order* as the oracle, even when later chunks contain
+    /// earlier-detectable errors.
+    #[test]
+    fn chunked_parse_matches_sequential_on_errors() {
+        for (label, mutate) in [
+            ("missing semicolon", "h q[0]\n"),
+            ("unsupported gate", "frobnicate q[0];\n"),
+            ("bad register", "qreg r[4];\n"),
+            ("garbage", "%%%;\n"),
+            ("non-finite parameter", "rz(inf) q[0];\n"),
+            ("oversized qreg", "qreg q[3000000000];\n"),
+            ("oversized creg", "creg c[3000000000];\n"),
+        ] {
+            let mut text = adversarial_qasm(crate::PAR_THRESHOLD);
+            // Inject the fault mid-program, then append a *different*,
+            // per-line-detectable fault near the end — the reported error
+            // must be the first by input position even though a later
+            // chunk's worker sees its own error "first" in wall-clock time.
+            text.push_str(mutate);
+            for i in 0..256 {
+                text.push_str(&format!("h q[{}];\n", i % 6));
+            }
+            text.push_str("x q[0]\n");
+            let parsed = from_qasm(&text);
+            assert_eq!(parsed, sequential(&text), "parser and oracle disagreed on {label}");
+            assert!(parsed.is_err(), "{label} should not parse");
+        }
     }
 
     #[test]
     fn parallel_parse_reports_first_error_in_input_order() {
-        // Two errors, the earlier one in a later chunk position — both
-        // rails must report the *first* in input order with its line.
+        // Two errors, the earlier one in a later chunk position — the
+        // parser must report the *first* in input order with its line.
         let mut text = String::from("qreg q[2];\n");
         for _ in 0..(2 * crate::PAR_THRESHOLD) {
             text.push_str("h q[0];\n");
@@ -769,13 +804,25 @@ mod tests {
         lines[bad_line - 1] = "frobnicate q[0];".into();
         lines.push("h q[0]".into()); // second error, much later
         let text = lines.join("\n");
-        let err_par = from_qasm(&text).unwrap_err();
-        let err_seq = from_qasm_sequential(&text).unwrap_err();
-        assert_eq!(err_par, err_seq);
+        let err = from_qasm(&text).unwrap_err();
+        assert_eq!(err, sequential(&text).unwrap_err());
         assert!(
-            matches!(err_par, QasmParseError::UnsupportedGate { line, .. } if line == bad_line),
-            "got {err_par:?}"
+            matches!(err, QasmParseError::UnsupportedGate { line, .. } if line == bad_line),
+            "got {err:?}"
         );
+    }
+
+    /// Chunked == line-by-line parse on generated programs large enough to
+    /// take the parallel path, and the round trip is exact.
+    #[test]
+    fn chunked_parse_matches_sequential_random() {
+        for seed in 0..16 {
+            let c = crate::unroll::tests::random_circuit(16, crate::PAR_THRESHOLD + 512, seed);
+            let text = to_qasm(&c);
+            let parsed = from_qasm(&text).unwrap();
+            assert_eq!(parsed, sequential(&text).unwrap(), "seed {seed}");
+            assert_eq!(parsed, c, "seed {seed}");
+        }
     }
 
     #[test]

@@ -94,12 +94,11 @@ pub fn unroll_gate(gate: &Gate, num_qubits: usize) -> Result<Vec<Gate>, CircuitE
 
 /// Unrolls every gate of `circuit` into the `CX + U3` basis.
 ///
-/// Unrolling is per-gate pure, so large circuits
-/// (≥ [`crate::PAR_THRESHOLD`] gates) fan the rewrites across
-/// [`crate::par_map`] worker threads and splice the expansions back in
-/// input order — bit-identical to [`unroll_circuit_sequential`] by
-/// construction (the property tests pin it), including which error
-/// surfaces first when several gates fail.
+/// Unrolling is per-gate pure, so the rewrites run through
+/// [`crate::par_map`] (worker threads from [`crate::PAR_THRESHOLD`] gates)
+/// and the expansions are spliced back in input order — the same circuit
+/// as unrolling gate by gate, including which error surfaces first when
+/// several gates fail.
 ///
 /// # Errors
 ///
@@ -107,9 +106,6 @@ pub fn unroll_gate(gate: &Gate, num_qubits: usize) -> Result<Vec<Gate>, CircuitE
 /// gates; register-bound errors cannot occur because the input circuit is
 /// already validated.
 pub fn unroll_circuit(circuit: &Circuit) -> Result<Circuit, CircuitError> {
-    if circuit.len() < crate::PAR_THRESHOLD || crate::worker_count() < 2 {
-        return unroll_circuit_sequential(circuit);
-    }
     let n = circuit.num_qubits();
     // `None` marks in-basis pass-throughs so the fan-out never allocates a
     // singleton Vec per unchanged gate (the overwhelmingly common case).
@@ -130,28 +126,6 @@ pub fn unroll_circuit(circuit: &Circuit) -> Result<Circuit, CircuitError> {
                 for g in gates {
                     out.push(g)?;
                 }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// The sequential reference rail of [`unroll_circuit`]: one gate at a time
-/// on the calling thread. Kept runtime-selectable as the bit-identity
-/// baseline for the property tests and the `frontend_scale_gate` bench.
-///
-/// # Errors
-///
-/// Exactly as [`unroll_circuit`].
-pub fn unroll_circuit_sequential(circuit: &Circuit) -> Result<Circuit, CircuitError> {
-    let mut out = Circuit::with_cbits(circuit.num_qubits(), circuit.num_cbits());
-    out.reserve(circuit.len());
-    for gate in circuit.gates() {
-        if in_basis(gate.kind()) {
-            out.push(gate.clone())?;
-        } else {
-            for g in unroll_gate(gate, circuit.num_qubits())? {
-                out.push(g)?;
             }
         }
     }
@@ -290,8 +264,82 @@ fn split_mcx(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::CBitId;
+
+    /// A reproducible random circuit over the gate alphabet the front end
+    /// handles: basis gates, gates that unroll (symmetric diagonals, `crz`,
+    /// `swap`, Toffoli, multi-controlled X), measurements, and classically
+    /// conditioned gates. Needs at least five qubits (the multi-controlled
+    /// X takes four plus an ancilla).
+    pub(crate) fn random_circuit(num_qubits: usize, num_gates: usize, seed: u64) -> Circuit {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut c = Circuit::with_cbits(num_qubits, 2);
+        for _ in 0..num_gates {
+            let mut qs: Vec<QubitId> = Vec::with_capacity(4);
+            while qs.len() < 4 {
+                let candidate = q(next(num_qubits));
+                if !qs.contains(&candidate) {
+                    qs.push(candidate);
+                }
+            }
+            let (a, b) = (qs[0], qs[1]);
+            let theta = next(6283) as f64 / 1000.0;
+            let bit = CBitId::new(next(2));
+            let gate = match next(16) {
+                0 => Gate::h(a),
+                1 => Gate::t(a),
+                2 => Gate::rz(theta, a),
+                3 => Gate::rx(theta, a),
+                4 | 5 => Gate::cx(a, b),
+                6 => Gate::cz(a, b),
+                7 => Gate::crz(theta, a, b),
+                8 => Gate::rzz(theta, a, b),
+                9 => Gate::cp(theta, a, b),
+                10 => Gate::swap(a, b),
+                11 => Gate::ccx(a, b, qs[2]),
+                12 => Gate::mcx(&qs[..3], qs[3]),
+                13 => Gate::measure(a, bit),
+                14 => Gate::x(a).with_condition(bit),
+                _ => Gate::cz(a, b).with_condition(bit),
+            };
+            c.push(gate).expect("operands in range");
+        }
+        c
+    }
+
+    /// The gate-by-gate oracle for [`unroll_circuit`], stopping at the
+    /// first gate that fails.
+    fn sequential(circuit: &Circuit) -> Result<Circuit, CircuitError> {
+        let mut out = Circuit::with_cbits(circuit.num_qubits(), circuit.num_cbits());
+        for gate in circuit.gates() {
+            if super::in_basis(gate.kind()) {
+                out.push(gate.clone())?;
+            } else {
+                for g in unroll_gate(gate, circuit.num_qubits())? {
+                    out.push(g)?;
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The fanned unroll matches the gate-by-gate oracle on circuits large
+    /// enough to take the parallel path.
+    #[test]
+    fn fanned_unroll_matches_sequential_random() {
+        for seed in 0..16 {
+            let c = random_circuit(16, crate::PAR_THRESHOLD + 512, seed);
+            assert_eq!(unroll_circuit(&c).unwrap(), sequential(&c).unwrap(), "seed {seed}");
+        }
+    }
 
     fn q(i: usize) -> QubitId {
         QubitId::new(i)

@@ -395,7 +395,6 @@ pub fn run_job(circuit: &Circuit, job: &Job) -> Result<Compiled, CliError> {
     options.schedule.buffer = job.buffer;
     let config = PlacementConfig {
         refine_iters: if job.strategy == PartitionStrategy::Topo { job.refine_iters } else { 0 },
-        ..Default::default()
     };
     let (result, placement) = AutoComm::with_options(options)
         .compile_placed(circuit, &partition, &hardware, &config)

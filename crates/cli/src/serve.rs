@@ -33,6 +33,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -260,20 +261,6 @@ fn touch(order: &mut Vec<String>, key: &str) {
     order.push(key.to_string());
 }
 
-/// 128-bit FNV-1a over raw bytes — the QASM-memo key (same hash family
-/// the circuit content hash uses; collisions are negligible at either
-/// width).
-fn fnv128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
 /// Bounded memo from raw QASM bytes to the circuit content hash.
 ///
 /// Computing a cache key means hashing the *parsed* circuit, and at the
@@ -282,29 +269,44 @@ fn fnv128(bytes: &[u8]) -> u128 {
 /// one linear scan over the request's QASM replaces it. Distinct QASM
 /// texts that normalize to the same circuit still converge on the same
 /// key through the parse path.
+///
+/// A text is keyed by its byte length plus a SipHash of its bytes under a
+/// per-memo random key, so a client cannot craft a second text that
+/// collides with a memoized one and be served another circuit's artifact.
 struct HashMemo {
     capacity: usize,
-    map: Mutex<HashMap<u128, String>>,
+    hasher: RandomState,
+    map: Mutex<HashMap<(usize, u64), String>>,
 }
 
 impl HashMemo {
     fn new(capacity: usize) -> HashMemo {
-        HashMemo { capacity: capacity.max(1), map: Mutex::new(HashMap::new()) }
+        HashMemo {
+            capacity: capacity.max(1),
+            hasher: RandomState::new(),
+            map: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn key(&self, qasm: &str) -> (usize, u64) {
+        (qasm.len(), self.hasher.hash_one(qasm.as_bytes()))
     }
 
     fn get(&self, qasm: &str) -> Option<String> {
+        let key = self.key(qasm);
         let map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        map.get(&fnv128(qasm.as_bytes())).cloned()
+        map.get(&key).cloned()
     }
 
     fn insert(&self, qasm: &str, circuit_hash: String) {
+        let key = self.key(qasm);
         let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
         if map.len() >= self.capacity {
             // Wholesale reset beats LRU bookkeeping here: entries are one
             // small string each, and a refill costs one parse per job.
             map.clear();
         }
-        map.insert(fnv128(qasm.as_bytes()), circuit_hash);
+        map.insert(key, circuit_hash);
     }
 }
 
@@ -871,6 +873,23 @@ pub fn parse_addr<I: IntoIterator<Item = String>>(args: I) -> Result<String, Cli
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn memo_misses_texts_differing_in_one_byte_or_in_length() {
+        let memo = HashMemo::new(8);
+        let text = "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n";
+        memo.insert(text, "hash-a".into());
+        assert_eq!(memo.get(text).as_deref(), Some("hash-a"));
+        let flipped = text.replace("q[1]", "q[0]");
+        assert_eq!(flipped.len(), text.len());
+        assert_eq!(memo.get(&flipped), None, "one differing byte must miss");
+        assert_eq!(memo.get(&format!("{text}\n")), None, "a longer text must miss");
+        assert_eq!(memo.get(&text[..text.len() - 1]), None, "a shorter text must miss");
+        // Two memos key the same text differently, so a collision found
+        // against one daemon's key does not carry over to another's.
+        let other = HashMemo::new(8);
+        assert_ne!(memo.key(text), other.key(text));
+    }
 
     fn entry(tag: &str) -> CacheEntry {
         CacheEntry {

@@ -96,7 +96,7 @@ pub use error::CompileError;
 pub use ir::{CommIr, DAG_WINDOW};
 pub use lower::{lower_assigned, lower_assigned_on, lower_plan, CommOp};
 pub use metrics::{burst_distribution, BufferingReport, CommMetrics};
-pub use orient::{orient_symmetric_gates, orient_symmetric_gates_sequential};
+pub use orient::orient_symmetric_gates;
 pub use pass::{
     AggregatePass, AssignPass, IrPass, LowerPass, MetricsPass, OrientPass, Pass, PassContext,
     PassReport, PlacementPass, SchedulePass, UnrollPass,

@@ -16,7 +16,7 @@ use dqc_circuit::{Circuit, Gate, GateKind, Partition};
 use crate::pair_stats;
 
 /// Orients one gate against the precomputed pair statistics (pure per
-/// gate, which is what lets the parallel rail fan gates across threads).
+/// gate, which is what lets gates fan across threads).
 fn orient_gate(
     gate: &Gate,
     stats: &std::collections::HashMap<(dqc_circuit::QubitId, dqc_circuit::NodeId), usize>,
@@ -52,13 +52,9 @@ fn orient_gate(
 /// equivalent to the input (the gates are symmetric).
 ///
 /// After the sequential statistics sweep the per-gate decisions are
-/// independent, so large circuits fan across `par_map` worker threads and
-/// splice in input order — bit-identical to
-/// [`orient_symmetric_gates_sequential`] by construction.
+/// independent, so they run through `par_map` (worker threads from
+/// `PAR_THRESHOLD` gates) and are spliced back in input order.
 pub fn orient_symmetric_gates(circuit: &Circuit, partition: &Partition) -> Circuit {
-    if circuit.len() < crate::PAR_THRESHOLD {
-        return orient_symmetric_gates_sequential(circuit, partition);
-    }
     let stats = pair_stats(circuit, partition);
     let oriented =
         crate::par::par_map(circuit.gates(), |gate| orient_gate(gate, &stats, partition));
@@ -66,19 +62,6 @@ pub fn orient_symmetric_gates(circuit: &Circuit, partition: &Partition) -> Circu
     out.reserve(circuit.len());
     for gate in oriented {
         out.push(gate).expect("registers preserved");
-    }
-    out
-}
-
-/// The sequential reference rail of [`orient_symmetric_gates`] (one gate at
-/// a time on the calling thread), kept runtime-selectable as the
-/// bit-identity baseline for property tests and the scale gate.
-pub fn orient_symmetric_gates_sequential(circuit: &Circuit, partition: &Partition) -> Circuit {
-    let stats = pair_stats(circuit, partition);
-    let mut out = Circuit::with_cbits(circuit.num_qubits(), circuit.num_cbits());
-    out.reserve(circuit.len());
-    for gate in circuit.gates() {
-        out.push(orient_gate(gate, &stats, partition)).expect("registers preserved");
     }
     out
 }
@@ -128,5 +111,21 @@ mod tests {
         c.push(Gate::cz(q(2), q(0))).unwrap();
         let oriented = orient_symmetric_gates(&c, &p);
         assert!(dqc_sim::circuits_equivalent(&c, &oriented, 1e-10).unwrap());
+    }
+
+    /// The fanned orientation matches a gate-by-gate pass over the same
+    /// pair statistics on circuits large enough to take the parallel path.
+    #[test]
+    fn fanned_orient_matches_sequential_random() {
+        for seed in 0..16 {
+            let (c, p) =
+                dqc_workloads::random_distributed_circuit(16, 4, crate::PAR_THRESHOLD + 512, seed);
+            let stats = pair_stats(&c, &p);
+            let mut expected = Circuit::with_cbits(c.num_qubits(), c.num_cbits());
+            for gate in c.gates() {
+                expected.push(orient_gate(gate, &stats, &p)).unwrap();
+            }
+            assert_eq!(orient_symmetric_gates(&c, &p), expected, "seed {seed}");
+        }
     }
 }

@@ -11,9 +11,7 @@ use std::sync::Arc;
 
 use dqc_circuit::{Circuit, NodeId, Partition};
 use dqc_hardware::HardwareSpec;
-use dqc_partition::{
-    oee_refine_cached, oee_refine_on_stats, place_blocks_stats, OeeCache, OeeOptions, PlaceOptions,
-};
+use dqc_partition::{oee_refine_cached, place_blocks_stats, OeeCache, OeeOptions, PlaceOptions};
 use dqc_protocols::PhysicalProgram;
 
 use crate::pass::{
@@ -542,9 +540,6 @@ impl AutoComm {
         hw: &HardwareSpec,
         config: &PlacementConfig,
     ) -> Result<(CompileResult, PlacementReport), CompileError> {
-        if config.force_full {
-            return self.compile_placed_full(circuit, partition, hw, config);
-        }
         let topology = hw.topology();
         // The identity compile is the round state: rounds borrow its
         // assignment and metrics, and an accepted round moves its artifacts
@@ -673,10 +668,10 @@ impl AutoComm {
         // of the winning placement (`assigned` shares the same
         // `Arc<CommIr>` the scheduler resolves against), so instead of the
         // historical full recompile only the schedule runs here, and only
-        // when a round replaced the identity compile's. `force_full` keeps
-        // the full driver as the verification rail, the property suite
-        // pins both drivers artifact-for-artifact, and debug builds
-        // cross-check against a full recompile below.
+        // when a round replaced the identity compile's. The property suite
+        // pins this driver artifact-for-artifact against a full-recompile
+        // reference driver (`dqc_bench::full_recompile_placed`), and debug
+        // builds cross-check against a full recompile below.
         if iterations > 0 {
             // The identity run's stale schedule report is replaced by the
             // fresh one (`--timings` keys on unique pass names).
@@ -718,82 +713,6 @@ impl AutoComm {
         };
         Ok((best, report))
     }
-
-    /// The historical full-recompile placement driver, kept verbatim as the
-    /// strict bit-identity rail behind [`PlacementConfig::force_full`]: the
-    /// property suite asserts the incremental [`AutoComm::compile_placed`]
-    /// matches it artifact-for-artifact on every topology. (Work counters
-    /// are the one exception — they trace execution, not results, and the
-    /// full driver never skips a round or warms a cache — which is why
-    /// [`PlacementReport`] equality excludes them.)
-    fn compile_placed_full(
-        &self,
-        circuit: &Circuit,
-        partition: &Partition,
-        hw: &HardwareSpec,
-        config: &PlacementConfig,
-    ) -> Result<(CompileResult, PlacementReport), CompileError> {
-        let topology = hw.topology();
-        let mut placement = Placement::identity(partition);
-        let mut best = self.compile_with_placement(circuit, &placement, hw)?;
-        let initial_epr_cost = best.metrics.total_epr_cost;
-        let mut iterations = 0usize;
-        let mut work = PlacementWork::default();
-        for _ in 0..config.refine_iters {
-            // Measured communication traffic over logical blocks — what the
-            // compiled program actually pays per pair, post-aggregation.
-            let traffic = best.metrics.traffic_matrix(placement.num_nodes());
-            let (node_map, place_stats) = place_blocks_stats(
-                &traffic,
-                topology.num_nodes(),
-                topology,
-                PlaceOptions::default(),
-            );
-            work.place_exchanges += place_stats.exchanges;
-            work.saturated |= place_stats.saturated;
-            // Re-weight the qubit interaction graph by burst blocks and
-            // refine the partition under the candidate map's hop metric.
-            let graph = comm_weighted_graph(&best.aggregated);
-            let (refined, oee_stats) = oee_refine_on_stats(
-                &graph,
-                placement.partition().clone(),
-                &node_map,
-                topology,
-                OeeOptions::default(),
-            );
-            work.oee_exchanges += oee_stats.exchanges;
-            work.oee_scanned += oee_stats.scanned;
-            work.oee_cache_hits += oee_stats.cache_hits;
-            work.saturated |= oee_stats.saturated;
-            let candidate = Placement::new(refined, node_map)?;
-            if candidate == placement {
-                break; // fixed point
-            }
-            let result = self.compile_with_placement(circuit, &candidate, hw)?;
-            if result.metrics.total_epr_cost < best.metrics.total_epr_cost {
-                best = result;
-                placement = candidate;
-                iterations += 1;
-            } else {
-                break; // no improvement: keep the best-so-far compile
-            }
-        }
-        let graph = comm_weighted_graph(&best.aggregated);
-        let report = PlacementReport {
-            iterations,
-            cut_weight: graph.cut_weight(placement.partition()),
-            weighted_cost: graph.placed_cut_weight(
-                placement.partition(),
-                placement.node_map(),
-                topology,
-            ),
-            node_map: placement.node_map().to_vec(),
-            initial_epr_cost,
-            final_epr_cost: best.metrics.total_epr_cost,
-            work,
-        };
-        Ok((best, report))
-    }
 }
 
 /// Bounds for the iterative placement driver
@@ -804,16 +723,11 @@ pub struct PlacementConfig {
     /// point or on the first non-improving round, so this is a ceiling,
     /// not a target).
     pub refine_iters: usize,
-    /// Run the historical full-recompile driver instead of the incremental
-    /// one. The two produce bit-identical results (the property suite
-    /// asserts it across every topology); this flag exists as the strict
-    /// reference rail and for measuring the incremental speedup.
-    pub force_full: bool,
 }
 
 impl Default for PlacementConfig {
     fn default() -> Self {
-        PlacementConfig { refine_iters: 3, force_full: false }
+        PlacementConfig { refine_iters: 3 }
     }
 }
 
@@ -833,7 +747,8 @@ pub struct PlacementWork {
     pub place_exchanges: usize,
     /// Rounds skipped outright because the traffic graph was unchanged
     /// from the round that produced the current placement (a guaranteed
-    /// fixed point). Always 0 on the `force_full` driver.
+    /// fixed point). A driver that never skips (such as the full-recompile
+    /// reference in `dqc_bench`) reports 0.
     pub rounds_skipped: usize,
     /// True when any exchange loop hit its `max_exchanges` safety valve —
     /// the result may be under-refined.
@@ -843,10 +758,11 @@ pub struct PlacementWork {
 /// What the iterative placement driver did and achieved.
 ///
 /// Equality deliberately *excludes* [`PlacementReport::work`]: the work
-/// counters trace execution (cache hits, skipped rounds), and the
-/// incremental and `force_full` drivers legitimately differ there while
-/// producing identical placements — the property suite pins every other
-/// field across both drivers.
+/// counters trace execution (cache hits, skipped rounds), and
+/// [`AutoComm::compile_placed`] and the full-recompile reference driver in
+/// `dqc_bench` legitimately differ there while producing identical
+/// placements — the property suite pins every other field across both
+/// drivers.
 #[derive(Clone, Debug)]
 pub struct PlacementReport {
     /// Accepted re-place + recompile rounds (0 = the identity placement
@@ -1143,84 +1059,11 @@ mod tests {
             .unwrap();
         let plain = AutoComm::new().compile_on(&c, &p, &hw).unwrap();
         let (placed, report) = AutoComm::new()
-            .compile_placed(&c, &p, &hw, &PlacementConfig { refine_iters: 0, force_full: false })
+            .compile_placed(&c, &p, &hw, &PlacementConfig { refine_iters: 0 })
             .unwrap();
         assert_eq!(report.iterations, 0);
         assert_eq!(placed.metrics, plain.metrics);
         assert_eq!(placed.schedule, plain.schedule);
-    }
-
-    /// The incremental placement driver is bit-identical to the historical
-    /// full-recompile driver on all five topology families, across suite
-    /// and random workloads — the acceptance rail for incremental
-    /// recompilation.
-    #[test]
-    fn incremental_compile_placed_matches_full_on_all_topologies() {
-        use dqc_hardware::NetworkTopology;
-        let nodes = 4;
-        let mut programs: Vec<Circuit> = vec![dqc_workloads::qft(8), dqc_workloads::bv(8)];
-        for seed in 0..3 {
-            let (c, _) = dqc_workloads::random_distributed_circuit(8, nodes, 40, seed);
-            programs.push(c);
-        }
-        let p = Partition::block(8, nodes).unwrap();
-        let topologies = [
-            ("all-to-all", NetworkTopology::all_to_all(nodes)),
-            ("linear", NetworkTopology::linear(nodes).unwrap()),
-            ("ring", NetworkTopology::ring(nodes).unwrap()),
-            ("grid", NetworkTopology::grid(2, 2).unwrap()),
-            ("star", NetworkTopology::star(nodes).unwrap()),
-        ];
-        for c in &programs {
-            for (name, topology) in &topologies {
-                let hw = HardwareSpec::for_partition(&p).with_topology(topology.clone()).unwrap();
-                let incremental = AutoComm::new()
-                    .compile_placed(c, &p, &hw, &PlacementConfig::default())
-                    .unwrap();
-                let full = AutoComm::new()
-                    .compile_placed(
-                        c,
-                        &p,
-                        &hw,
-                        &PlacementConfig { force_full: true, ..Default::default() },
-                    )
-                    .unwrap();
-                assert_eq!(incremental.1, full.1, "report differs on {name}");
-                assert_eq!(incremental.0.metrics, full.0.metrics, "metrics differ on {name}");
-                assert_eq!(incremental.0.schedule, full.0.schedule, "schedule differs on {name}");
-                assert_eq!(incremental.0.assigned, full.0.assigned, "assignment differs on {name}");
-                assert_eq!(
-                    incremental.0.placement, full.0.placement,
-                    "placement differs on {name}"
-                );
-            }
-        }
-    }
-
-    /// Cat-only configurations ride the same incremental path (the
-    /// incremental re-assignment must respect `hybrid_assignment`).
-    #[test]
-    fn incremental_compile_placed_matches_full_under_cat_only() {
-        use dqc_hardware::NetworkTopology;
-        let c = dqc_workloads::qft(8);
-        let p = Partition::block(8, 4).unwrap();
-        let hw = HardwareSpec::for_partition(&p)
-            .with_topology(NetworkTopology::ring(4).unwrap())
-            .unwrap();
-        let compiler = AutoComm::with_ablations(&[Ablation::CatOnly]);
-        let incremental =
-            compiler.compile_placed(&c, &p, &hw, &PlacementConfig::default()).unwrap();
-        let full = compiler
-            .compile_placed(
-                &c,
-                &p,
-                &hw,
-                &PlacementConfig { force_full: true, ..Default::default() },
-            )
-            .unwrap();
-        assert_eq!(incremental.1, full.1);
-        assert_eq!(incremental.0.metrics, full.0.metrics);
-        assert_eq!(incremental.0.assigned, full.0.assigned);
     }
 
     #[test]

@@ -66,14 +66,9 @@ pub struct ScheduleOptions {
     /// them ([`BufferPolicy::OnDemand`] is the bit-identical legacy
     /// engine).
     pub buffer: BufferPolicy,
-    /// Run the strict-improvement rail's two walks sequentially on the
-    /// calling thread instead of on two scoped threads — the
-    /// `schedule_scale` gate's reference mode (the two executions are
-    /// pinned identical by the scheduler property suite).
-    pub sequential_rails: bool,
     /// Run the timeline on the historical linear-scan slot/channel lookups
     /// instead of the earliest-free indexes — the `schedule_scale` gate's
-    /// other reference mode (see
+    /// reference mode (see
     /// [`dqc_hardware::Timeline::with_linear_scan_reference`]).
     pub linear_scan_timeline: bool,
 }
@@ -86,7 +81,6 @@ impl Default for ScheduleOptions {
             fuse_tp_chains: true,
             record_events: false,
             buffer: BufferPolicy::OnDemand,
-            sequential_rails: false,
             linear_scan_timeline: false,
         }
     }
@@ -102,7 +96,6 @@ impl ScheduleOptions {
             fuse_tp_chains: false,
             record_events: false,
             buffer: BufferPolicy::OnDemand,
-            sequential_rails: false,
             linear_scan_timeline: false,
         }
     }
@@ -178,10 +171,10 @@ pub fn schedule(
     let base_options = ScheduleOptions { buffer: BufferPolicy::OnDemand, ..options };
     // The two rails are independent walks over immutable inputs, so they
     // run on two scoped threads (same idiom and threshold as `par_map` —
-    // small programs never pay the spawn). Results are compared exactly as
-    // in the sequential order, so the rail's outcome is byte-identical.
-    let parallel = !options.sequential_rails && program.items().len() >= crate::par::PAR_THRESHOLD;
-    let (base, buffered) = if parallel {
+    // small programs never pay the spawn). Which thread ran a walk cannot
+    // change its result, and the results are compared the same way either
+    // way.
+    let (base, buffered) = if program.items().len() >= crate::par::PAR_THRESHOLD {
         std::thread::scope(|scope| {
             let base =
                 scope.spawn(|| schedule_run(program, placement, hw, base_options, Vec::new()));

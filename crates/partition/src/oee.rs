@@ -16,13 +16,15 @@
 //!   neighbor's sweep visit only the nodes whose gain shift is non-zero.
 //! - **Full rescan** (`OeeOptions { full_rescan: true }`): the historical
 //!   O(n²·k)-per-exchange reference rail, kept selectable the way the
-//!   `sequential_rails` / `linear_scan_timeline` / `materialized_dag`
-//!   knobs anchored earlier scaling PRs.
+//!   `linear_scan_timeline` / `materialized_dag` knobs anchor the schedule
+//!   and aggregation stages.
 //!
-//! The cold first-round scan (and every full-rescan round) fans row chunks
-//! of the candidate space through [`dqc_circuit::par_map`], merging per-row
-//! results in input order — bit-identical to the sequential scan, which
-//! stays selectable via `OeeOptions { sequential_scan: true }`.
+//! The cold first-round scan (and every full-rescan round) maps the rows
+//! of the candidate space through [`dqc_circuit::par_map`], which fans row
+//! chunks across worker threads from `PAR_THRESHOLD` rows and merges
+//! per-row results in input order, so the winner is the one a row-major
+//! scan finds. The 4096-qubit row of the OEE golden tests pins the
+//! threaded scan.
 
 use std::sync::Once;
 
@@ -44,15 +46,11 @@ pub struct OeeOptions {
     /// fast path is property-tested against. Assignment-identical to the
     /// default mode, only slower.
     pub full_rescan: bool,
-    /// Force the cold-scan / full-rescan candidate sweeps to run
-    /// sequentially even above the parallel threshold — the reference rail
-    /// for the parallel row scan. Bit-identical to the parallel merge.
-    pub sequential_scan: bool,
 }
 
 impl Default for OeeOptions {
     fn default() -> Self {
-        OeeOptions { max_exchanges: 100_000, full_rescan: false, sequential_scan: false }
+        OeeOptions { max_exchanges: 100_000, full_rescan: false }
     }
 }
 
@@ -443,19 +441,6 @@ fn warn_saturated(what: &str, cap: usize) {
     });
 }
 
-/// Scans rows of the upper-triangular candidate space: row `a` covers pairs
-/// `(a, b)` for `b > a`. Fans through `par_map` (threshold-gated) unless
-/// `sequential` is set; per-row results merge in ascending row order either
-/// way, so output is bit-identical across both paths.
-fn scan_rows<R: Send>(n: usize, sequential: bool, f: impl Fn(&u32) -> R + Sync) -> Vec<R> {
-    let rows: Vec<u32> = (0..n as u32).collect();
-    if sequential {
-        rows.iter().map(f).collect()
-    } else {
-        par_map(&rows, f)
-    }
-}
-
 fn refine_impl(
     graph: &InteractionGraph,
     mut partition: Partition,
@@ -516,7 +501,8 @@ fn refine_full_rescan(
         // rows in ascending order with the same strict rule reproduces the
         // historical row-major scan winner exactly.
         let assignment = partition.assignment();
-        let per_row = scan_rows(n, options.sequential_scan, |&row| {
+        let rows: Vec<u32> = (0..n as u32).collect();
+        let per_row = par_map(&rows, |&row| {
             let a = row as usize;
             let na = assignment[a].index();
             let mut walker = WeightWalker::new(graph, QubitId::new(a));
@@ -596,7 +582,10 @@ fn refine_gain_cached(
             cache.as_deref_mut().map(|c| std::mem::take(&mut c.gains)).unwrap_or_default();
         gains.clear(n);
         let assignment = partition.assignment();
-        let per_row = scan_rows(n, options.sequential_scan, |&row| {
+        // Row `a` of the upper-triangular candidate space covers pairs
+        // `(a, b)` for `b > a`; `par_map` returns rows in ascending order.
+        let rows: Vec<u32> = (0..n as u32).collect();
+        let per_row = par_map(&rows, |&row| {
             let a = row as usize;
             let na = assignment[a].index();
             let mut walker = WeightWalker::new(graph, QubitId::new(a));
@@ -810,13 +799,7 @@ mod tests {
 
     /// Every option combination the equivalence tests sweep.
     fn all_modes() -> Vec<OeeOptions> {
-        let mut modes = Vec::new();
-        for full_rescan in [false, true] {
-            for sequential_scan in [false, true] {
-                modes.push(OeeOptions { full_rescan, sequential_scan, ..Default::default() });
-            }
-        }
-        modes
+        [false, true].map(|full_rescan| OeeOptions { full_rescan, ..Default::default() }).to_vec()
     }
 
     #[test]
@@ -879,7 +862,7 @@ mod tests {
         g.add_weight(q(1), q(2), 10);
         let identity: Vec<NodeId> = (0..2).map(NodeId::new).collect();
         for full_rescan in [false, true] {
-            let capped = OeeOptions { max_exchanges: 0, full_rescan, ..Default::default() };
+            let capped = OeeOptions { max_exchanges: 0, full_rescan };
             let (_, stats) = oee_refine_on_stats(
                 &g,
                 Partition::block(4, 2).unwrap(),
@@ -996,7 +979,7 @@ mod tests {
                     initial,
                     &identity,
                     &UniformDistance,
-                    OeeOptions { max_exchanges: cap, full_rescan: true, ..Default::default() },
+                    OeeOptions { max_exchanges: cap, full_rescan: true },
                 );
                 assert_eq!(fast.assignment(), slow.assignment(), "seed {seed} cap {cap}");
                 assert_eq!(fast_stats.exchanges, slow_stats.exchanges, "seed {seed} cap {cap}");

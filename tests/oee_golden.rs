@@ -1,9 +1,10 @@
-//! Golden pin of the OEE partitioner at the 1k–2k-qubit tier: a hash of
+//! Golden pin of the OEE partitioner at the 1k–4k-qubit tier: a hash of
 //! the refined assignment plus the gain-cached loop's work counters, and
 //! the placement driver's work counters for one topology-aware compile.
-//! The expected values were recorded with the ordered-set candidate store
-//! that preceded the dense gain table, so they pin both the exchange
-//! sequence and the exact number of gains computed and reused.
+//! The 1k and 2k expected values were recorded with the ordered-set
+//! candidate store that preceded the dense gain table, the 4k row with the
+//! dense table; they pin both the exchange sequence and the exact number
+//! of gains computed and reused.
 
 use autocomm_repro::circuit::{NodeId, Partition};
 use autocomm_repro::core::{AutoComm, PlacementConfig, PlacementWork};
@@ -55,6 +56,18 @@ fn oee_partition_2048_qubits_8_nodes() {
     assert_eq!(
         oee_pin(2048, 16_384, 8),
         (6_952_764_658_115_446_229, 706, 13_062_283, 1_284_288_373)
+    );
+}
+
+/// 4096 rows reach the parallel cold scan (`PAR_THRESHOLD` rows fan across
+/// worker threads), so this row pins the threaded scan's merge. Its values
+/// were recorded from a build whose sequential scan agreed with the
+/// parallel one on this input.
+#[test]
+fn oee_partition_4096_qubits_8_nodes() {
+    assert_eq!(
+        oee_pin(4096, 32_768, 8),
+        (6_566_268_594_327_800_517, 1353, 51_664_487, 9_886_738_841)
     );
 }
 

@@ -9,19 +9,23 @@
 //!   — same assignment, same metrics, same schedule — and on every
 //!   topology, sparse ones included, zero rounds return the identity
 //!   compile artifact for artifact;
+//! * the incremental driver ([`AutoComm::compile_placed`]) matches the
+//!   full-recompile reference driver ([`full_recompile_placed`]) artifact
+//!   for artifact on all five topology families, cat-only included;
 //! * compiles under a non-identity placement still lower to
 //!   simulator-exact physical programs (placement relabels routes, never
 //!   semantics).
 
 use autocomm_repro::circuit::{unroll_circuit, Circuit, Partition};
 use autocomm_repro::core::{
-    comm_weighted_graph, lower_assigned_on, AutoComm, CommMetrics, CompileResult, Placement,
-    PlacementConfig, PlacementReport,
+    comm_weighted_graph, lower_assigned_on, Ablation, AutoComm, CommMetrics, CompileResult,
+    Placement, PlacementConfig, PlacementReport,
 };
 use autocomm_repro::hardware::{HardwareSpec, NetworkTopology};
 use autocomm_repro::partition::{oee_partition, InteractionGraph};
 use autocomm_repro::sim::{Complex, SplitMix64, StateVector};
 use autocomm_repro::workloads as wl;
+use dqc_bench::full_recompile_placed;
 use proptest::prelude::*;
 
 fn sparse_topologies(nodes: usize) -> Vec<NetworkTopology> {
@@ -83,7 +87,7 @@ fn suite_topo_placement_never_loses_to_identity() {
 #[test]
 fn zero_round_driver_is_the_identity_compile_on_every_topology() {
     let nodes = 4;
-    let zero = PlacementConfig { refine_iters: 0, force_full: false };
+    let zero = PlacementConfig { refine_iters: 0 };
     for config in wl::smoke_suite() {
         let circuit = wl::generate(&config);
         let unrolled = unroll_circuit(&circuit).unwrap();
@@ -128,6 +132,58 @@ fn zero_round_driver_is_the_identity_compile_on_every_topology() {
             }
         }
     }
+}
+
+/// The incremental placement driver is bit-identical to the full-recompile
+/// reference on all five topology families, across suite and random
+/// workloads — the acceptance rail for incremental recompilation.
+#[test]
+fn incremental_compile_placed_matches_full_on_all_topologies() {
+    let nodes = 4;
+    let mut programs: Vec<Circuit> = vec![wl::qft(8), wl::bv(8)];
+    for seed in 0..3 {
+        let (c, _) = wl::random_distributed_circuit(8, nodes, 40, seed);
+        programs.push(c);
+    }
+    let p = Partition::block(8, nodes).unwrap();
+    let topologies = [
+        ("all-to-all", NetworkTopology::all_to_all(nodes)),
+        ("linear", NetworkTopology::linear(nodes).unwrap()),
+        ("ring", NetworkTopology::ring(nodes).unwrap()),
+        ("grid", NetworkTopology::grid(2, 2).unwrap()),
+        ("star", NetworkTopology::star(nodes).unwrap()),
+    ];
+    let compiler = AutoComm::new();
+    let config = PlacementConfig::default();
+    for c in &programs {
+        for (name, topology) in &topologies {
+            let hw = HardwareSpec::for_partition(&p).with_topology(topology.clone()).unwrap();
+            let incremental = compiler.compile_placed(c, &p, &hw, &config).unwrap();
+            let full = full_recompile_placed(&compiler, c, &p, &hw, &config).unwrap();
+            assert_eq!(incremental.1, full.1, "report differs on {name}");
+            assert_eq!(incremental.0.metrics, full.0.metrics, "metrics differ on {name}");
+            assert_eq!(incremental.0.schedule, full.0.schedule, "schedule differs on {name}");
+            assert_eq!(incremental.0.assigned, full.0.assigned, "assignment differs on {name}");
+            assert_eq!(incremental.0.placement, full.0.placement, "placement differs on {name}");
+        }
+    }
+}
+
+/// Cat-only configurations ride the same incremental path (the
+/// incremental re-assignment must respect `hybrid_assignment`).
+#[test]
+fn incremental_compile_placed_matches_full_under_cat_only() {
+    let c = wl::qft(8);
+    let p = Partition::block(8, 4).unwrap();
+    let hw =
+        HardwareSpec::for_partition(&p).with_topology(NetworkTopology::ring(4).unwrap()).unwrap();
+    let compiler = AutoComm::with_ablations(&[Ablation::CatOnly]);
+    let config = PlacementConfig::default();
+    let incremental = compiler.compile_placed(&c, &p, &hw, &config).unwrap();
+    let full = full_recompile_placed(&compiler, &c, &p, &hw, &config).unwrap();
+    assert_eq!(incremental.1, full.1);
+    assert_eq!(incremental.0.metrics, full.0.metrics);
+    assert_eq!(incremental.0.assigned, full.0.assigned);
 }
 
 fn fidelity_of(
@@ -178,7 +234,7 @@ proptest! {
         let hw = HardwareSpec::for_partition(&p);
         let legacy = AutoComm::new().compile_on(&c, &p, &hw).unwrap();
         let (placed, report) = AutoComm::new()
-            .compile_placed(&c, &p, &hw, &PlacementConfig { refine_iters: 0, force_full: false })
+            .compile_placed(&c, &p, &hw, &PlacementConfig { refine_iters: 0 })
             .unwrap();
         prop_assert!(placed.placement.is_identity());
         prop_assert_eq!(report.iterations, 0);

@@ -8,12 +8,10 @@
 //!   full-rescan reference ([`OeeOptions::full_rescan`]) — on every suite
 //!   workload and on a hub-heavy 512-qubit register across all five
 //!   standard topologies and a range of refinement budgets;
-//! * the **parallel cold scan** merges to the same result as the sequential
-//!   rail ([`OeeOptions::sequential_scan`]) on a register large enough to
-//!   actually cross the parallel fan-out threshold;
 //! * the **warm-started placement driver** (OEE cache carried across
-//!   rounds, unchanged-traffic round skipping) matches the historical
-//!   `force_full` driver report-for-report and metric-for-metric;
+//!   rounds, unchanged-traffic round skipping) matches the full-recompile
+//!   reference driver ([`full_recompile_placed`]) report-for-report and
+//!   metric-for-metric;
 //! * both `max_exchanges` safety valves (OEE refinement and block
 //!   placement) report saturation when they clip the loop and stay silent
 //!   when they don't.
@@ -26,6 +24,7 @@ use autocomm_repro::partition::{
     UniformDistance,
 };
 use autocomm_repro::workloads as wl;
+use dqc_bench::full_recompile_placed;
 use proptest::prelude::*;
 
 fn topologies(nodes: usize) -> Vec<NetworkTopology> {
@@ -153,31 +152,6 @@ fn suite_gain_cached_matches_full_rescan_on_every_topology() {
     }
 }
 
-/// A register above `PAR_THRESHOLD` rows, so the cold scan actually fans
-/// out. The exchange budget is clipped to keep the debug-build runtime
-/// bounded — the scan itself is the property under test.
-#[test]
-fn large_register_parallel_scan_matches_sequential() {
-    let nodes = 8;
-    let qubits = 4096;
-    let circuit = unroll_circuit(&wl::large_sparse_circuit(qubits, qubits * 2, 0xA11CE)).unwrap();
-    let graph = InteractionGraph::from_circuit(&circuit);
-    let initial = Partition::block(qubits, nodes).unwrap();
-    let topology = NetworkTopology::ring(nodes).unwrap();
-    for max_exchanges in [0usize, 2] {
-        let parallel = OeeOptions { max_exchanges, ..OeeOptions::default() };
-        let sequential = OeeOptions { sequential_scan: true, ..parallel };
-        assert_refine_modes_match(
-            &graph,
-            &initial,
-            &topology,
-            sequential,
-            parallel,
-            &format!("4096-qubit parallel scan (cap {max_exchanges})"),
-        );
-    }
-}
-
 /// Hub-heavy registers large enough that exchanges lower row bests and
 /// force dirty-row rescans in the gain table: the cached loop must walk the
 /// full-rescan rail's exact exchange sequence at every budget, under every
@@ -206,7 +180,7 @@ fn hub_heavy_gain_cached_matches_full_rescan() {
     }
 }
 
-/// The warm-started incremental driver against the historical full driver:
+/// The warm-started incremental driver against the full-recompile driver:
 /// identical reports (iterations, node map, costs, work counters compare
 /// outside the report's own equality, which excludes work) and metrics.
 #[test]
@@ -220,17 +194,12 @@ fn warm_driver_matches_force_full_on_every_topology() {
         for topology in topologies(nodes) {
             let hw =
                 HardwareSpec::for_partition(&partition).with_topology(topology.clone()).unwrap();
-            let (warm, warm_report) = AutoComm::new()
-                .compile_placed(&circuit, &partition, &hw, &PlacementConfig::default())
-                .unwrap();
-            let (full, full_report) = AutoComm::new()
-                .compile_placed(
-                    &circuit,
-                    &partition,
-                    &hw,
-                    &PlacementConfig { force_full: true, ..Default::default() },
-                )
-                .unwrap();
+            let compiler = AutoComm::new();
+            let placement = PlacementConfig::default();
+            let (warm, warm_report) =
+                compiler.compile_placed(&circuit, &partition, &hw, &placement).unwrap();
+            let (full, full_report) =
+                full_recompile_placed(&compiler, &circuit, &partition, &hw, &placement).unwrap();
             let context = format!("{}/{}", config.label(), topology.name());
             assert_eq!(warm_report, full_report, "report differs on {context}");
             assert_eq!(warm.metrics, full.metrics, "metrics differ on {context}");

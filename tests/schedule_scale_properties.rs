@@ -1,11 +1,11 @@
 //! Schedule-stage scaling safety rails, as property tests:
 //!
-//! * the **parallel dual-rail** evaluation (base and buffered walks on two
-//!   scoped threads) returns a summary bit-identical to the sequential
-//!   reference ([`ScheduleOptions::sequential_rails`]) — on every suite
-//!   workload across all five standard topologies under every
-//!   [`BufferPolicy`], and on a program large enough to actually cross the
-//!   fork threshold;
+//! * the **threaded dual-rail** evaluation: above the fork threshold a
+//!   buffered policy runs its on-demand base walk on a second thread, and
+//!   when the buffered walk does not win, that threaded walk is what
+//!   `schedule` returns — it must equal an inline on-demand run in every
+//!   field but the buffering report, and a buffered walk that does win
+//!   must beat it;
 //! * the **indexed timeline** (earliest-free slot/channel indexes) emits
 //!   the same event log as the historical linear-scan lookups
 //!   ([`ScheduleOptions::linear_scan_timeline`]) under `record_events` —
@@ -13,15 +13,17 @@
 //!   just the makespan;
 //! * **schedule reuse** in the placement driver (skipping the final
 //!   full recompile when the held artifacts are identical) stays
-//!   bit-identical to the historical full driver
-//!   ([`PlacementConfig::force_full`]) under buffered policies too.
+//!   bit-identical to the full-recompile reference driver
+//!   ([`full_recompile_placed`]) under buffered policies too.
 
-use autocomm_repro::circuit::Partition;
+use autocomm_repro::circuit::{Partition, PAR_THRESHOLD};
 use autocomm_repro::core::{
     schedule, AutoComm, AutoCommOptions, BufferPolicy, PlacementConfig, ScheduleOptions,
+    ScheduleSummary,
 };
 use autocomm_repro::hardware::{HardwareSpec, NetworkTopology};
 use autocomm_repro::workloads as wl;
+use dqc_bench::full_recompile_placed;
 
 fn topologies(nodes: usize) -> Vec<NetworkTopology> {
     vec![
@@ -64,54 +66,45 @@ fn assert_schedule_modes_match(
     );
 }
 
-#[test]
-fn suite_parallel_dual_rail_matches_sequential() {
-    let nodes = 4;
-    for config in wl::smoke_suite() {
-        let circuit = wl::generate(&config);
-        let partition = Partition::block(circuit.num_qubits(), nodes).unwrap();
-        for topology in topologies(nodes) {
-            let hw = HardwareSpec::for_partition(&partition).with_topology(topology).unwrap();
-            for policy in policies() {
-                let parallel = ScheduleOptions {
-                    record_events: true,
-                    ..ScheduleOptions::default().with_buffer(policy)
-                };
-                let sequential = ScheduleOptions { sequential_rails: true, ..parallel };
-                assert_schedule_modes_match(
-                    &circuit,
-                    &hw,
-                    &partition,
-                    sequential,
-                    parallel,
-                    "parallel dual-rail",
-                );
-            }
-        }
-    }
-}
-
-/// Suite programs sit under the fork threshold; this one actually spawns
-/// the base rail on a second thread.
+/// Suite programs sit under the fork threshold; this one crosses it, so a
+/// buffered policy runs its on-demand base walk on a second thread while
+/// `schedule` under `OnDemand` runs the same walk inline. A policy that
+/// falls back returns the threaded walk, which must equal the inline run in
+/// every field but `buffering` (event log included); a policy that wins
+/// must finish strictly earlier than the inline run.
 #[test]
 fn large_program_parallel_dual_rail_matches_sequential() {
     let nodes = 4;
     let (circuit, partition) = wl::random_distributed_circuit(16, nodes, 10_000, 11);
+    // Eight comm qubits per node on a ring: prefetch cannot beat on-demand
+    // here, greedy lookahead can, so both branches below run.
     let hw = HardwareSpec::for_partition(&partition)
+        .with_comm_qubits(8)
+        .unwrap()
         .with_topology(NetworkTopology::ring(nodes).unwrap())
         .unwrap();
-    for policy in policies() {
-        let parallel = ScheduleOptions::default().with_buffer(policy);
-        let sequential = ScheduleOptions { sequential_rails: true, ..parallel };
-        assert_schedule_modes_match(
-            &circuit,
-            &hw,
-            &partition,
-            sequential,
-            parallel,
-            "parallel dual-rail (threaded)",
-        );
+    let compiled = AutoComm::new().compile_on(&circuit, &partition, &hw).unwrap();
+    let items = compiled.assigned.items().len();
+    assert!(items >= PAR_THRESHOLD, "{items} items stay under the fork threshold");
+    let recorded = ScheduleOptions { record_events: true, ..ScheduleOptions::default() };
+    let inline = schedule(&compiled.assigned, &compiled.placement, &hw, recorded);
+    let mut fell_back = Vec::new();
+    for policy in &policies()[1..] {
+        let options = recorded.with_buffer(*policy);
+        let dual = schedule(&compiled.assigned, &compiled.placement, &hw, options);
+        if dual.buffering.fell_back {
+            fell_back.push(policy.name());
+            let base = ScheduleSummary { buffering: inline.buffering.clone(), ..dual };
+            assert_eq!(base, inline, "threaded base walk drifted under {}", policy.name());
+        } else {
+            assert!(
+                dual.makespan < inline.makespan,
+                "{} kept a buffered schedule that does not beat on-demand",
+                policy.name()
+            );
+        }
     }
+    assert!(!fell_back.is_empty(), "no buffered policy fell back on this program");
 }
 
 #[test]
@@ -142,7 +135,7 @@ fn suite_indexed_timeline_event_log_matches_linear_scan_reference() {
 }
 
 /// Schedule reuse in `compile_placed` under buffered policies: the reused
-/// final schedule must equal what the historical full driver produces.
+/// final schedule must equal what the full-recompile driver produces.
 #[test]
 fn buffered_schedule_reuse_matches_force_full() {
     let nodes = 4;
@@ -152,17 +145,11 @@ fn buffered_schedule_reuse_matches_force_full() {
         let hw = HardwareSpec::for_partition(&partition).with_topology(topology.clone()).unwrap();
         for policy in [BufferPolicy::OnDemand, BufferPolicy::Prefetch { depth: 4 }] {
             let compiler = AutoComm::with_options(AutoCommOptions::default().with_buffer(policy));
-            let (reused, reused_report) = compiler
-                .compile_placed(&circuit, &partition, &hw, &PlacementConfig::default())
-                .unwrap();
-            let (full, full_report) = compiler
-                .compile_placed(
-                    &circuit,
-                    &partition,
-                    &hw,
-                    &PlacementConfig { force_full: true, ..Default::default() },
-                )
-                .unwrap();
+            let config = PlacementConfig::default();
+            let (reused, reused_report) =
+                compiler.compile_placed(&circuit, &partition, &hw, &config).unwrap();
+            let (full, full_report) =
+                full_recompile_placed(&compiler, &circuit, &partition, &hw, &config).unwrap();
             let context = format!("{} under {}", topology.name(), policy.name());
             assert_eq!(reused_report, full_report, "report differs on {context}");
             assert_eq!(reused.metrics, full.metrics, "metrics differ on {context}");
