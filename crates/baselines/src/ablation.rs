@@ -83,7 +83,7 @@ mod tests {
     #[test]
     fn ablation_results_share_the_indexed_ir_shape() {
         // Non-circuit-rewriting ablations compile over the same `CommIr`
-        // contents (same unrolled stream, table, and conflict DAG) — the
+        // contents (same unrolled stream and table) — the
         // Fig. 17 deltas are pure pass behavior, not IR differences.
         let c = dqc_workloads::qft(10);
         let p = Partition::block(10, 2).unwrap();
@@ -95,7 +95,7 @@ mod tests {
         ] {
             assert_eq!(r.ir.len(), full.ir.len());
             assert_eq!(r.ir.unique_gates(), full.ir.unique_gates());
-            assert_eq!(r.ir.dag().edge_count(), full.ir.dag().edge_count());
+            assert!((0..r.ir.len()).all(|i| r.ir.gate_at(i) == full.ir.gate_at(i)));
             assert_eq!(r.ir.ranked_pairs(), full.ir.ranked_pairs());
         }
     }

@@ -1,30 +1,28 @@
 //! Front-end scale regression gate: the deterministic, asserting evidence
 //! for the flattened front end (chunked parallel QASM parsing, par-fanned
-//! unroll, and streaming aggregation that never materializes the conflict
-//! DAG). The deterministic stdout of this binary is diffed by CI
-//! against `crates/bench/baselines/frontend_scale.json` (recorded from a
-//! `--quick` run, which is what the CI job executes).
+//! unroll, and streaming aggregation that builds no conflict DAG). The
+//! deterministic stdout of this binary is diffed by CI against
+//! `crates/bench/baselines/frontend_scale.json` (recorded from a `--quick`
+//! run, which is what the CI job executes).
 //!
 //! In-binary rails, asserted on every run:
 //!
-//! * **Streaming aggregation** — on a 100k-gate distributed circuit the
-//!   default streaming conflict filter must aggregate ≥ 1.5× faster than
-//!   the materialized-DAG reference rail
-//!   ([`AggregateOptions::materialized_dag`], whose cost honestly includes
-//!   the CSR build it forces) and produce a bit-identical program;
-//! * **Bounded working set** — the streaming rail's peak tracked-entry
+//! * **Streaming aggregation** — a 100k-gate distributed circuit
+//!   aggregates (timing to stderr); its block and item counts go to the
+//!   baseline, and `tests/aggregate_golden.rs` pins the walk's output;
+//! * **Bounded working set** — the streaming filter's peak tracked-entry
 //!   count must respect its `O(wires)` bound (2 entries per qubit/classical
 //!   wire, independent of stream length), and a full [`ConflictScan`] sweep
 //!   must respect its `O(wires × window)` ring-slot bound — neither may
-//!   scale with the gate count;
+//!   scale with the gate count — and yield exactly the edges of the
+//!   materialized windowed DAG;
 //! * **Parse round trip** — 1M gates of generated QASM parse back through
 //!   the chunked [`from_qasm`] to the generating circuit (the timing goes
 //!   to stderr, next to the fanned [`unroll_circuit`]'s);
 //! * **Wide aggregation** — unrolled `qft(128)` over an 8-node block
 //!   partition (more than 64 wires, so the walk's wire summaries span
-//!   several words) must match the materialized-DAG rail; its block and
-//!   item counts and the walk's `visited`/`skipped` counters go to the
-//!   baseline.
+//!   several words); its block and item counts and the walk's
+//!   `visited`/`skipped` counters go to the baseline.
 //!
 //! Timings go to stderr (they vary per machine); stdout carries only
 //! deterministic structure counts and memory counters.
@@ -34,17 +32,17 @@ use std::time::Instant;
 
 use autocomm::{aggregate_ir_with_stats, AggregateOptions, CommIr, DAG_WINDOW};
 use dqc_circuit::{
-    from_qasm, to_qasm, unroll_circuit, Circuit, ConflictScan, Gate, Partition, QubitId,
+    from_qasm, to_qasm, unroll_circuit, Circuit, ConflictScan, DependencyDag, Gate, Partition,
+    QubitId,
 };
 use dqc_workloads::{qft, random_distributed_circuit};
 
 /// A diagonal-heavy distributed circuit (QAOA-like): long runs of mutually
 /// commuting `rz`/`rzz` gates fenced by an `h` layer every `fence` gates,
 /// over a block partition so most `rzz` interactions are remote. Long
-/// commuting runs are exactly where materializing the conflict DAG is
-/// expensive (the windowed scan walks the full window per wire before
-/// giving up) and where the streaming per-wire filter costs nothing extra —
-/// the workload the streaming-vs-materialized ratio is honest on.
+/// commuting runs are where a conflict scan walks its full window per wire
+/// before giving up, and where the streaming per-wire filter costs nothing
+/// extra.
 fn diagonal_remote(num_qubits: usize, num_gates: usize, fence: usize) -> (Circuit, Partition) {
     let q = |i: usize| QubitId::new(i);
     let mut circuit = Circuit::new(num_qubits);
@@ -97,43 +95,20 @@ fn timed<T>(rounds: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 
 fn main() {
     let quick = dqc_bench::quick_requested();
-    // --quick shrinks every input ~10× (same code paths, CI-smoke speed)
-    // and relaxes the ratio rail, which needs 100k-gate aggregations for
-    // the filter cost to dominate noise.
+    // --quick shrinks every input ~10× (same code paths, CI-smoke speed).
     let scale = if quick { 10_000 } else { 100_000 };
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
-    // ── Rail 1: streaming vs materialized-DAG aggregation ──────────────
+    // ── Rail 1: streaming aggregation ──────────────────────────────────
     // The shared workload: a 100k-gate diagonal-heavy circuit over a
-    // 4-node block partition — long mutually-commuting runs where the
-    // windowed DAG build pays its full window per wire per gate. The IR is
-    // built once; each timed round clones it un-forced so the materialized
-    // rail honestly pays the CSR build it forces.
+    // 4-node block partition — long mutually-commuting runs. The IR is
+    // built once; each timed round aggregates a clone of it.
     let (circuit, partition) = diagonal_remote(8, scale, scale / 4);
     let base_ir = CommIr::build(&circuit, &partition);
-    let streaming_opts = AggregateOptions::default();
-    let materialized_opts = AggregateOptions { materialized_dag: true, ..streaming_opts };
+    let options = AggregateOptions::default();
     let (streaming_ms, (streaming_prog, streaming_stats)) =
-        timed(3, || aggregate_ir_with_stats(Arc::new(base_ir.clone()), streaming_opts));
-    let (materialized_ms, (materialized_prog, materialized_stats)) =
-        timed(3, || aggregate_ir_with_stats(Arc::new(base_ir.clone()), materialized_opts));
-    assert_eq!(
-        streaming_prog, materialized_prog,
-        "streaming aggregation drifted from the materialized-DAG reference"
-    );
-    let agg_speedup = materialized_ms / streaming_ms;
-    eprintln!(
-        "aggregation ({} gates): materialized dag {materialized_ms:.1} ms, streaming \
-         {streaming_ms:.1} ms ({agg_speedup:.2}x)",
-        circuit.len()
-    );
-    if !quick {
-        assert!(
-            agg_speedup >= 1.5,
-            "streaming aggregation must be >= 1.5x the materialized-DAG rail, got \
-             {agg_speedup:.2}x"
-        );
-    }
+        timed(3, || aggregate_ir_with_stats(Arc::new(base_ir.clone()), options));
+    eprintln!("aggregation ({} gates): streaming {streaming_ms:.1} ms", circuit.len());
 
     // ── Rail 2: working sets stay O(wires), not O(gates) ───────────────
     assert!(
@@ -142,24 +117,11 @@ fn main() {
         streaming_stats.peak_tracked_entries,
         streaming_stats.tracked_entry_bound
     );
-    assert!(!streaming_stats.used_materialized_dag);
-    assert!(materialized_stats.used_materialized_dag);
-    assert_eq!(
-        materialized_stats.peak_tracked_entries, 0,
-        "the materialized rail must not touch the streaming wire maps"
-    );
     assert!(
         streaming_stats.tracked_entry_bound < circuit.len(),
         "the tracked-entry bound must be O(wires), far below the gate count"
     );
-    // The default compile path must never have forced the CSR arrays…
-    let streaming_edges = {
-        let ir = Arc::new(base_ir.clone());
-        let (_, _) = aggregate_ir_with_stats(Arc::clone(&ir), streaming_opts);
-        ir.dag_edges_if_built()
-    };
-    assert_eq!(streaming_edges, None, "streaming aggregation materialized the conflict DAG");
-    // …while a full ConflictScan sweep stays within its ring-slot bound.
+    // A full ConflictScan sweep stays within its ring-slot bound.
     let mut scan = ConflictScan::new(
         base_ir.table(),
         base_ir.stream(),
@@ -182,10 +144,14 @@ fn main() {
         "the ring-slot bound must be O(wires x window), far below the gate count"
     );
     // The streamed predecessor sets are exactly the materialized edges.
-    let dag_edges = {
-        let ir = base_ir.clone();
-        ir.dag().edge_count()
-    };
+    let dag_edges = DependencyDag::commutation_aware_indexed(
+        base_ir.table(),
+        base_ir.stream(),
+        circuit.num_qubits(),
+        circuit.num_cbits(),
+        DAG_WINDOW,
+    )
+    .edge_count();
     assert_eq!(scanned_edges, dag_edges, "conflict scan drifted from the materialized build");
 
     // ── Rail 3: chunked parse round trip, fanned unroll ────────────────
@@ -208,10 +174,7 @@ fn main() {
     let wide_partition = Partition::block(128, 8).expect("8-node block partition");
     let wide_ir = CommIr::build(&wide, &wide_partition);
     let (wide_ms, (wide_prog, wide_stats)) =
-        timed(3, || aggregate_ir_with_stats(Arc::new(wide_ir.clone()), streaming_opts));
-    let (wide_materialized, _) =
-        aggregate_ir_with_stats(Arc::new(wide_ir.clone()), materialized_opts);
-    assert_eq!(wide_prog, wide_materialized, "wide aggregation drifted from the DAG rail");
+        timed(3, || aggregate_ir_with_stats(Arc::new(wide_ir.clone()), options));
     eprintln!(
         "wide aggregation ({} gates, 128 qubits): {wide_ms:.1} ms, {} visited, {} skipped",
         wide.len(),
@@ -229,8 +192,7 @@ fn main() {
         circuit.num_qubits()
     );
     println!(
-        "  \"aggregation\": {{\"blocks\": {}, \"items\": {}, \"streaming_matches_materialized\": \
-         true, \"streaming_leaves_dag_lazy\": true}},",
+        "  \"aggregation\": {{\"blocks\": {}, \"items\": {}}},",
         streaming_prog.block_count(),
         streaming_prog.items().len()
     );
@@ -263,7 +225,7 @@ fn main() {
     println!("  \"fanned_rails\": {{\"unrolled_gates\": {}}}", unrolled.len());
     println!("}}");
     eprintln!(
-        "frontend scale gate OK: streaming aggregation {agg_speedup:.2}x, peak tracked {}/{} \
+        "frontend scale gate OK: streaming aggregation {streaming_ms:.1} ms, peak tracked {}/{} \
          entries, peak rings {}/{} slots",
         streaming_stats.peak_tracked_entries,
         streaming_stats.tracked_entry_bound,

@@ -1,9 +1,9 @@
-//! IR-scale regression gate: the deterministic, asserting companion of the
-//! `ir_scale` criterion bench and the acceptance evidence for the
-//! 100k–1M-gate compile re-platform (arena gate tables, windowed DAG
-//! build, parallel assign/lower, incremental recompilation). The recorded
-//! measurements live in `crates/bench/baselines/ir_1m_baseline.json`; the
-//! deterministic stdout of this binary is diffed by CI against
+//! IR-scale regression gate: the deterministic, asserting evidence for the
+//! 100k–1M-gate compile and schedule work (arena gate tables, windowed DAG
+//! build, parallel assign/lower, incremental recompilation, indexed
+//! timeline, buffered schedules). The recorded measurements live in
+//! `crates/bench/baselines/ir_1m_baseline.json`; the deterministic stdout
+//! of this binary is diffed by CI against
 //! `crates/bench/baselines/ir_scale_gate.json`.
 //!
 //! In-binary rails, asserted on every run:
@@ -16,14 +16,22 @@
 //!   what a refinement round costs) is ≥ 5× cheaper than the full
 //!   round-0 pipeline, and bit-identical to a full re-assign;
 //! * **1M-gate completion** — a full 1M-gate compile finishes within a
-//!   generous wall-clock budget (the absolute-threshold rail).
+//!   generous wall-clock budget (the absolute-threshold rail), and so does
+//!   a buffered schedule of the same program on a sparse machine.
+//!
+//! Beside them the gate records the deterministic metrics of a buffered
+//! 100k-gate schedule on a comm-rich 3×3 grid, where multi-hop routes
+//! claim relay slots and link channels out of wide slot vectors.
 //!
 //! Timings go to stderr (they vary per machine); stdout carries only
 //! deterministic structure counts and metrics.
 
 use std::time::Instant;
 
-use autocomm::{assign_incremental, assign_on, AutoComm, CommMetrics, Placement};
+use autocomm::{
+    assign_incremental, assign_on, schedule, AutoComm, BufferPolicy, CommMetrics, Placement,
+    ScheduleOptions,
+};
 use dqc_circuit::{Circuit, DependencyDag, Gate, QubitId};
 use dqc_hardware::{HardwareSpec, NetworkTopology};
 use dqc_workloads::random_distributed_circuit;
@@ -165,11 +173,47 @@ fn main() {
     if !quick {
         assert!(big_ms < 120_000.0, "1M-gate compile took {big_ms:.0} ms (budget 120 s)");
     }
+    let b = big_result.metrics.clone();
+    drop(big_result);
+
+    // ── Buffered schedules at scale ────────────────────────────────────
+    // A 100k-gate circuit over 9 nodes on a 3×3 grid with a deep
+    // comm-qubit budget: multi-hop routes exercise relay swaps and channel
+    // claims on wide slot vectors. Deterministic metrics only.
+    let buffered = ScheduleOptions::default().with_buffer(BufferPolicy::Prefetch { depth: 4 });
+    let (wide, wide_partition) = random_distributed_circuit(72, 9, scale, 7);
+    let wide_hw = HardwareSpec::for_partition(&wide_partition)
+        .with_comm_qubits(128)
+        .expect("128 comm qubits is a valid budget")
+        .with_topology(NetworkTopology::grid(3, 3).expect("3x3 grid is valid"))
+        .expect("grid covers the 9 placed nodes");
+    let wide_compiled =
+        AutoComm::new().compile_on(&wide, &wide_partition, &wide_hw).expect("100k compile");
+    let s = schedule(&wide_compiled.assigned, &wide_compiled.placement, &wide_hw, buffered);
+    drop(wide_compiled);
+
+    // ── Rail 4: the 1M-gate buffered schedule completes ────────────────
+    let big_hw = HardwareSpec::for_partition(&big_partition)
+        .with_comm_qubits(8)
+        .expect("8 comm qubits is a valid budget")
+        .with_topology(NetworkTopology::ring(4).expect("ring of 4 is valid"))
+        .expect("ring covers the 4 placed nodes");
+    let big_compiled =
+        AutoComm::new().compile_on(&big, &big_partition, &big_hw).expect("1M compile");
+    let t = Instant::now();
+    let big_schedule = schedule(&big_compiled.assigned, &big_compiled.placement, &big_hw, buffered);
+    let big_schedule_ms = t.elapsed().as_secs_f64() * 1e3;
+    eprintln!("{}-gate buffered schedule: {big_schedule_ms:.0} ms", big.len());
+    if !quick {
+        assert!(
+            big_schedule_ms < 60_000.0,
+            "1M-gate buffered schedule took {big_schedule_ms:.0} ms (budget 60 s)"
+        );
+    }
 
     // Deterministic JSON, diffed against the recorded baseline by CI
     // (full runs only — --quick shrinks the inputs).
     let m = &inc_metrics;
-    let b = &big_result.metrics;
     println!("{{");
     println!("  \"window\": {WINDOW},");
     println!(
@@ -188,15 +232,41 @@ fn main() {
     );
     println!(
         "  \"one_million\": {{\"gates\": {}, \"total_comms\": {}, \"tp_comms\": {}, \
-         \"epr_cost\": {}}}",
+         \"epr_cost\": {}}},",
         big.len(),
         b.total_comms,
         b.tp_comms,
         b.total_epr_cost
     );
+    println!(
+        "  \"schedule_workload\": {{\"gates\": {}, \"nodes\": 9, \"comm_qubits\": 128, \
+         \"topology\": \"grid3x3\", \"buffer\": \"{}\"}},",
+        wide.len(),
+        s.buffering.policy.name()
+    );
+    println!(
+        "  \"schedule_buffered\": {{\"makespan\": {:.2}, \"epr_pairs\": {}, \"swaps\": {}, \
+         \"fusion_savings\": {}, \"requests\": {}, \"prefetch_hits\": {}, \"fell_back\": {}}},",
+        s.makespan,
+        s.epr_pairs,
+        s.swaps,
+        s.fusion_savings,
+        s.buffering.requests,
+        s.buffering.prefetch_hits,
+        s.buffering.fell_back
+    );
+    println!(
+        "  \"schedule_one_million\": {{\"gates\": {}, \"makespan\": {:.2}, \"epr_pairs\": {}, \
+         \"swaps\": {}, \"fell_back\": {}}}",
+        big.len(),
+        big_schedule.makespan,
+        big_schedule.epr_pairs,
+        big_schedule.swaps,
+        big_schedule.buffering.fell_back
+    );
     println!("}}");
     eprintln!(
         "ir scale gate OK: windowed dag {dag_speedup:.1}x, incremental round {round_speedup:.1}x, \
-         1M compile {big_ms:.0} ms"
+         1M compile {big_ms:.0} ms, 1M buffered schedule {big_schedule_ms:.0} ms"
     );
 }

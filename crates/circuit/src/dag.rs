@@ -7,8 +7,9 @@
 //!   ASAP layering and critical path;
 //! * the **commutation-aware** graph, where an edge exists only when the
 //!   gates do *not* commute ([`crate::commutes`]) — the structure the
-//!   AutoComm aggregation pass navigates, exposed both for analysis and as
-//!   the per-compile conflict index of the indexed IR.
+//!   AutoComm aggregation pass navigates, exposed for analysis, property
+//!   tests and the scale gates (compiles stream their conflict checks and
+//!   build no graph).
 //!
 //! Adjacency is stored in flat CSR arrays (`u32` indices), so building a
 //! graph over tens of thousands of gates costs a handful of allocations
@@ -272,7 +273,7 @@ impl DependencyDag {
     /// the dependence oracle is [`GateTable::commutes_ids`], which walks the
     /// table's precomputed wire records instead of re-deriving axis
     /// behavior per call. Produces the same graph as the circuit-based
-    /// build; this is the constructor the indexed IR uses.
+    /// build; tests and gates use it over an indexed-IR stream.
     pub fn commutation_aware_indexed(
         table: &GateTable,
         stream: &[GateId],

@@ -23,6 +23,13 @@ use crate::CliError;
 /// repository uses is 128.
 pub(crate) const MAX_COMM_QUBITS: usize = 1024;
 
+/// Largest accepted node count. Hardware construction is quadratic in it
+/// (an all-to-all machine has `n(n−1)/2` links and `n²` routing tables) and
+/// route precomputation cubic, so an unbounded count lets a small request
+/// exhaust memory and time before any compile starts; the largest count
+/// any caller in this repository uses is 30.
+pub(crate) const MAX_NODES: usize = 256;
+
 /// How logical qubits are placed onto physical nodes
 /// (`--placement block|oee|topo`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -254,8 +261,8 @@ impl Job {
     }
 
     /// Checks what the decoders cannot see field by field: a node count
-    /// was given, and the comm-qubit budget is at most
-    /// [`MAX_COMM_QUBITS`].
+    /// was given and is at most [`MAX_NODES`], and the comm-qubit budget is
+    /// at most [`MAX_COMM_QUBITS`].
     ///
     /// # Errors
     ///
@@ -263,6 +270,9 @@ impl Job {
     pub(crate) fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
             return Err("missing required --nodes <N>".into());
+        }
+        if self.nodes > MAX_NODES {
+            return Err(format!("--nodes: {} exceeds the limit of {MAX_NODES}", self.nodes));
         }
         if self.comm_qubits > MAX_COMM_QUBITS {
             return Err(format!(
@@ -454,6 +464,21 @@ mod tests {
         assert!(wire(&req(&cap)).is_ok());
         let err = wire(&req("1e11")).unwrap_err();
         assert!(err.contains("exceeds the limit"), "{err}");
+    }
+
+    #[test]
+    fn node_cap_guards_argv_and_wire_alike() {
+        // Parsing and validation only: no hardware is built here.
+        let cap = MAX_NODES.to_string();
+        let over = (MAX_NODES + 1).to_string();
+        const { assert!(MAX_NODES >= 30, "the cap must admit every in-repo node count") };
+        assert!(argv(&["--nodes", &cap]).is_ok());
+        let err = argv(&["--nodes", &over]).unwrap_err();
+        assert!(err.contains("exceeds the limit"), "{err}");
+        let req = |n: &str| format!(r#"{{"op":"compile","qasm":"x","nodes":{n}}}"#);
+        assert!(wire(&req(&cap)).is_ok());
+        assert!(wire(&req(&over)).unwrap_err().contains("exceeds the limit"));
+        assert!(wire(&req("16384")).is_err());
     }
 
     #[test]

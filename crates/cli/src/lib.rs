@@ -91,7 +91,7 @@ USAGE:
     autocomm help
 
 OPTIONS:
-    --nodes <N>          number of hardware nodes (required)
+    --nodes <N>          number of hardware nodes (required), at most 256
     --comm-qubits <K>    communication qubits per node, at most 1024
                          [default: 2]
     --topology <T>       interconnect topology: all-to-all, linear, ring,
@@ -287,7 +287,7 @@ impl CompileReport {
                     sections::ir_json(
                         self.result.ir.len(),
                         self.result.ir.unique_gates(),
-                        self.result.ir.dag_edges_if_built().unwrap_or(0),
+                        0, // dag_edges: see `ArtifactIrStats::dag_edges`
                         self.result.ir.ranked_pairs().len(),
                     ),
                 ),
@@ -527,6 +527,11 @@ mod tests {
     #[test]
     fn usage_states_the_comm_qubit_cap() {
         assert!(USAGE.contains(&format!("at most {}", job::MAX_COMM_QUBITS)));
+    }
+
+    #[test]
+    fn usage_states_the_node_cap() {
+        assert!(USAGE.contains(&format!("(required), at most {}", job::MAX_NODES)));
     }
 
     #[test]

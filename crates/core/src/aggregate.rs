@@ -20,9 +20,11 @@
 //!   window)?" is answered by two incremental [`CommSummary`]s in
 //!   `O(operands)` instead of an `O(block · deferred)` rescan, with
 //!   answers *identical* to the pairwise [`dqc_circuit::commutes`] oracle;
-//! * the precomputed conflict DAG supplies an `O(preds)` negative filter:
-//!   a direct edge from a block or deferred member proves the candidate
-//!   cannot move before either summary is consulted.
+//! * a streaming per-wire filter supplies an `O(operands)` negative
+//!   filter: the newest block or deferred member on a wire the candidate
+//!   touches, if it does not commute with the candidate, proves the
+//!   candidate cannot move before either summary is consulted. The filter
+//!   holds at most two entries per wire, whatever the stream length.
 //!
 //! The walk is touch-driven: its cost follows the items that share a wire
 //! with the open block or its deferred window, not the distance between
@@ -171,19 +173,11 @@ pub struct AggregateOptions {
     /// Cap on the deferred-item window behind an open block; exceeding it
     /// seals the block (bounds worst-case quadratic behaviour).
     pub defer_limit: usize,
-    /// Reference rail: force-materialize the conflict DAG and use its edge
-    /// lists as the negative filter (the historical path), instead of the
-    /// default streaming per-wire member filter that never builds the CSR
-    /// arrays. Both rails produce bit-identical programs (every decision is
-    /// ultimately justified by the [`CommSummary`] oracles; the filters only
-    /// short-circuit provably-failing checks) — property-tested in the
-    /// integration suite and asserted by the `frontend_scale_gate` bench.
-    pub materialized_dag: bool,
 }
 
 impl Default for AggregateOptions {
     fn default() -> Self {
-        AggregateOptions { defer_limit: 64, materialized_dag: false }
+        AggregateOptions { defer_limit: 64 }
     }
 }
 
@@ -193,15 +187,12 @@ impl Default for AggregateOptions {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AggregateStats {
     /// Peak live entries in the streaming conflict filter (newest block /
-    /// deferred member per wire, generation-stamped). Always 0 on the
-    /// materialized-DAG rail.
+    /// deferred member per wire, generation-stamped).
     pub peak_tracked_entries: usize,
     /// Hard bound on `peak_tracked_entries`: two entries (block + deferred)
     /// per qubit wire and per classical bit — `O(wires)`, independent of
     /// stream length.
     pub tracked_entry_bound: usize,
-    /// Whether the run used the materialized-DAG reference rail.
-    pub used_materialized_dag: bool,
     /// Items the merge walks classified one by one (joined, hoisted,
     /// absorbed, deferred, or sealed on).
     pub visited: usize,
@@ -239,13 +230,8 @@ pub fn aggregate_ir_with_stats(
     ir: Arc<CommIr>,
     options: AggregateOptions,
 ) -> (AggregatedProgram, AggregateStats) {
-    if options.materialized_dag {
-        // Reference rail: force the CSR build up front so the filter below
-        // sees a complete graph (and the rail's cost honestly includes it).
-        ir.dag();
-    }
     let mut arena = Arena::from_ir(&ir);
-    let mut ws = Workspace::new(&ir, arena.words, options.materialized_dag);
+    let mut ws = Workspace::new(&ir, arena.words);
     for i in 0..ir.ranked_pairs().len() {
         let (pair, _) = ir.ranked_pairs()[i];
         process_pair(&mut arena, &ir, pair, &mut ws, options);
@@ -253,7 +239,6 @@ pub fn aggregate_ir_with_stats(
     let stats = AggregateStats {
         peak_tracked_entries: ws.peak_tracked,
         tracked_entry_bound: 2 * (ir.num_qubits() + ir.num_cbits()),
-        used_materialized_dag: options.materialized_dag,
         visited: ws.visited,
         skipped: ws.skipped,
     };
@@ -570,7 +555,7 @@ impl Arena {
 }
 
 /// Reused per-block scratch state: the two commutation summaries, the
-/// folded wire masks, and the stamped DAG membership marks.
+/// folded wire masks, and the streaming conflict filter.
 struct Workspace {
     /// Summary of the open block's body.
     block: CommSummary,
@@ -593,25 +578,18 @@ struct Workspace {
     skipped: usize,
     /// Classical bit wires (see [`fold_wires`]).
     cbits: Option<usize>,
-    /// Generation-stamped block membership per original stream position.
-    block_pos: Vec<u32>,
-    /// Generation-stamped deferred membership per original stream position.
-    defer_pos: Vec<u32>,
     /// Generation-stamped occurrence set of the pair being processed.
     occ_pos: Vec<u32>,
     /// Occurrence-set generation (bumped per pair, not per block).
     occ_gen: u32,
     gen: u32,
-    /// Whether to filter through the materialized DAG's edge lists
-    /// (reference rail) instead of the streaming per-wire member maps.
-    use_dag: bool,
     /// Streaming filter state: newest block member touching each qubit wire
     /// (then each classical bit), generation-stamped. A candidate conflicts
     /// with the open block iff it fails to commute with *some* member on a
     /// shared wire — and the newest one is already a sound witness, because
     /// any hit short-circuits exactly what [`CommSummary::commutes_with`]
     /// would answer. Total live entries are bounded by two per wire,
-    /// `O(wires)`, where the CSR edge arrays grow `O(gates)`.
+    /// `O(wires)`, whatever the stream length.
     block_wire: Vec<(u32, Option<GateId>)>,
     /// Newest deferred member per qubit wire / classical bit.
     defer_wire: Vec<(u32, Option<GateId>)>,
@@ -625,7 +603,7 @@ struct Workspace {
 }
 
 impl Workspace {
-    fn new(ir: &CommIr, words: usize, use_dag: bool) -> Self {
+    fn new(ir: &CommIr, words: usize) -> Self {
         let wires = ir.num_qubits() + ir.num_cbits();
         Workspace {
             block: CommSummary::new(ir.num_qubits(), ir.num_cbits()),
@@ -636,12 +614,9 @@ impl Workspace {
             visited: 0,
             skipped: 0,
             cbits: classical_base(ir),
-            block_pos: vec![0; ir.len()],
-            defer_pos: vec![0; ir.len()],
             occ_pos: vec![0; ir.len()],
             occ_gen: 0,
             gen: 0,
-            use_dag,
             block_wire: vec![(0, None); wires],
             defer_wire: vec![(0, None); wires],
             tracked: 0,
@@ -714,72 +689,39 @@ impl Workspace {
         }
     }
 
-    fn add_to_block(&mut self, table: &GateTable, pos: usize, id: GateId) {
+    fn add_to_block(&mut self, table: &GateTable, id: GateId) {
         self.block.add(table, id);
         self.note_wires(table, id);
-        if let Some(m) = self.block_pos.get_mut(pos) {
-            *m = self.gen;
+        for w in table.qubit_indices(id) {
+            self.tracked += Self::stamp_wires(&mut self.block_wire, self.gen, w, id);
         }
-        if !self.use_dag {
-            for w in table.qubit_indices(id) {
-                self.tracked += Self::stamp_wires(&mut self.block_wire, self.gen, w, id);
-            }
-            for bit in table.classical_bits(id) {
-                self.tracked +=
-                    Self::stamp_wires(&mut self.block_wire, self.gen, self.cbit_base + bit, id);
-            }
-            self.peak_tracked = self.peak_tracked.max(self.tracked);
+        for bit in table.classical_bits(id) {
+            self.tracked +=
+                Self::stamp_wires(&mut self.block_wire, self.gen, self.cbit_base + bit, id);
         }
+        self.peak_tracked = self.peak_tracked.max(self.tracked);
     }
 
-    fn add_to_deferred(&mut self, table: &GateTable, pos: usize, id: GateId) {
+    fn add_to_deferred(&mut self, table: &GateTable, id: GateId) {
         self.deferred.add(table, id);
         self.note_wires(table, id);
-        if let Some(m) = self.defer_pos.get_mut(pos) {
-            *m = self.gen;
+        for w in table.qubit_indices(id) {
+            self.tracked += Self::stamp_wires(&mut self.defer_wire, self.gen, w, id);
         }
-        if !self.use_dag {
-            for w in table.qubit_indices(id) {
-                self.tracked += Self::stamp_wires(&mut self.defer_wire, self.gen, w, id);
-            }
-            for bit in table.classical_bits(id) {
-                self.tracked +=
-                    Self::stamp_wires(&mut self.defer_wire, self.gen, self.cbit_base + bit, id);
-            }
-            self.peak_tracked = self.peak_tracked.max(self.tracked);
+        for bit in table.classical_bits(id) {
+            self.tracked +=
+                Self::stamp_wires(&mut self.defer_wire, self.gen, self.cbit_base + bit, id);
         }
+        self.peak_tracked = self.peak_tracked.max(self.tracked);
     }
 
     /// The negative conflict filter: whether a current block (resp.
     /// deferred) member provably does not commute with the candidate.
-    ///
-    /// Two interchangeable implementations, bit-identical in output because
-    /// either way a `true` short-circuits exactly what the
-    /// [`CommSummary::commutes_with`] checks downstream would answer:
-    ///
-    /// * **streaming** (default): probe the newest member on each wire the
-    ///   candidate touches — `O(operands)` lookups against `O(wires)`
-    ///   state, no CSR arrays anywhere;
-    /// * **materialized** (reference rail): walk the candidate's DAG
-    ///   predecessor list and test generation membership — the historical
-    ///   path, kept for A/B benchmarking and the property tests.
-    fn conflicts(&self, ir: &CommIr, pos: usize, ids: &[GateId]) -> (bool, bool) {
-        if self.use_dag {
-            let mut in_block = false;
-            let mut in_defer = false;
-            if pos < ir.len() {
-                for &p in ir.dag().predecessors(pos) {
-                    if self.block_pos[p as usize] == self.gen {
-                        in_block = true;
-                    }
-                    if self.defer_pos[p as usize] == self.gen {
-                        in_defer = true;
-                    }
-                }
-            }
-            return (in_block, in_defer);
-        }
-        let table = ir.table();
+    /// Probes the newest member on each wire the candidate touches —
+    /// `O(operands)` lookups against `O(wires)` state. A `true`
+    /// short-circuits exactly what the [`CommSummary::commutes_with`]
+    /// checks downstream would answer, so the filter changes no decision.
+    fn conflicts(&self, table: &GateTable, ids: &[GateId]) -> (bool, bool) {
         let mut in_block = false;
         let mut in_defer = false;
         for &id in ids {
@@ -861,7 +803,7 @@ fn process_pair(
         arena.blocks.push(block);
         arena.slots[start] = Slot::Block(bi as u32);
         ws.open_block();
-        ws.add_to_block(table, start, first_id);
+        ws.add_to_block(table, first_id);
 
         // Hoisted items stay where they are and deferred items stay after
         // the block slot. When the walk stops, the block and the deferred
@@ -929,7 +871,7 @@ fn process_pair(
                 // block); all of them must commute with this gate.
                 if ws.deferred.commutes_with(table, id) {
                     arena.unlink(cur, seg);
-                    ws.add_to_block(table, cur, id);
+                    ws.add_to_block(table, id);
                     arena.blocks[bi].push(id, table.gate(id));
                 } else {
                     // Seal here and restart a fresh block at this occurrence.
@@ -939,7 +881,7 @@ fn process_pair(
                 // Negative conflict filter: a proven non-commuting block or
                 // deferred member means the item cannot be hoisted (and,
                 // for deferred conflicts, cannot be absorbed either).
-                let (edge_block, edge_defer) = ws.conflicts(ir, cur, arena.ids_at(cur));
+                let (edge_block, edge_defer) = ws.conflicts(table, arena.ids_at(cur));
                 let can_hoist = !edge_block
                     && !edge_defer
                     && arena.ids_at(cur).iter().all(|&gid| {
@@ -964,7 +906,7 @@ fn process_pair(
                     if absorbable {
                         let Slot::Local(id) = slot else { unreachable!() };
                         arena.unlink(cur, seg);
-                        ws.add_to_block(table, cur, id);
+                        ws.add_to_block(table, id);
                         arena.blocks[bi].push(id, table.gate(id));
                     } else {
                         // `carried` holds the block slot, then the deferred
@@ -974,7 +916,7 @@ fn process_pair(
                         }
                         for k in 0..arena.ids_at(cur).len() {
                             let gid = arena.ids_at(cur)[k];
-                            ws.add_to_deferred(table, cur, gid);
+                            ws.add_to_deferred(table, gid);
                         }
                         ws.carried.push((cur as u32, seg));
                     }
@@ -1182,41 +1124,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_filter_matches_materialized_dag_rail() {
-        for seed in 0..6 {
-            let (c, p) = dqc_workloads::random_distributed_circuit(6, 3, 200, seed);
-            let c = dqc_circuit::unroll_circuit(&c).unwrap();
-            for defer_limit in [0usize, 2, 64] {
-                let streaming =
-                    aggregate(&c, &p, AggregateOptions { defer_limit, materialized_dag: false });
-                let materialized =
-                    aggregate(&c, &p, AggregateOptions { defer_limit, materialized_dag: true });
-                assert_eq!(
-                    streaming, materialized,
-                    "rails drifted at seed {seed}, defer_limit {defer_limit}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn streaming_filter_working_set_is_wire_bounded() {
         let (c, p) = dqc_workloads::random_distributed_circuit(8, 2, 400, 3);
         let c = dqc_circuit::unroll_circuit(&c).unwrap();
         let ir = CommIr::build_shared(&c, &p);
         let (_, stats) = aggregate_ir_with_stats(ir.clone(), AggregateOptions::default());
-        assert!(!stats.used_materialized_dag);
         assert_eq!(stats.tracked_entry_bound, 2 * (ir.num_qubits() + ir.num_cbits()));
         assert!(stats.peak_tracked_entries <= stats.tracked_entry_bound);
-        // The default path never forced the lazy DAG.
-        assert!(ir.dag_edges_if_built().is_none());
-        let (_, dag_stats) = aggregate_ir_with_stats(
-            ir.clone(),
-            AggregateOptions { materialized_dag: true, ..AggregateOptions::default() },
-        );
-        assert!(dag_stats.used_materialized_dag);
-        assert_eq!(dag_stats.peak_tracked_entries, 0);
-        assert!(ir.dag_edges_if_built().is_some());
     }
 
     impl Arena {
@@ -1259,9 +1173,9 @@ mod tests {
     /// Runs the pass pair by pair, checking the segment overlay after each.
     fn aggregate_checking_segments(c: &Circuit, p: &Partition, defer_limit: usize) {
         let ir = CommIr::build_shared(c, p);
-        let options = AggregateOptions { defer_limit, ..AggregateOptions::default() };
+        let options = AggregateOptions { defer_limit };
         let mut arena = Arena::from_ir(&ir);
-        let mut ws = Workspace::new(&ir, arena.words, false);
+        let mut ws = Workspace::new(&ir, arena.words);
         arena.assert_segments_valid(ir.table());
         for &(pair, _) in ir.ranked_pairs() {
             process_pair(&mut arena, &ir, pair, &mut ws, options);

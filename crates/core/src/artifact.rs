@@ -79,7 +79,9 @@ pub struct ArtifactIrStats {
     pub gates: usize,
     /// Distinct interned gates.
     pub unique_gates: usize,
-    /// Dependency-DAG edges.
+    /// Conflict-DAG edges: always 0, since a compile builds no conflict
+    /// DAG. The field keeps its place in the exchange format, whose `ir`
+    /// line carries four numbers.
     pub dag_edges: usize,
     /// Ranked (qubit, node) burst pairs.
     pub burst_pairs: usize,
@@ -170,9 +172,7 @@ impl CompiledArtifact {
             ir: ArtifactIrStats {
                 gates: result.ir.len(),
                 unique_gates: result.ir.unique_gates(),
-                // 0 when the compile never materialized the lazy conflict
-                // DAG (the streaming-aggregation default).
-                dag_edges: result.ir.dag_edges_if_built().unwrap_or(0),
+                dag_edges: 0,
                 burst_pairs: result.ir.ranked_pairs().len(),
             },
             placement: placement.clone(),

@@ -1,31 +1,32 @@
-//! `CommIr`: the indexed, DAG-backed program representation every pass
-//! compiles against.
+//! `CommIr`: the indexed program representation every pass compiles
+//! against.
 //!
 //! Built once per compile (after unrolling), a [`CommIr`] bundles
 //!
 //! * an interned [`GateTable`] — each distinct gate stored once, everything
 //!   downstream holds [`GateId`]s instead of cloned [`Gate`]s;
 //! * the program `stream` — the unrolled circuit as gate ids in order;
-//! * a commutation-aware [`DependencyDag`] over stream positions, built
-//!   with a bounded wire window so construction stays linear even on long
-//!   mutually-commuting runs — every edge is a proof that two gates
-//!   conflict, which aggregation uses as an O(preds) negative filter
-//!   before any commutation algebra runs;
 //! * the per-(qubit, node) remote-gate statistics and occurrence lists the
 //!   aggregation preprocessing ranks pairs by (paper §4.2), computed in a
 //!   single sweep.
+//!
+//! The IR holds no conflict graph: aggregation streams its conflict checks
+//! through per-wire member maps. Tests and gates that want the windowed
+//! conflict DAG build it from the table and stream with
+//! [`dqc_circuit::DependencyDag::commutation_aware_indexed`] at
+//! [`DAG_WINDOW`].
 //!
 //! [`AggregatedProgram`](crate::AggregatedProgram) and
 //! [`AssignedProgram`](crate::AssignedProgram) share the `CommIr` by
 //! [`Arc`], so the whole pipeline resolves gates through one table and
 //! never re-derives commutation structure from raw gate pairs.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use dqc_circuit::{Circuit, DependencyDag, Gate, GateId, GateTable, NodeId, Partition, QubitId};
+use dqc_circuit::{Circuit, Gate, GateId, GateTable, NodeId, Partition, QubitId};
 
-/// Default backward wire window for the conflict DAG (see
-/// [`DependencyDag::commutation_aware_windowed`]).
+/// Default backward wire window for a conflict DAG over a [`CommIr`] stream
+/// (see [`dqc_circuit::DependencyDag::commutation_aware_windowed`]).
 pub const DAG_WINDOW: usize = 64;
 
 /// The indexed IR one compile runs on. See the module docs.
@@ -33,12 +34,6 @@ pub const DAG_WINDOW: usize = 64;
 pub struct CommIr {
     table: GateTable,
     stream: Vec<GateId>,
-    /// Lazily materialized conflict DAG: the default compile path streams
-    /// predecessor sets through [`dqc_circuit::ConflictScan`] during
-    /// aggregation and never forces this; passes that genuinely need the
-    /// CSR graph (assignment parallel-group checks, analyses, property
-    /// tests) get it on first [`CommIr::dag`] call.
-    dag: OnceLock<DependencyDag>,
     partition: Partition,
     num_qubits: usize,
     num_cbits: usize,
@@ -86,7 +81,6 @@ impl CommIr {
         CommIr {
             table,
             stream,
-            dag: OnceLock::new(),
             partition: partition.clone(),
             num_qubits: circuit.num_qubits(),
             num_cbits: circuit.num_cbits(),
@@ -146,41 +140,6 @@ impl CommIr {
         self.num_cbits
     }
 
-    /// The windowed commutation-aware dependency DAG over stream positions,
-    /// materialized on first use (see the `dag` field docs; the default
-    /// compile path never calls this).
-    pub fn dag(&self) -> &DependencyDag {
-        self.dag.get_or_init(|| {
-            DependencyDag::commutation_aware_indexed(
-                &self.table,
-                &self.stream,
-                self.num_qubits,
-                self.num_cbits,
-                DAG_WINDOW,
-            )
-        })
-    }
-
-    /// The conflict DAG if some pass already forced materialization, else
-    /// `None`. Reporting paths use this so printing a compile artifact
-    /// never pays for a graph the compile itself did not need.
-    pub fn dag_if_built(&self) -> Option<&DependencyDag> {
-        self.dag.get()
-    }
-
-    /// Edge count of the materialized conflict DAG, or `None` while it is
-    /// still lazy.
-    pub fn dag_edges_if_built(&self) -> Option<usize> {
-        self.dag.get().map(DependencyDag::edge_count)
-    }
-
-    /// Whether stream positions `a < b` are linked by a direct conflict
-    /// edge — a proof the two gates do not commute. Absence proves nothing.
-    /// Forces DAG materialization.
-    pub fn conflicts_directly(&self, a: usize, b: usize) -> bool {
-        self.dag().has_edge(a, b)
-    }
-
     /// (qubit, node) pairs ranked by remote-gate count, descending.
     pub fn ranked_pairs(&self) -> &[((QubitId, NodeId), usize)] {
         &self.ranked_pairs
@@ -203,7 +162,7 @@ impl CommIr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqc_circuit::commutes;
+    use dqc_circuit::{commutes, DependencyDag};
 
     fn q(i: usize) -> QubitId {
         QubitId::new(i)
@@ -245,9 +204,16 @@ mod tests {
     fn dag_edges_are_conflict_proofs() {
         let (c, p) = sample();
         let ir = CommIr::build(&c, &p);
+        let dag = DependencyDag::commutation_aware_indexed(
+            ir.table(),
+            ir.stream(),
+            ir.num_qubits(),
+            ir.num_cbits(),
+            DAG_WINDOW,
+        );
         for a in 0..ir.len() {
             for b in (a + 1)..ir.len() {
-                if ir.conflicts_directly(a, b) {
+                if dag.has_edge(a, b) {
                     assert!(
                         !commutes(ir.gate_at(a), ir.gate_at(b)),
                         "edge {a}->{b} links commuting gates"
@@ -256,8 +222,8 @@ mod tests {
             }
         }
         // rz on the control commutes with both CXs: no edge touches it.
-        assert!(!ir.conflicts_directly(0, 1));
-        assert!(!ir.conflicts_directly(1, 2));
+        assert!(!dag.has_edge(0, 1));
+        assert!(!dag.has_edge(1, 2));
     }
 
     #[test]

@@ -207,8 +207,8 @@ impl Pass for UnrollPass {
     }
 }
 
-/// Builds the indexed [`CommIr`] — interned gate table, bounded-window
-/// conflict DAG, and ranked pair statistics — that every later pass
+/// Builds the indexed [`CommIr`] — interned gate table, program stream,
+/// and ranked pair statistics — that every later pass
 /// resolves against. Must run after [`UnrollPass`] (the IR snapshots the
 /// final logical circuit).
 #[derive(Clone, Copy, Debug, Default)]
@@ -225,23 +225,7 @@ impl Pass for IrPass {
     }
 
     fn metric(&self, ctx: &PassContext<'_>) -> Option<String> {
-        ctx.ir.as_ref().map(|ir| {
-            // The conflict DAG is lazy: the default compile streams
-            // predecessor sets during aggregation, so forcing the CSR build
-            // here just to count edges would defeat the point. Report the
-            // count only if some pass already materialized it.
-            match ir.dag_edges_if_built() {
-                Some(edges) => {
-                    format!(
-                        "{} gates ({} unique), {} dag edges",
-                        ir.len(),
-                        ir.unique_gates(),
-                        edges
-                    )
-                }
-                None => format!("{} gates ({} unique), lazy dag", ir.len(), ir.unique_gates()),
-            }
-        })
+        ctx.ir.as_ref().map(|ir| format!("{} gates ({} unique)", ir.len(), ir.unique_gates()))
     }
 }
 

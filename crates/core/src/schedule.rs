@@ -66,11 +66,6 @@ pub struct ScheduleOptions {
     /// them ([`BufferPolicy::OnDemand`] is the bit-identical legacy
     /// engine).
     pub buffer: BufferPolicy,
-    /// Run the timeline on the historical linear-scan slot/channel lookups
-    /// instead of the earliest-free indexes — the `schedule_scale` gate's
-    /// reference mode (see
-    /// [`dqc_hardware::Timeline::with_linear_scan_reference`]).
-    pub linear_scan_timeline: bool,
 }
 
 impl Default for ScheduleOptions {
@@ -81,7 +76,6 @@ impl Default for ScheduleOptions {
             fuse_tp_chains: true,
             record_events: false,
             buffer: BufferPolicy::OnDemand,
-            linear_scan_timeline: false,
         }
     }
 }
@@ -96,7 +90,6 @@ impl ScheduleOptions {
             fuse_tp_chains: false,
             record_events: false,
             buffer: BufferPolicy::OnDemand,
-            linear_scan_timeline: false,
         }
     }
 
@@ -216,9 +209,6 @@ fn schedule_run(
     let mut tl = Timeline::new(program.num_qubits(), hw);
     if options.record_events {
         tl = tl.with_recording();
-    }
-    if options.linear_scan_timeline {
-        tl = tl.with_linear_scan_reference();
     }
     let rm = ResourceManager::new(tl, options.buffer, requests, hw.comm_qubits_per_node());
     let mut sched = Scheduler {

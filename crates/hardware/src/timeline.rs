@@ -27,9 +27,9 @@ impl Ord for TimeKey {
 }
 
 /// Min-heap of `(free_at, index)` entries: earliest time first, lowest
-/// index among ties — exactly the deterministic tie-break the linear scans
-/// in [`Timeline::best_slot`] / [`Timeline::best_channel`] use, so the
-/// indexed and linear-scan engines pick identical resources.
+/// index among ties. Debug builds cross-check every lookup against a linear
+/// scan of the backing times with that same tie-break (see
+/// [`Timeline::best_slot`]).
 type FreeQueue = BinaryHeap<Reverse<(TimeKey, usize)>>;
 
 fn free_queue(times: &[f64]) -> FreeQueue {
@@ -152,15 +152,11 @@ pub struct Timeline {
     swap_count: usize,
     makespan: f64,
     events: Option<Vec<TimelineEvent>>,
-    /// Earliest-free indexes (off = the historical linear-scan lookups,
-    /// kept as the `schedule_scale` reference rail; see
-    /// [`Timeline::with_linear_scan_reference`]). When on, `slot_queue`
-    /// mirrors the *finite* entries of `slot_free` per node, `link_queue`
-    /// mirrors `link_free` per link, and `free_slots` counts each node's
-    /// finite slots — all maintained incrementally on claim/release so the
-    /// per-claim lookups drop from O(slots)/O(capacity) scans to heap
-    /// peeks and pops.
-    indexed: bool,
+    /// Earliest-free indexes: `slot_queue` mirrors the *finite* entries of
+    /// `slot_free` per node, `link_queue` mirrors `link_free` per link, and
+    /// `free_slots` counts each node's finite slots. All three are
+    /// maintained incrementally on claim/release, so a per-claim lookup is
+    /// a heap peek or pop rather than an O(slots)/O(capacity) scan.
     slot_queue: Vec<FreeQueue>,
     free_slots: Vec<usize>,
     link_queue: Vec<FreeQueue>,
@@ -193,7 +189,6 @@ impl Timeline {
             swap_count: 0,
             makespan: 0.0,
             events: None,
-            indexed: true,
             slot_queue,
             free_slots,
             link_queue,
@@ -206,21 +201,6 @@ impl Timeline {
     #[must_use]
     pub fn with_recording(mut self) -> Self {
         self.events = Some(Vec::new());
-        self
-    }
-
-    /// Disables the earliest-free indexes: every slot/channel lookup falls
-    /// back to the historical linear scans. The two modes are pinned to
-    /// identical schedules (same claims, same event log) by the scheduler
-    /// property suite; this reference mode exists so the `schedule_scale`
-    /// gate can measure the indexes against the engine they replaced in
-    /// one process.
-    #[must_use]
-    pub fn with_linear_scan_reference(mut self) -> Self {
-        self.indexed = false;
-        self.slot_queue.clear();
-        self.free_slots.clear();
-        self.link_queue.clear();
         self
     }
 
@@ -249,11 +229,13 @@ impl Timeline {
     ///
     /// Panics if `node` is out of range.
     pub fn node_slot_free_at(&self, node: NodeId) -> f64 {
-        if self.indexed {
-            self.slot_queue[node.index()].peek().map_or(f64::INFINITY, |Reverse((t, _))| t.0)
-        } else {
-            self.slot_free[node.index()].iter().copied().fold(f64::INFINITY, f64::min)
-        }
+        let at = self.slot_queue[node.index()].peek().map_or(f64::INFINITY, |Reverse((t, _))| t.0);
+        debug_assert_eq!(
+            at,
+            self.slot_free[node.index()].iter().copied().fold(f64::INFINITY, f64::min),
+            "slot index of {node} disagrees with its linear scan"
+        );
+        at
     }
 
     /// Communication slots of `node` currently held open by unreleased
@@ -265,11 +247,13 @@ impl Timeline {
     ///
     /// Panics if `node` is out of range.
     pub fn held_slots(&self, node: NodeId) -> usize {
-        if self.indexed {
-            self.slot_free[node.index()].len() - self.free_slots[node.index()]
-        } else {
-            self.slot_free[node.index()].iter().filter(|t| t.is_infinite()).count()
-        }
+        let held = self.slot_free[node.index()].len() - self.free_slots[node.index()];
+        debug_assert_eq!(
+            held,
+            self.slot_free[node.index()].iter().filter(|t| t.is_infinite()).count(),
+            "free-slot count of {node} disagrees with its linear scan"
+        );
+        held
     }
 
     /// Schedules a gate as soon as its operands are free; returns
@@ -381,9 +365,9 @@ impl Timeline {
         let hops = path.len() - 1;
         let relays = &path[1..hops];
         // Two slots at each relay `relays[k]`: `(in, out)`, the half toward
-        // the previous node and the half toward the next. In indexed mode
-        // this pops both entries; the relay-release loop below pushes them
-        // back at `epr_ready`.
+        // the previous node and the half toward the next. This pops both
+        // entries; the relay-release loop below pushes them back at
+        // `epr_ready`.
         let mut relay_slots = std::mem::take(&mut self.relay_buf);
         relay_slots.clear();
         for &relay in relays {
@@ -414,11 +398,9 @@ impl Timeline {
             let ready = start + gen;
             if let Some(c) = channel {
                 self.link_free[link_idx][c] = ready;
-                if self.indexed {
-                    // `best_channel` popped the entry; reinsert at its new
-                    // free time.
-                    self.link_queue[link_idx].push(Reverse((TimeKey(ready), c)));
-                }
+                // `best_channel` popped the entry; reinsert at its new free
+                // time.
+                self.link_queue[link_idx].push(Reverse((TimeKey(ready), c)));
             }
             self.link_traffic[link_idx] += 1;
             first_start = first_start.min(start);
@@ -439,11 +421,9 @@ impl Timeline {
         for (&relay, &(in_slot, out_slot)) in relays.iter().zip(&relay_slots) {
             self.slot_free[relay.index()][in_slot] = epr_ready;
             self.slot_free[relay.index()][out_slot] = epr_ready;
-            if self.indexed {
-                let q = &mut self.slot_queue[relay.index()];
-                q.push(Reverse((TimeKey(epr_ready), in_slot)));
-                q.push(Reverse((TimeKey(epr_ready), out_slot)));
-            }
+            let q = &mut self.slot_queue[relay.index()];
+            q.push(Reverse((TimeKey(epr_ready), in_slot)));
+            q.push(Reverse((TimeKey(epr_ready), out_slot)));
         }
 
         self.epr_count += hops;
@@ -503,13 +483,14 @@ impl Timeline {
             return false;
         };
         let mut relays = route.filter(|&node| node != a && node != b);
-        if self.indexed {
-            relays.all(|relay| self.free_slots[relay.index()] >= 2)
-        } else {
-            relays.all(|relay| {
-                self.slot_free[relay.index()].iter().filter(|t| t.is_finite()).count() >= 2
-            })
-        }
+        relays.all(|relay| {
+            debug_assert_eq!(
+                self.free_slots[relay.index()],
+                self.slot_free[relay.index()].iter().filter(|t| t.is_finite()).count(),
+                "free-slot count of {relay} disagrees with its linear scan"
+            );
+            self.free_slots[relay.index()] >= 2
+        })
     }
 
     /// Loads a heralded [`PendingPair`] into one communication slot at each
@@ -683,94 +664,71 @@ impl Timeline {
         self.events.as_deref()
     }
 
+    /// The earliest-free slot of `node` (lowest index among ties).
     fn best_slot(&self, node: NodeId) -> usize {
-        if self.indexed {
-            let Some(&Reverse((_, best))) = self.slot_queue[node.index()].peek() else {
-                panic!("all communication slots of {node} are held open; release one first");
-            };
-            return best;
-        }
-        let slots = &self.slot_free[node.index()];
-        let mut best = 0;
-        for (i, t) in slots.iter().enumerate() {
-            if *t < slots[best] {
-                best = i;
-            }
-        }
-        assert!(
-            slots[best].is_finite(),
-            "all communication slots of {node} are held open; release one first"
+        let Some(&Reverse((_, best))) = self.slot_queue[node.index()].peek() else {
+            panic!("all communication slots of {node} are held open; release one first");
+        };
+        debug_assert_eq!(
+            Some(best),
+            scan_order(&self.slot_free[node.index()]).next(),
+            "slot index of {node} disagrees with its linear scan"
         );
         best
     }
 
     /// Marks `slot` of `node` held open (a live claim) and maintains the
     /// earliest-free index. Callers hold only a slot just returned by
-    /// [`Timeline::best_slot`] with no intervening writes on `node`, so in
-    /// indexed mode the slot's entry is the top of the node's queue.
+    /// [`Timeline::best_slot`] with no intervening writes on `node`, so the
+    /// slot's entry is the top of the node's queue.
     fn hold_slot(&mut self, node: NodeId, slot: usize) {
         self.slot_free[node.index()][slot] = f64::INFINITY;
-        if self.indexed {
-            let top = self.slot_queue[node.index()].pop();
-            debug_assert!(
-                matches!(top, Some(Reverse((_, s))) if s == slot),
-                "held slot {node}#{slot} was not the earliest-free entry"
-            );
-            self.free_slots[node.index()] -= 1;
-        }
+        let top = self.slot_queue[node.index()].pop();
+        debug_assert!(
+            matches!(top, Some(Reverse((_, s))) if s == slot),
+            "held slot {node}#{slot} was not the earliest-free entry"
+        );
+        self.free_slots[node.index()] -= 1;
     }
 
     /// Frees `slot` of `node` at `at` and maintains the earliest-free
     /// index (the release half of [`Timeline::hold_slot`]).
     fn release_slot(&mut self, node: NodeId, slot: usize, at: f64) {
         self.slot_free[node.index()][slot] = at;
-        if self.indexed {
-            self.slot_queue[node.index()].push(Reverse((TimeKey(at), slot)));
-            self.free_slots[node.index()] += 1;
-        }
+        self.slot_queue[node.index()].push(Reverse((TimeKey(at), slot)));
+        self.free_slots[node.index()] += 1;
     }
 
-    /// The two earliest-free slots of a relay node. In indexed mode both
-    /// entries are popped — [`Timeline::run_hops`] pushes them back at the
-    /// swap-chain completion time.
+    /// The two earliest-free slots of a relay node. Both entries are
+    /// popped; [`Timeline::run_hops`] pushes them back at the swap-chain
+    /// completion time.
     fn two_best_slots(&mut self, node: NodeId) -> (usize, usize) {
-        if self.indexed {
-            let q = &mut self.slot_queue[node.index()];
-            let (Some(Reverse((_, first))), Some(Reverse((_, second)))) = (q.pop(), q.pop()) else {
-                panic!("relay {node} needs two free communication slots for entanglement swapping");
-            };
-            return (first, second);
-        }
-        let slots = &self.slot_free[node.index()];
-        let mut order: Vec<usize> = (0..slots.len()).collect();
-        order.sort_by(|&i, &j| slots[i].total_cmp(&slots[j]).then(i.cmp(&j)));
-        assert!(
-            order.len() >= 2 && slots[order[1]].is_finite(),
-            "relay {node} needs two free communication slots for entanglement swapping"
+        let q = &mut self.slot_queue[node.index()];
+        let (Some(Reverse((_, first))), Some(Reverse((_, second)))) = (q.pop(), q.pop()) else {
+            panic!("relay {node} needs two free communication slots for entanglement swapping");
+        };
+        debug_assert!(
+            scan_order(&self.slot_free[node.index()]).take(2).eq([first, second]),
+            "slot index of relay {node} disagrees with its linear scan"
         );
-        (order[0], order[1])
+        (first, second)
     }
 
     /// Earliest-free capacity channel of a link (`None` = unbounded link,
-    /// nothing to serialize on). In indexed mode the entry is popped —
-    /// [`Timeline::run_hops`] pushes it back at the generation's end.
+    /// nothing to serialize on). The entry is popped; [`Timeline::run_hops`]
+    /// pushes it back at the generation's end.
     fn best_channel(&mut self, link_idx: usize) -> Option<usize> {
-        let channels = &self.link_free[link_idx];
-        if channels.is_empty() {
+        if self.link_free[link_idx].is_empty() {
             return None;
         }
-        if self.indexed {
-            let Some(Reverse((_, best))) = self.link_queue[link_idx].pop() else {
-                unreachable!("every popped channel entry is pushed back after its claim")
-            };
-            return Some(best);
-        }
-        let mut best = 0;
-        for (i, t) in channels.iter().enumerate() {
-            if *t < channels[best] {
-                best = i;
-            }
-        }
+        let Some(Reverse((_, best))) = self.link_queue[link_idx].pop() else {
+            unreachable!("every popped channel entry is pushed back after its claim")
+        };
+        debug_assert_eq!(
+            Some(best),
+            scan_order(&self.link_free[link_idx]).next(),
+            "channel index of link {link_idx} disagrees with its linear scan"
+        );
         Some(best)
     }
 
@@ -794,6 +752,15 @@ impl Timeline {
             });
         }
     }
+}
+
+/// The finite entries of `times` by index, earliest first and lowest index
+/// among ties: the linear-scan order a [`FreeQueue`] pops in. Debug builds
+/// check every heap lookup against it.
+fn scan_order(times: &[f64]) -> impl Iterator<Item = usize> + '_ {
+    let mut order: Vec<usize> = (0..times.len()).filter(|&i| times[i].is_finite()).collect();
+    order.sort_by(|&i, &j| times[i].total_cmp(&times[j]).then(i.cmp(&j)));
+    order.into_iter()
 }
 
 #[cfg(test)]

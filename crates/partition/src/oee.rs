@@ -2,29 +2,26 @@
 //!
 //! # Scaling
 //!
-//! The exchange loop runs in one of two modes, asserted bit-identical to
-//! each other by the `placement_scale` property tests and gate bench:
+//! The exchange loop is gain-cached: every candidate pair's positive gain
+//! is held in an upper-triangular table (at most `n(n−1)/2 × 8` bytes:
+//! 16.8 MB at 2048 qubits, 67 MB at 4096) whose rows track their own best
+//! entry, so the next exchange is the maximum over row bests. After an
+//! exchange of `(a, b)` only pairs touching `a`, `b`, or one of their
+//! neighbors can change gain, so the loop delta-updates that affected set
+//! (FM-style) instead of rescanning all O(n²) pairs per applied exchange.
+//! Per-node member lists, kept sorted across swaps, let a pure neighbor's
+//! sweep visit only the nodes whose gain shift is non-zero.
 //!
-//! - **Gain-cached** (default): every candidate pair's positive gain is
-//!   held in an upper-triangular table (at most `n(n−1)/2 × 8` bytes:
-//!   16.8 MB at 2048 qubits, 67 MB at 4096) whose rows track their own best
-//!   entry, so the next exchange is the maximum over row bests; after an
-//!   exchange of `(a, b)` only pairs touching `a`, `b`, or one of their
-//!   neighbors can change gain, so the loop delta-updates that affected
-//!   set (FM-style) instead of rescanning all O(n²) pairs per applied
-//!   exchange. Per-node member lists, kept sorted across swaps, let a pure
-//!   neighbor's sweep visit only the nodes whose gain shift is non-zero.
-//! - **Full rescan** (`OeeOptions { full_rescan: true }`): the historical
-//!   O(n²·k)-per-exchange reference rail, kept selectable the way the
-//!   `linear_scan_timeline` / `materialized_dag` knobs anchor the schedule
-//!   and aggregation stages.
+//! The historical full rescan, O(n²·k) per exchange, lives on in this
+//! file's test module as the reference the gain-cached loop must match
+//! exchange for exchange. The OEE golden tests pin the loop's output at
+//! 1024–4096 qubits.
 //!
-//! The cold first-round scan (and every full-rescan round) maps the rows
-//! of the candidate space through [`dqc_circuit::par_map`], which fans row
-//! chunks across worker threads from `PAR_THRESHOLD` rows and merges
-//! per-row results in input order, so the winner is the one a row-major
-//! scan finds. The 4096-qubit row of the OEE golden tests pins the
-//! threaded scan.
+//! The cold first-round scan maps the rows of the candidate space through
+//! [`dqc_circuit::par_map`], which fans row chunks across worker threads
+//! from `PAR_THRESHOLD` rows and merges per-row results in input order, so
+//! the winner is the one a row-major scan finds. The 4096-qubit row of the
+//! OEE golden tests pins the threaded scan.
 
 use std::sync::Once;
 
@@ -41,22 +38,17 @@ pub struct OeeOptions {
     /// trips, the returned [`OeeStats::saturated`] flag is set and a
     /// one-time process warning is printed.
     pub max_exchanges: usize,
-    /// Run the historical full O(n²·k) gain rescan per applied exchange
-    /// instead of the gain-cached delta updates — the reference rail the
-    /// fast path is property-tested against. Assignment-identical to the
-    /// default mode, only slower.
-    pub full_rescan: bool,
 }
 
 impl Default for OeeOptions {
     fn default() -> Self {
-        OeeOptions { max_exchanges: 100_000, full_rescan: false }
+        OeeOptions { max_exchanges: 100_000 }
     }
 }
 
 /// Work counters from one refinement run — an execution trace, not part of
-/// the optimization result (both modes produce identical partitions while
-/// reporting different counter values).
+/// the optimization result (a warm-started run returns the same partition
+/// as a cold one while reporting different counter values).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OeeStats {
     /// Exchanges actually applied.
@@ -64,8 +56,9 @@ pub struct OeeStats {
     /// Candidate gains computed (cold scans, rescans, and delta updates).
     pub scanned: u64,
     /// Candidate gains reused from the cache instead of recomputed — the
-    /// work the gain cache saved relative to a full rescan. Always 0 on the
-    /// `full_rescan` rail.
+    /// work the gain cache saved relative to a full rescan. `scanned +
+    /// cache_hits` is the full rescan's count: every cross-node pair, once
+    /// for the first pick and once after each applied exchange.
     pub cache_hits: u64,
     /// True when the loop stopped at [`OeeOptions::max_exchanges`] while an
     /// improving exchange still existed — the result is under-refined.
@@ -272,45 +265,6 @@ fn build_node_w(graph: &InteractionGraph, partition: &Partition, k: usize) -> Ve
     node_w
 }
 
-/// The gain of exchanging `a` (block `na`) with `b` (block `nb`): the
-/// weighted cut decreases by `gain` when they swap. Summing over blocks C:
-///
-/// ```text
-/// gain = Σ_C node_w[a][C]·(d(A,C) − d(B,C))
-///      + Σ_C node_w[b][C]·(d(B,C) − d(A,C))
-///      − 2·w_ab·d(A,B)
-/// ```
-///
-/// (the correction removes the double-counted `(a, b)` edge, whose own
-/// contribution is unchanged by the swap). Under the uniform metric this
-/// reduces to the classic `node_w[a][B] − node_w[a][A] + node_w[b][A] −
-/// node_w[b][B] − 2·w_ab`. Exact i64 arithmetic — identical on every rail.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn pair_gain(
-    node_w: &[i64],
-    dmat: &[i64],
-    k: usize,
-    a: usize,
-    b: usize,
-    na: usize,
-    nb: usize,
-    w_ab: i64,
-) -> i64 {
-    let mut gain: i64 = -2 * w_ab * dmat[na * k + nb];
-    let ra = &node_w[a * k..(a + 1) * k];
-    let rb = &node_w[b * k..(b + 1) * k];
-    let da = &dmat[na * k..(na + 1) * k];
-    let db = &dmat[nb * k..(nb + 1) * k];
-    for c in 0..k {
-        let delta = da[c] - db[c];
-        if delta != 0 {
-            gain += (ra[c] - rb[c]) * delta;
-        }
-    }
-    gain
-}
-
 /// Swaps `(a, b)` in the partition and delta-updates the node-weight rows:
 /// every neighbor of `a` sees a move `na→nb`, every neighbor of `b` sees
 /// `nb→na`. O(degree(a) + degree(b)).
@@ -340,15 +294,17 @@ fn apply_exchange(
 }
 
 /// `mdist[q*k + B]` = `Σ_C node_w[q][C] · d(B, C)` — the distance-weighted
-/// neighbor mass `q` would see from node `B`. Turns every cached-rail gain
-/// into four table loads:
+/// neighbor mass `q` would see from node `B`. Exchanging `a` (block `A`)
+/// with `b` (block `B`) lowers the weighted cut by
 ///
 /// ```text
 /// gain(a, b) = mdist[a][A] − mdist[a][B] + mdist[b][B] − mdist[b][A]
 ///            − 2·w_ab·d(A, B)
 /// ```
 ///
-/// (the same exact integer sum [`pair_gain`] computes, reassociated).
+/// where the last term removes the double-counted `(a, b)` edge, whose own
+/// contribution the swap leaves unchanged. Exact i64 arithmetic: four table
+/// loads per gain.
 fn build_mdist(node_w: &[i64], dmat: &[i64], k: usize) -> Vec<i64> {
     let n = node_w.len() / k.max(1);
     let mut mdist = vec![0i64; node_w.len()];
@@ -364,7 +320,7 @@ fn build_mdist(node_w: &[i64], dmat: &[i64], k: usize) -> Vec<i64> {
 }
 
 /// The gain of exchanging `lo` (node `nlo`) with `hi` (node `nhi`) read
-/// from the [`build_mdist`] table — bit-identical to [`pair_gain`].
+/// from the [`build_mdist`] table.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn mdist_gain(
@@ -461,16 +417,7 @@ fn refine_impl(
     let dmat = build_dmat(node_map, dist, k);
     let initial_cut = graph.placed_cut_weight(&partition, node_map, dist);
 
-    if options.full_rescan {
-        refine_full_rescan(graph, &mut partition, &dmat, k, options, &mut stats);
-        // The reference rail does not maintain the gain table; a stale
-        // cache must not outlive it.
-        if let Some(cache) = cache {
-            cache.valid = false;
-        }
-    } else {
-        refine_gain_cached(graph, &mut partition, &dmat, k, options, &mut stats, cache);
-    }
+    refine_gain_cached(graph, &mut partition, &dmat, k, options, &mut stats, cache);
 
     if stats.saturated {
         warn_saturated("OEE refinement", options.max_exchanges);
@@ -480,67 +427,6 @@ fn refine_impl(
         "OEE must never increase the (weighted) cut"
     );
     (partition, stats)
-}
-
-/// The historical reference rail: recompute every cross-node candidate gain
-/// after each applied exchange, keeping the strictly-greater / first-
-/// lexicographic winner.
-fn refine_full_rescan(
-    graph: &InteractionGraph,
-    partition: &mut Partition,
-    dmat: &[i64],
-    k: usize,
-    options: OeeOptions,
-    stats: &mut OeeStats,
-) {
-    let n = graph.num_qubits();
-    let mut node_w = build_node_w(graph, partition, k);
-    loop {
-        // Per-row best: within a row, only a strictly larger gain displaces
-        // the running best (ascending b ⇒ first-lexicographic); merging
-        // rows in ascending order with the same strict rule reproduces the
-        // historical row-major scan winner exactly.
-        let assignment = partition.assignment();
-        let rows: Vec<u32> = (0..n as u32).collect();
-        let per_row = par_map(&rows, |&row| {
-            let a = row as usize;
-            let na = assignment[a].index();
-            let mut walker = WeightWalker::new(graph, QubitId::new(a));
-            let mut best: Option<(i64, u32)> = None;
-            let mut scanned = 0u64;
-            for (b, node) in assignment.iter().enumerate().skip(a + 1) {
-                let w_ab = walker.weight_to(b as u32);
-                let nb = node.index();
-                if na == nb {
-                    continue;
-                }
-                let gain = pair_gain(&node_w, dmat, k, a, b, na, nb, w_ab);
-                scanned += 1;
-                if gain > best.map_or(0, |(g, _)| g) {
-                    best = Some((gain, b as u32));
-                }
-            }
-            (best, scanned)
-        });
-        let mut best_gain = 0i64;
-        let mut best_pair: Option<(u32, u32)> = None;
-        for (a, (row_best, scanned)) in per_row.into_iter().enumerate() {
-            stats.scanned += scanned;
-            if let Some((gain, b)) = row_best {
-                if gain > best_gain {
-                    best_gain = gain;
-                    best_pair = Some((a as u32, b));
-                }
-            }
-        }
-        let Some((a, b)) = best_pair else { break };
-        if stats.exchanges == options.max_exchanges {
-            stats.saturated = true;
-            break;
-        }
-        apply_exchange(graph, partition, &mut node_w, k, a, b);
-        stats.exchanges += 1;
-    }
 }
 
 /// The gain-cached fast path: one cold scan fills the gain table; each
@@ -791,15 +677,168 @@ fn move_member(members: &mut Vec<u32>, leaving: u32, arriving: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqc_circuit::{Circuit, Gate};
+    use dqc_circuit::{unroll_circuit, Circuit, Gate};
+    use dqc_hardware::NetworkTopology;
+    use dqc_workloads as wl;
+    use proptest::prelude::*;
 
     fn q(i: usize) -> QubitId {
         QubitId::new(i)
     }
 
-    /// Every option combination the equivalence tests sweep.
-    fn all_modes() -> Vec<OeeOptions> {
-        [false, true].map(|full_rescan| OeeOptions { full_rescan, ..Default::default() }).to_vec()
+    /// The gain of exchanging `a` (block `na`) with `b` (block `nb`): the
+    /// weighted cut decreases by `gain` when they swap. Summing over blocks C:
+    ///
+    /// ```text
+    /// gain = Σ_C node_w[a][C]·(d(A,C) − d(B,C))
+    ///      + Σ_C node_w[b][C]·(d(B,C) − d(A,C))
+    ///      − 2·w_ab·d(A,B)
+    /// ```
+    ///
+    /// (the correction removes the double-counted `(a, b)` edge, whose own
+    /// contribution is unchanged by the swap). Under the uniform metric this
+    /// reduces to the classic `node_w[a][B] − node_w[a][A] + node_w[b][A] −
+    /// node_w[b][B] − 2·w_ab`. Exact i64 arithmetic — identical on every rail.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn pair_gain(
+        node_w: &[i64],
+        dmat: &[i64],
+        k: usize,
+        a: usize,
+        b: usize,
+        na: usize,
+        nb: usize,
+        w_ab: i64,
+    ) -> i64 {
+        let mut gain: i64 = -2 * w_ab * dmat[na * k + nb];
+        let ra = &node_w[a * k..(a + 1) * k];
+        let rb = &node_w[b * k..(b + 1) * k];
+        let da = &dmat[na * k..(na + 1) * k];
+        let db = &dmat[nb * k..(nb + 1) * k];
+        for c in 0..k {
+            let delta = da[c] - db[c];
+            if delta != 0 {
+                gain += (ra[c] - rb[c]) * delta;
+            }
+        }
+        gain
+    }
+
+    /// The historical reference rail: recompute every cross-node candidate gain
+    /// after each applied exchange, keeping the strictly-greater / first-
+    /// lexicographic winner.
+    fn refine_full_rescan(
+        graph: &InteractionGraph,
+        partition: &mut Partition,
+        dmat: &[i64],
+        k: usize,
+        options: OeeOptions,
+        stats: &mut OeeStats,
+    ) {
+        let n = graph.num_qubits();
+        let mut node_w = build_node_w(graph, partition, k);
+        loop {
+            // Per-row best: within a row, only a strictly larger gain displaces
+            // the running best (ascending b ⇒ first-lexicographic); merging
+            // rows in ascending order with the same strict rule reproduces the
+            // historical row-major scan winner exactly.
+            let assignment = partition.assignment();
+            let rows: Vec<u32> = (0..n as u32).collect();
+            let per_row = par_map(&rows, |&row| {
+                let a = row as usize;
+                let na = assignment[a].index();
+                let mut walker = WeightWalker::new(graph, QubitId::new(a));
+                let mut best: Option<(i64, u32)> = None;
+                let mut scanned = 0u64;
+                for (b, node) in assignment.iter().enumerate().skip(a + 1) {
+                    let w_ab = walker.weight_to(b as u32);
+                    let nb = node.index();
+                    if na == nb {
+                        continue;
+                    }
+                    let gain = pair_gain(&node_w, dmat, k, a, b, na, nb, w_ab);
+                    scanned += 1;
+                    if gain > best.map_or(0, |(g, _)| g) {
+                        best = Some((gain, b as u32));
+                    }
+                }
+                (best, scanned)
+            });
+            let mut best_gain = 0i64;
+            let mut best_pair: Option<(u32, u32)> = None;
+            for (a, (row_best, scanned)) in per_row.into_iter().enumerate() {
+                stats.scanned += scanned;
+                if let Some((gain, b)) = row_best {
+                    if gain > best_gain {
+                        best_gain = gain;
+                        best_pair = Some((a as u32, b));
+                    }
+                }
+            }
+            let Some((a, b)) = best_pair else { break };
+            if stats.exchanges == options.max_exchanges {
+                stats.saturated = true;
+                break;
+            }
+            apply_exchange(graph, partition, &mut node_w, k, a, b);
+            stats.exchanges += 1;
+        }
+    }
+
+    /// [`oee_refine_on_stats`] on the full-rescan reference loop.
+    fn refine_reference(
+        graph: &InteractionGraph,
+        mut partition: Partition,
+        node_map: &[NodeId],
+        dist: &impl NodeDistance,
+        options: OeeOptions,
+    ) -> (Partition, OeeStats) {
+        let mut stats = OeeStats::default();
+        if graph.num_qubits() == 0 || partition.num_nodes() < 2 {
+            return (partition, stats);
+        }
+        let k = partition.num_nodes();
+        let dmat = build_dmat(node_map, dist, k);
+        refine_full_rescan(graph, &mut partition, &dmat, k, options, &mut stats);
+        (partition, stats)
+    }
+
+    /// Refines one graph on the gain-cached loop and on the reference, and
+    /// asserts the same partition, exchange count and saturation flag. The
+    /// cached loop's scans plus cache hits must also add up to exactly the
+    /// reference's scan count.
+    fn assert_matches_reference(
+        graph: &InteractionGraph,
+        initial: &Partition,
+        dist: &impl NodeDistance,
+        options: OeeOptions,
+        what: &str,
+    ) {
+        let node_map: Vec<NodeId> = (0..initial.num_nodes()).map(NodeId::new).collect();
+        let (expected, expected_stats) =
+            refine_reference(graph, initial.clone(), &node_map, dist, options);
+        let (actual, actual_stats) =
+            oee_refine_on_stats(graph, initial.clone(), &node_map, dist, options);
+        assert_eq!(expected, actual, "{what} drifted from the full rescan");
+        assert_eq!(expected_stats.exchanges, actual_stats.exchanges, "{what}: exchange count");
+        assert_eq!(expected_stats.saturated, actual_stats.saturated, "{what}: saturation flag");
+        assert_eq!(
+            expected_stats.scanned,
+            actual_stats.scanned + actual_stats.cache_hits,
+            "{what}: scans plus cache hits must equal the full rescan's scans"
+        );
+        assert_eq!(expected_stats.cache_hits, 0, "{what}: the reference never caches");
+    }
+
+    fn topologies(nodes: usize) -> Vec<NetworkTopology> {
+        vec![
+            NetworkTopology::all_to_all(nodes),
+            NetworkTopology::linear(nodes).unwrap(),
+            NetworkTopology::grid(2, nodes / 2).unwrap(),
+            NetworkTopology::star(nodes).unwrap(),
+            NetworkTopology::ring(nodes).unwrap(),
+        ]
     }
 
     #[test]
@@ -850,8 +889,7 @@ mod tests {
         g.add_weight(q(1), q(2), 10);
         let initial = Partition::block(4, 2).unwrap();
         let before = g.cut_weight(&initial);
-        let refined =
-            oee_refine(&g, initial, OeeOptions { max_exchanges: 0, ..Default::default() });
+        let refined = oee_refine(&g, initial, OeeOptions { max_exchanges: 0 });
         assert_eq!(g.cut_weight(&refined), before);
     }
 
@@ -861,27 +899,21 @@ mod tests {
         g.add_weight(q(0), q(3), 10);
         g.add_weight(q(1), q(2), 10);
         let identity: Vec<NodeId> = (0..2).map(NodeId::new).collect();
-        for full_rescan in [false, true] {
-            let capped = OeeOptions { max_exchanges: 0, full_rescan };
-            let (_, stats) = oee_refine_on_stats(
-                &g,
-                Partition::block(4, 2).unwrap(),
-                &identity,
-                &UniformDistance,
-                capped,
-            );
-            assert!(
-                stats.saturated,
-                "cap 0 with an improving swap left (full_rescan={full_rescan})"
-            );
+        let initial = Partition::block(4, 2).unwrap();
+        let capped = OeeOptions { max_exchanges: 0 };
+        for reference in [false, true] {
+            let refine = |options| {
+                let initial = initial.clone();
+                if reference {
+                    refine_reference(&g, initial, &identity, &UniformDistance, options)
+                } else {
+                    oee_refine_on_stats(&g, initial, &identity, &UniformDistance, options)
+                }
+            };
+            let (_, stats) = refine(capped);
+            assert!(stats.saturated, "cap 0 with an improving swap left (reference={reference})");
             assert_eq!(stats.exchanges, 0);
-            let (_, stats) = oee_refine_on_stats(
-                &g,
-                Partition::block(4, 2).unwrap(),
-                &identity,
-                &UniformDistance,
-                OeeOptions { full_rescan, ..Default::default() },
-            );
+            let (_, stats) = refine(OeeOptions::default());
             assert!(!stats.saturated, "natural termination is not saturation");
             assert!(stats.exchanges > 0);
         }
@@ -926,21 +958,18 @@ mod tests {
         g.add_weight(q(0), q(3), 5); // wants 0 with 3
         g.add_weight(q(1), q(2), 5); // wants 1 with 2
         let initial = Partition::block(4, 2).unwrap(); // {0,1} | {2,3}
-        for mut options in all_modes() {
-            options.max_exchanges = 1;
-            let a = oee_refine(&g, initial.clone(), options);
-            let b = oee_refine(&g, initial.clone(), options);
-            assert_eq!(a.assignment(), b.assignment(), "identical across runs ({options:?})");
-            // First applied exchange is the lexicographically-first
-            // candidate: swapping qubits 0 and 2 (not 1 and 3).
-            assert_eq!(a.node_of(q(0)).index(), 1, "{options:?}");
-            assert_eq!(a.node_of(q(2)).index(), 0, "{options:?}");
-            assert_eq!(
-                a.node_of(q(1)).index(),
-                0,
-                "qubit 1 untouched after one exchange ({options:?})"
-            );
-        }
+        let identity: Vec<NodeId> = (0..2).map(NodeId::new).collect();
+        let options = OeeOptions { max_exchanges: 1 };
+        let a = oee_refine(&g, initial.clone(), options);
+        let b = oee_refine(&g, initial.clone(), options);
+        let (reference, _) = refine_reference(&g, initial, &identity, &UniformDistance, options);
+        assert_eq!(a.assignment(), b.assignment(), "identical across runs");
+        assert_eq!(a.assignment(), reference.assignment(), "identical to the full rescan");
+        // First applied exchange is the lexicographically-first candidate:
+        // swapping qubits 0 and 2 (not 1 and 3).
+        assert_eq!(a.node_of(q(0)).index(), 1);
+        assert_eq!(a.node_of(q(2)).index(), 0);
+        assert_eq!(a.node_of(q(1)).index(), 0, "qubit 1 untouched after one exchange");
     }
 
     #[test]
@@ -964,28 +993,91 @@ mod tests {
         for seed in 0..6u64 {
             let (c, _) = dqc_workloads::random_distributed_circuit(12, 3, 80, seed);
             let g = InteractionGraph::from_circuit(&c);
-            let identity: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+            let initial = Partition::round_robin(12, 3).unwrap();
             for cap in [0, 1, 2, 5, usize::MAX] {
-                let initial = Partition::round_robin(12, 3).unwrap();
-                let (fast, fast_stats) = oee_refine_on_stats(
+                assert_matches_reference(
                     &g,
-                    initial.clone(),
-                    &identity,
+                    &initial,
                     &UniformDistance,
-                    OeeOptions { max_exchanges: cap, ..Default::default() },
+                    OeeOptions { max_exchanges: cap },
+                    &format!("seed {seed} cap {cap}"),
                 );
-                let (slow, slow_stats) = oee_refine_on_stats(
-                    &g,
-                    initial,
-                    &identity,
-                    &UniformDistance,
-                    OeeOptions { max_exchanges: cap, full_rescan: true },
-                );
-                assert_eq!(fast.assignment(), slow.assignment(), "seed {seed} cap {cap}");
-                assert_eq!(fast_stats.exchanges, slow_stats.exchanges, "seed {seed} cap {cap}");
-                assert_eq!(fast_stats.saturated, slow_stats.saturated, "seed {seed} cap {cap}");
-                assert_eq!(slow_stats.cache_hits, 0, "reference rail never caches");
             }
+        }
+    }
+
+    #[test]
+    fn suite_gain_cached_matches_full_rescan_on_every_topology() {
+        let nodes = 4;
+        for config in wl::smoke_suite() {
+            let circuit = unroll_circuit(&wl::generate(&config)).unwrap();
+            let graph = InteractionGraph::from_circuit(&circuit);
+            let initial = Partition::round_robin(circuit.num_qubits(), nodes).unwrap();
+            for topology in topologies(nodes) {
+                // Unbounded and clipped budgets: the cached loop must pick
+                // the same exchange as the rescan at every step, not just
+                // converge to the same fixed point.
+                for max_exchanges in [usize::MAX, 3, 1, 0] {
+                    assert_matches_reference(
+                        &graph,
+                        &initial,
+                        &topology,
+                        OeeOptions { max_exchanges },
+                        &format!("{} on {} (cap {max_exchanges})", config.label(), topology.name()),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Hub-heavy registers large enough that exchanges lower row bests and
+    /// force dirty-row rescans in the gain table: the cached loop must walk
+    /// the reference's exact exchange sequence at every budget, under every
+    /// standard topology's hop metric and at several node counts.
+    #[test]
+    fn hub_heavy_gain_cached_matches_full_rescan() {
+        let qubits = 512;
+        let circuit =
+            unroll_circuit(&wl::large_sparse_circuit(qubits, qubits * 8, 0x4B0B)).unwrap();
+        let graph = InteractionGraph::from_circuit(&circuit);
+        for nodes in [4, 8, 16] {
+            let initial = Partition::block(qubits, nodes).unwrap();
+            for topology in topologies(nodes) {
+                for max_exchanges in [0, 1, 17, usize::MAX] {
+                    assert_matches_reference(
+                        &graph,
+                        &initial,
+                        &topology,
+                        OeeOptions { max_exchanges },
+                        &format!(
+                            "{qubits}-qubit hub-heavy, {nodes} nodes on {} (cap {max_exchanges})",
+                            topology.name()
+                        ),
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random power-law programs: gain-cached == full rescan under the
+        /// hop-weighted metric on a sparse machine.
+        #[test]
+        fn random_gain_cached_matches_full_rescan(seed in 0u64..100) {
+            let nodes = 4;
+            let circuit = unroll_circuit(&wl::large_sparse_circuit(48, 300, seed)).unwrap();
+            let graph = InteractionGraph::from_circuit(&circuit);
+            let initial = Partition::block(48, nodes).unwrap();
+            let topology = NetworkTopology::linear(nodes).unwrap();
+            assert_matches_reference(
+                &graph,
+                &initial,
+                &topology,
+                OeeOptions::default(),
+                &format!("seed {seed}"),
+            );
         }
     }
 
@@ -1058,7 +1150,6 @@ mod tests {
 
     #[test]
     fn hop_weighted_refinement_helps_on_a_chain() {
-        use dqc_hardware::NetworkTopology;
         // Qubit 0 (block 0) talks to blocks 1 and 2; qubit 5 (block 2)
         // talks only locally-ish. Under a chain, the weighted objective
         // prefers moving far-talking qubits toward the middle.

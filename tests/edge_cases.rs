@@ -63,7 +63,7 @@ fn measurements_and_feedforward_pass_through() {
 fn zero_defer_window_still_compiles_correctly() {
     let (c, p) = autocomm_repro::workloads::random_distributed_circuit(5, 2, 40, 3);
     let c = unroll_circuit(&c).unwrap();
-    let agg = aggregate(&c, &p, AggregateOptions { defer_limit: 0, ..AggregateOptions::default() });
+    let agg = aggregate(&c, &p, AggregateOptions { defer_limit: 0 });
     // Correctness must not depend on the window (only block quality does).
     assert!(autocomm_repro::sim::circuits_equivalent(&c, &agg.to_circuit(), 1e-8).unwrap());
     let remote = c.gates().iter().filter(|g| p.is_remote(g)).count();
@@ -76,10 +76,8 @@ fn generous_defer_window_never_worsens_aggregation() {
     for seed in 0..5 {
         let (c, p) = autocomm_repro::workloads::random_distributed_circuit(6, 2, 60, seed);
         let c = unroll_circuit(&c).unwrap();
-        let tight =
-            aggregate(&c, &p, AggregateOptions { defer_limit: 0, ..AggregateOptions::default() });
-        let wide =
-            aggregate(&c, &p, AggregateOptions { defer_limit: 256, ..AggregateOptions::default() });
+        let tight = aggregate(&c, &p, AggregateOptions { defer_limit: 0 });
+        let wide = aggregate(&c, &p, AggregateOptions { defer_limit: 256 });
         assert!(
             wide.block_count() <= tight.block_count(),
             "seed {seed}: wider window produced more blocks"

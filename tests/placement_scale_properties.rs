@@ -3,11 +3,6 @@
 //! * the **CSR sparse interaction graph** agrees pairwise with a dense
 //!   brute-force weight matrix built straight from the gate list — weights,
 //!   degrees, and cut weights — on the suite and on random programs;
-//! * the **gain-cached exchange loop** (gain table + delta updates)
-//!   returns the same partition and exchange count as the historical
-//!   full-rescan reference ([`OeeOptions::full_rescan`]) — on every suite
-//!   workload and on a hub-heavy 512-qubit register across all five
-//!   standard topologies and a range of refinement budgets;
 //! * the **warm-started placement driver** (OEE cache carried across
 //!   rounds, unchanged-traffic round skipping) matches the full-recompile
 //!   reference driver ([`full_recompile_placed`]) report-for-report and
@@ -15,6 +10,10 @@
 //! * both `max_exchanges` safety valves (OEE refinement and block
 //!   placement) report saturation when they clip the loop and stay silent
 //!   when they don't.
+//!
+//! The gain-cached OEE loop is checked against its full-rescan reference
+//! in the test module of `crates/partition/src/oee.rs`, where that
+//! reference lives.
 
 use autocomm_repro::circuit::{unroll_circuit, Circuit, NodeId, Partition, QubitId};
 use autocomm_repro::core::{AutoComm, PlacementConfig};
@@ -94,92 +93,6 @@ fn suite_sparse_graph_matches_dense_reference() {
     }
 }
 
-/// Refines one graph under `reference` and `candidate` and asserts the
-/// partitions and applied exchange counts are identical.
-fn assert_refine_modes_match(
-    graph: &InteractionGraph,
-    initial: &Partition,
-    dist: &NetworkTopology,
-    reference: OeeOptions,
-    candidate: OeeOptions,
-    what: &str,
-) {
-    let nodes = initial.num_nodes();
-    let node_map: Vec<NodeId> = (0..nodes).map(NodeId::new).collect();
-    let (expected, expected_stats) =
-        oee_refine_on_stats(graph, initial.clone(), &node_map, dist, reference);
-    let (actual, actual_stats) =
-        oee_refine_on_stats(graph, initial.clone(), &node_map, dist, candidate);
-    assert_eq!(expected, actual, "{what} drifted on {}", dist.name());
-    assert_eq!(
-        expected_stats.exchanges,
-        actual_stats.exchanges,
-        "{what} applied a different exchange count on {}",
-        dist.name()
-    );
-    assert_eq!(
-        expected_stats.saturated,
-        actual_stats.saturated,
-        "{what} saturation flag drifted on {}",
-        dist.name()
-    );
-}
-
-#[test]
-fn suite_gain_cached_matches_full_rescan_on_every_topology() {
-    let nodes = 4;
-    for config in wl::smoke_suite() {
-        let circuit = unroll_circuit(&wl::generate(&config)).unwrap();
-        let graph = InteractionGraph::from_circuit(&circuit);
-        let initial = Partition::round_robin(circuit.num_qubits(), nodes).unwrap();
-        for topology in topologies(nodes) {
-            // Unbounded and clipped budgets: the cached loop must pick the
-            // same exchange as the rescan at every step, not just converge
-            // to the same fixed point.
-            for max_exchanges in [usize::MAX, 3, 1, 0] {
-                let cached = OeeOptions { max_exchanges, ..OeeOptions::default() };
-                let rescan = OeeOptions { full_rescan: true, ..cached };
-                assert_refine_modes_match(
-                    &graph,
-                    &initial,
-                    &topology,
-                    rescan,
-                    cached,
-                    &format!("{} (cap {max_exchanges})", config.label()),
-                );
-            }
-        }
-    }
-}
-
-/// Hub-heavy registers large enough that exchanges lower row bests and
-/// force dirty-row rescans in the gain table: the cached loop must walk the
-/// full-rescan rail's exact exchange sequence at every budget, under every
-/// standard topology's hop metric and at several node counts.
-#[test]
-fn hub_heavy_gain_cached_matches_full_rescan() {
-    let qubits = 512;
-    let circuit = unroll_circuit(&wl::large_sparse_circuit(qubits, qubits * 8, 0x4B0B)).unwrap();
-    let graph = InteractionGraph::from_circuit(&circuit);
-    for nodes in [4, 8, 16] {
-        let initial = Partition::block(qubits, nodes).unwrap();
-        for topology in topologies(nodes) {
-            for max_exchanges in [0, 1, 17, usize::MAX] {
-                let cached = OeeOptions { max_exchanges, ..OeeOptions::default() };
-                let rescan = OeeOptions { full_rescan: true, ..cached };
-                assert_refine_modes_match(
-                    &graph,
-                    &initial,
-                    &topology,
-                    rescan,
-                    cached,
-                    &format!("{qubits}-qubit hub-heavy, {nodes} nodes (cap {max_exchanges})"),
-                );
-            }
-        }
-    }
-}
-
 /// The warm-started incremental driver against the full-recompile driver:
 /// identical reports (iterations, node map, costs, work counters compare
 /// outside the report's own equality, which excludes work) and metrics.
@@ -216,7 +129,7 @@ fn oee_saturation_valve_reports_and_clears() {
     let graph = InteractionGraph::from_circuit(&circuit);
     let initial = Partition::round_robin(8, 2).unwrap();
     let node_map: Vec<NodeId> = (0..2).map(NodeId::new).collect();
-    let clipped = OeeOptions { max_exchanges: 0, ..OeeOptions::default() };
+    let clipped = OeeOptions { max_exchanges: 0 };
     let (clipped_p, clipped_stats) =
         oee_refine_on_stats(&graph, initial.clone(), &node_map, &UniformDistance, clipped);
     assert!(clipped_stats.saturated, "zero budget with improving exchanges must saturate");
@@ -251,26 +164,5 @@ proptest! {
     fn random_sparse_graph_matches_dense_reference(seed in 0u64..300) {
         let circuit = unroll_circuit(&wl::random_circuit(10, 80, seed)).unwrap();
         assert_graph_matches_dense(&circuit, &format!("seed {seed}"));
-    }
-
-    /// Random power-law programs: gain-cached == full-rescan under the
-    /// hop-weighted metric on a sparse machine.
-    #[test]
-    fn random_gain_cached_matches_full_rescan(seed in 0u64..100) {
-        let nodes = 4;
-        let circuit = unroll_circuit(&wl::large_sparse_circuit(48, 300, seed)).unwrap();
-        let graph = InteractionGraph::from_circuit(&circuit);
-        let initial = Partition::block(48, nodes).unwrap();
-        let topology = NetworkTopology::linear(nodes).unwrap();
-        let cached = OeeOptions::default();
-        let rescan = OeeOptions { full_rescan: true, ..cached };
-        assert_refine_modes_match(
-            &graph,
-            &initial,
-            &topology,
-            rescan,
-            cached,
-            &format!("seed {seed}"),
-        );
     }
 }

@@ -135,13 +135,20 @@ fn indexed_aggregation_flattening_is_sim_equivalent_on_random_circuits() {
 /// pairwise `commutes` everywhere, for random circuits.
 #[test]
 fn dag_edges_and_id_oracle_agree_with_pairwise_commutes() {
-    use autocomm_repro::circuit::commutes;
-    use autocomm_repro::core::CommIr;
+    use autocomm_repro::circuit::{commutes, DependencyDag};
+    use autocomm_repro::core::{CommIr, DAG_WINDOW};
     for seed in 0..5u64 {
         let (c, p) = wl::random_distributed_circuit(6, 2, 80, seed);
         let c = unroll_circuit(&c).unwrap();
         let ir = CommIr::build(&c, &p);
         let table = ir.table();
+        let dag = DependencyDag::commutation_aware_indexed(
+            table,
+            ir.stream(),
+            ir.num_qubits(),
+            ir.num_cbits(),
+            DAG_WINDOW,
+        );
         for a in 0..ir.len() {
             for b in (a + 1)..ir.len() {
                 let (ga, gb) = (ir.gate_at(a), ir.gate_at(b));
@@ -150,7 +157,7 @@ fn dag_edges_and_id_oracle_agree_with_pairwise_commutes() {
                     commutes(ga, gb),
                     "seed {seed}: id oracle diverges on {ga} vs {gb}"
                 );
-                if ir.conflicts_directly(a, b) {
+                if dag.has_edge(a, b) {
                     assert!(
                         !commutes(ga, gb),
                         "seed {seed}: DAG edge {a}->{b} links commuting gates {ga}, {gb}"
