@@ -1,7 +1,7 @@
 //! Single-knob AutoComm ablations (paper Fig. 17a–c).
 //!
 //! Each entry point is a *pipeline configuration* — [`Ablation`] applied
-//! to the full option set, compiled through the same pass manager as the
+//! to the full option set, compiled through the same stage sequence as the
 //! real compiler — so measured deltas isolate exactly one component and
 //! there is no parallel pipeline code to drift.
 

@@ -1,6 +1,6 @@
 //! Placement-scale regression gate: the deterministic, asserting evidence
 //! for the placement-stage scaling work (sparse CSR interaction graph,
-//! gain-cached exchange loop, warm-started refinement).
+//! gain-cached exchange loop, incremental placement driver).
 //! The deterministic stdout of this binary is diffed by CI against
 //! `crates/bench/baselines/placement_scale.json` (recorded under `--quick`,
 //! which is also how CI runs it).
@@ -16,12 +16,10 @@
 //!   exchange for exchange;
 //! * **4096-qubit refinement** — a full gain-cached refinement of the
 //!   4096-qubit graph completes within a generous wall-clock budget;
-//! * **Warm-started driver** — the incremental `compile_placed` (warm OEE
-//!   cache, round skipping) matches the full-recompile reference driver
+//! * **Incremental driver** — `compile_placed` (incremental re-assignment,
+//!   one schedule) matches the full-recompile reference driver
 //!   ([`dqc_bench::full_recompile_placed`]) report-for-report and
-//!   metric-for-metric. Full mode times ten alternating pairs of the two
-//!   at 1024 qubits and prints each side's median and interquartile range
-//!   to stderr.
+//!   metric-for-metric, at 1024 qubits (256 under `--quick`).
 //!
 //! Timings go to stderr (they vary per machine); stdout carries only
 //! deterministic counts, cut weights, and metrics.
@@ -37,13 +35,6 @@ use dqc_workloads::large_sparse_circuit;
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
     xs[xs.len() / 2]
-}
-
-/// The lower quartile, median and upper quartile of `xs` (nearest rank).
-fn quartiles(mut xs: Vec<f64>) -> (f64, f64, f64) {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let at = |f: f64| xs[((xs.len() - 1) as f64 * f).round() as usize];
-    (at(0.25), at(0.5), at(0.75))
 }
 
 /// Cross-node qubit pairs under `partition`: the candidates one full gain
@@ -144,7 +135,7 @@ fn main() {
         assert!(big_ms < 60_000.0, "4096-qubit refinement took {big_ms:.0} ms (budget 60 s)");
     }
 
-    // ── Rail 3: warm-started driver vs full-recompile reference ────────
+    // ── Rail 3: incremental driver vs full-recompile reference ─────────
     let n4 = if quick { 256 } else { 1024 };
     let circuit4 = large_sparse_circuit(n4, n4 * 8, 0x5EED);
     let partition4 = {
@@ -157,42 +148,25 @@ fn main() {
         .expect("grid covers the 4 placed nodes");
     let config = PlacementConfig::default();
     let compiler = AutoComm::new();
-    // Alternating pairs, so drift in the machine's load hits both sides.
-    let pairs = if quick { 1 } else { 10 };
-    let (mut warm_ms, mut full_ms) = (Vec::new(), Vec::new());
-    let mut runs = None;
-    for _ in 0..pairs {
-        let t = Instant::now();
-        let (warm_result, warm_report) = compiler
-            .compile_placed(&circuit4, &partition4, &hw, &config)
+    let t = Instant::now();
+    let (warm_result, warm_report) = compiler
+        .compile_placed(&circuit4, &partition4, &hw, &config)
+        .expect("sparse workload compiles");
+    let warm_ms = t.elapsed().as_secs_f64() * 1e3;
+    let t = Instant::now();
+    let (full_result, full_report) =
+        dqc_bench::full_recompile_placed(&compiler, &circuit4, &partition4, &hw, &config)
             .expect("sparse workload compiles");
-        warm_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        let (full_result, full_report) =
-            dqc_bench::full_recompile_placed(&compiler, &circuit4, &partition4, &hw, &config)
-                .expect("sparse workload compiles");
-        full_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(
-            warm_report, full_report,
-            "warm driver drifted from the full-recompile reference"
-        );
-        assert_eq!(
-            warm_result.metrics, full_result.metrics,
-            "warm driver metrics drifted from the full-recompile reference"
-        );
-        runs = Some((warm_result, warm_report));
-    }
-    let (warm_result, warm_report) = runs.expect("at least one pair ran");
-    let (wq1, wmed, wq3) = quartiles(warm_ms);
-    let (fq1, fmed, fq3) = quartiles(full_ms);
+    let full_ms = t.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(warm_report, full_report, "driver drifted from the full-recompile reference");
+    assert_eq!(
+        warm_result.metrics, full_result.metrics,
+        "driver metrics drifted from the full-recompile reference"
+    );
     eprintln!(
-        "warm driver ({n4} qubits, grid 2x2, {pairs} alternating pair(s)): full recompile \
-         median {fmed:.1} ms (IQR {:.1} ms), incremental median {wmed:.1} ms (IQR {:.1} ms); \
-         {} round(s) skipped, {} cache hits",
-        fq3 - fq1,
-        wq3 - wq1,
-        warm_report.work.rounds_skipped,
-        warm_report.work.oee_cache_hits
+        "incremental driver ({n4} qubits, grid 2x2): {warm_ms:.1} ms, full recompile \
+         {full_ms:.1} ms, {} accepted round(s)",
+        warm_report.iterations
     );
 
     // Deterministic JSON, diffed against the recorded baseline by CI.

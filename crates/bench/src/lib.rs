@@ -132,13 +132,11 @@ pub fn run_config(config: &BenchConfig) -> ExperimentRow {
 /// `compiler`; the first round that does not strictly lower the EPR cost
 /// ends the loop.
 ///
-/// `compile_placed` reaches the same result with less work: it skips
-/// rounds whose traffic is unchanged, warms the OEE cache across rounds,
-/// re-assigns only moved blocks, and schedules once. The property tests
-/// and `placement_scale_gate` assert that the two drivers agree on the
-/// compile and the report. The work counters differ by design (this driver
-/// never skips a round or reuses a cached gain), which is why
-/// [`PlacementReport`] equality excludes them.
+/// `compile_placed` reaches the same result with less work: it re-assigns
+/// only moved blocks and schedules once. Both drivers run the same
+/// placement and cold refinement each round, so they also agree on the
+/// work counters. The property tests and `placement_scale_gate` assert that
+/// the two drivers agree on the compile and the report.
 ///
 /// # Errors
 ///

@@ -2,7 +2,7 @@
 //!
 //! The CLI drives the whole reproduction end to end: OpenQASM-2 parsing
 //! (`dqc-circuit`) → qubit partitioning (block or OEE, `dqc-partition`) →
-//! the pass-manager pipeline (`autocomm`) → Table-3-style metrics, as
+//! the AutoComm compiler (`autocomm`) → Table-3-style metrics, as
 //! either a human-readable report or JSON. All argument parsing and JSON
 //! emission is hand-rolled: the build container is offline, so no `clap`
 //! or `serde`.

@@ -1,7 +1,7 @@
 //! The `autocomm` command-line compiler.
 //!
 //! `autocomm compile <file.qasm> --nodes N [--ablation ...] [--json]`
-//! drives QASM parsing → partitioning → the pass-manager pipeline →
+//! drives QASM parsing → partitioning → the AutoComm compiler →
 //! metrics end to end; `autocomm batch <dir|--suite> --nodes N [--jobs J]`
 //! fans a whole workload set across a worker pool; `autocomm serve` keeps
 //! a persistent compile daemon with a content-addressed artifact cache

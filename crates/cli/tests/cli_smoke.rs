@@ -42,7 +42,7 @@ fn compiles_qft_and_reports_json_metrics() {
     assert!(json_number(&json, "improvement_factor") >= 1.0);
     assert!(json_number(&json, "makespan") > 0.0);
     assert!(json_number(&json, "epr_pairs") > 0.0);
-    // The pass-manager trace is visible end to end.
+    // The per-stage reports are visible end to end.
     for pass in ["orient", "unroll", "aggregate", "assign", "metrics", "schedule"] {
         assert!(json.contains(&format!("\"pass\":\"{pass}\"")), "{pass} missing in {json}");
     }

@@ -6,7 +6,7 @@ use std::fmt;
 use dqc_circuit::CircuitError;
 use dqc_protocols::ProtocolError;
 
-/// Errors surfaced by the AutoComm pipeline.
+/// Errors surfaced by the AutoComm compiler.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum CompileError {
@@ -22,14 +22,6 @@ pub enum CompileError {
         circuit_qubits: usize,
         /// Qubits covered by the partition.
         partition_qubits: usize,
-    },
-    /// A pipeline stage needed an artifact no earlier stage produced (the
-    /// pipeline was composed wrongly, e.g. `assign` without `aggregate`).
-    MissingArtifact {
-        /// The pass (or consumer) that needed the artifact.
-        pass: &'static str,
-        /// What was missing.
-        missing: &'static str,
     },
     /// A block→node map is not a valid placement (wrong length, or two
     /// blocks landing on the same physical node).
@@ -48,12 +40,6 @@ impl fmt::Display for CompileError {
                 f,
                 "circuit has {circuit_qubits} qubits but the partition covers {partition_qubits}"
             ),
-            CompileError::MissingArtifact { pass, missing } => {
-                write!(
-                    f,
-                    "pipeline stage '{pass}' needs a {missing}, but no earlier stage produced one"
-                )
-            }
             CompileError::InvalidPlacement { reason } => {
                 write!(f, "invalid block-to-node placement: {reason}")
             }

@@ -18,23 +18,22 @@
 //!    burst-greedy scheduling with EPR prefetching, parallel commutable
 //!    blocks (paper Fig. 12/13), and TP fusion chains (paper Fig. 14).
 //!
-//! Since the pass-manager refactor, each stage is a [`Pass`] over a shared
-//! [`PassContext`], composed by a [`Pipeline`] that times every stage and
-//! returns per-pass [`PassReport`]s. [`AutoComm`] maps an
-//! [`AutoCommOptions`] configuration (including every Fig. 17
-//! [`Ablation`]) onto the canonical pipeline; [`CommMetrics`] reproduces
-//! the paper's evaluation metrics (Tot Comm, TP-Comm, Peak # REM CX,
-//! burst distribution); [`lower_assigned`] lowers compiled programs
-//! through `dqc-protocols` so the whole pipeline can be verified against
-//! the original circuit on a state-vector simulator.
+//! [`AutoComm`] calls the stages in that fixed order, timing each one into
+//! a [`PassReport`]; [`AutoCommOptions`] picks each stage's variant
+//! (including every Fig. 17 [`Ablation`]). Every stage is also a public
+//! function ([`orient_symmetric_gates`], [`CommIr::build_shared`],
+//! [`aggregate_ir`], [`assign_on`], [`schedule()`], …), so experiments
+//! compose their own sequence from the same parts. [`CommMetrics`]
+//! reproduces the paper's evaluation metrics (Tot Comm, TP-Comm, Peak #
+//! REM CX, burst distribution); [`lower_assigned_on`] lowers compiled
+//! programs through `dqc-protocols` so a whole compile can be verified
+//! against the original circuit on a state-vector simulator.
 //!
-//! Since the placement re-platform, the block→physical-node map is a
-//! first-class [`Placement`] consumed by `assign_on`/`schedule`/
-//! `lower_assigned_on`: an in-pipeline [`PlacementPass`] optimizes it
-//! against the interconnect's routed hop distances, and the iterative
-//! driver [`AutoComm::compile_placed`] feeds *measured* communication
-//! traffic ([`CommMetrics::pair_comms`]) back into hop-weighted
-//! partitioning + node placement until the EPR cost stops improving.
+//! The block→physical-node map is a first-class [`Placement`] consumed by
+//! `assign_on`/`schedule`/`lower_assigned_on`. The iterative driver
+//! [`AutoComm::compile_placed`] feeds *measured* communication traffic
+//! ([`CommMetrics::pair_comms`]) back into hop-weighted partitioning +
+//! node placement until the EPR cost stops improving.
 //!
 //! # Quickstart
 //!
@@ -97,13 +96,10 @@ pub use ir::{CommIr, DAG_WINDOW};
 pub use lower::{lower_assigned, lower_assigned_on, lower_plan, CommOp};
 pub use metrics::{burst_distribution, BufferingReport, CommMetrics};
 pub use orient::orient_symmetric_gates;
-pub use pass::{
-    AggregatePass, AssignPass, IrPass, LowerPass, MetricsPass, OrientPass, Pass, PassContext,
-    PassReport, PlacementPass, SchedulePass, UnrollPass,
-};
+pub use pass::PassReport;
 pub use pipeline::{
-    Ablation, AutoComm, AutoCommOptions, CompileResult, Pipeline, PipelineBuilder, PipelineOutput,
-    PlacementConfig, PlacementReport, PlacementStrategy, PlacementWork,
+    Ablation, AutoComm, AutoCommOptions, CompileResult, PlacementConfig, PlacementReport,
+    PlacementWork,
 };
 pub use placement::{comm_weighted_graph, Placement};
 pub use program::{pair_stats, remote_pairs_of};

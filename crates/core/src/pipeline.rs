@@ -1,43 +1,27 @@
-//! The end-to-end AutoComm compiler, expressed as a pass pipeline.
+//! The end-to-end AutoComm compiler.
 //!
-//! [`Pipeline`] composes [`Pass`] stages over a shared [`PassContext`];
-//! [`AutoComm`] is the convenience wrapper that maps an
-//! [`AutoCommOptions`] configuration onto the canonical
-//! orient → unroll → aggregate → assign → metrics → schedule pipeline.
-//! Every paper ablation (Fig. 17) is an [`Ablation`] applied to the
-//! options — one code path, many configurations.
+//! [`AutoComm`] runs the paper's fixed stage sequence (Fig. 1) as direct
+//! calls: orient → unroll → comm-ir → aggregate → assign → metrics →
+//! schedule, timing each stage into a [`PassReport`]. [`AutoCommOptions`]
+//! picks the variant of each stage, and every paper ablation (Fig. 17) is
+//! an [`Ablation`] applied to the options — one code path, many
+//! configurations.
 
 use std::sync::Arc;
 
-use dqc_circuit::{Circuit, NodeId, Partition};
+use dqc_circuit::{unroll_circuit, Circuit, NodeId, Partition};
 use dqc_hardware::HardwareSpec;
-use dqc_partition::{oee_refine_cached, place_blocks_stats, OeeCache, OeeOptions, PlaceOptions};
-use dqc_protocols::PhysicalProgram;
+use dqc_partition::{oee_refine_on_stats, place_blocks_stats, OeeOptions, PlaceOptions};
 
-use crate::pass::{
-    run_timed, schedule_metric, AggregatePass, AssignPass, IrPass, LowerPass, MetricsPass,
-    OrientPass, Pass, PassContext, PassReport, PlacementPass, SchedulePass, UnrollPass,
-};
+use crate::pass::{schedule_metric, timed, PassReport};
 use crate::{
-    comm_weighted_graph, AggregateOptions, AggregatedProgram, AssignedProgram, CommIr, CommMetrics,
-    CompileError, Placement, ScheduleOptions, ScheduleSummary,
+    aggregate_ir, aggregate_no_commute_ir, assign_cat_only_on, assign_incremental, assign_on,
+    comm_weighted_graph, orient_symmetric_gates, schedule, AggregateOptions, AggregatedProgram,
+    AssignedProgram, CommIr, CommMetrics, CompileError, Placement, ScheduleOptions,
+    ScheduleSummary, Scheme,
 };
 
-/// How the pipeline maps partition blocks onto physical topology nodes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum PlacementStrategy {
-    /// Block `i` lands on node `i` — the historical implicit map, and the
-    /// bit-identity safety rail.
-    #[default]
-    Identity,
-    /// Insert a [`PlacementPass`] after aggregation: one traffic-aware
-    /// block→node optimization per compile (the iterative driver
-    /// [`AutoComm::compile_placed`] goes further and feeds *measured*
-    /// communication counts back in).
-    Topology,
-}
-
-/// Pipeline configuration; the defaults reproduce full AutoComm, and each
+/// Compiler configuration; the defaults reproduce full AutoComm, and each
 /// toggle corresponds to one ablation of paper Fig. 17.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AutoCommOptions {
@@ -49,8 +33,6 @@ pub struct AutoCommOptions {
     pub orient_symmetric: bool,
     /// Use the hybrid Cat/TP assignment (off = Fig. 17b's “Cat-Comm only”).
     pub hybrid_assignment: bool,
-    /// Block→node placement (identity reproduces the historical pipeline).
-    pub placement: PlacementStrategy,
     /// Aggregation tuning.
     pub aggregate: AggregateOptions,
     /// Scheduler tuning ([`ScheduleOptions::plain_greedy`] = Fig. 17c's
@@ -64,7 +46,6 @@ impl Default for AutoCommOptions {
             commutation_aggregation: true,
             orient_symmetric: true,
             hybrid_assignment: true,
-            placement: PlacementStrategy::Identity,
             aggregate: AggregateOptions::default(),
             schedule: ScheduleOptions::default(),
         }
@@ -136,270 +117,7 @@ impl Ablation {
     }
 }
 
-/// A composed sequence of passes.
-///
-/// Build one by hand with [`Pipeline::builder`], or derive the canonical
-/// AutoComm sequence from options with [`Pipeline::autocomm`]:
-///
-/// ```
-/// use autocomm::{AggregateOptions, Pipeline, ScheduleOptions};
-/// use dqc_circuit::{Circuit, Gate, Partition, QubitId};
-/// use dqc_hardware::HardwareSpec;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let q = |i| QubitId::new(i);
-/// let mut circuit = Circuit::new(4);
-/// circuit.push(Gate::cx(q(0), q(2)))?;
-/// circuit.push(Gate::cx(q(0), q(3)))?;
-/// let partition = Partition::block(4, 2)?;
-/// let hw = HardwareSpec::for_partition(&partition);
-///
-/// let pipeline = Pipeline::builder()
-///     .unroll()
-///     .aggregate(AggregateOptions::default())
-///     .assign()
-///     .metrics()
-///     .schedule(ScheduleOptions::default())
-///     .build();
-/// let out = pipeline.run(&circuit, &partition, &hw)?;
-/// assert_eq!(out.metrics.unwrap().total_comms, 1);
-/// assert_eq!(out.reports.len(), 5);
-/// # Ok(())
-/// # }
-/// ```
-pub struct Pipeline {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl Pipeline {
-    /// An empty pipeline builder.
-    pub fn builder() -> PipelineBuilder {
-        PipelineBuilder { passes: Vec::new() }
-    }
-
-    /// The canonical AutoComm pipeline for `options`:
-    /// orient → unroll → comm-ir → aggregate → [place →] assign → metrics →
-    /// schedule (the orient stage drops when `options.orient_symmetric` is
-    /// off; the place stage appears only under
-    /// [`PlacementStrategy::Topology`]).
-    pub fn autocomm(options: &AutoCommOptions) -> Pipeline {
-        Pipeline::autocomm_prefix(options).schedule(options.schedule).build()
-    }
-
-    /// The canonical pipeline *without* the scheduling stage — everything
-    /// needed to evaluate a candidate placement's EPR cost. The placement
-    /// driver uses this for rounds that re-partition (scheduling the
-    /// discarded candidates would be pure waste; the winning placement
-    /// gets one full compile at the end).
-    pub(crate) fn autocomm_analysis(options: &AutoCommOptions) -> Pipeline {
-        Pipeline::autocomm_prefix(options).build()
-    }
-
-    /// Shared prefix of [`Pipeline::autocomm`] and
-    /// [`Pipeline::autocomm_analysis`]: everything through metrics.
-    fn autocomm_prefix(options: &AutoCommOptions) -> PipelineBuilder {
-        let mut builder = Pipeline::builder();
-        if options.orient_symmetric {
-            builder = builder.orient();
-        }
-        builder = builder.unroll().comm_ir();
-        builder = if options.commutation_aggregation {
-            builder.aggregate(options.aggregate)
-        } else {
-            builder.aggregate_no_commute()
-        };
-        if options.placement == PlacementStrategy::Topology {
-            builder = builder.place();
-        }
-        builder =
-            if options.hybrid_assignment { builder.assign() } else { builder.assign_cat_only() };
-        builder.metrics()
-    }
-
-    /// The pass names, in execution order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Runs every pass in order over `circuit` under the identity
-    /// placement (block `i` on node `i` — the historical behavior).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::RegisterMismatch`] when the partition does
-    /// not cover the circuit, and propagates the first failing pass's
-    /// error.
-    pub fn run(
-        &self,
-        circuit: &Circuit,
-        partition: &Partition,
-        hardware: &HardwareSpec,
-    ) -> Result<PipelineOutput, CompileError> {
-        self.run_placed(circuit, &Placement::identity(partition), hardware)
-    }
-
-    /// Runs every pass in order over `circuit` against an explicit
-    /// placement (the iterative driver's entry point; a [`PlacementPass`]
-    /// in the pipeline overrides the provided map with its own optimized
-    /// one).
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::run`].
-    pub fn run_placed(
-        &self,
-        circuit: &Circuit,
-        placement: &Placement,
-        hardware: &HardwareSpec,
-    ) -> Result<PipelineOutput, CompileError> {
-        if circuit.num_qubits() != placement.num_qubits() {
-            return Err(CompileError::RegisterMismatch {
-                circuit_qubits: circuit.num_qubits(),
-                partition_qubits: placement.num_qubits(),
-            });
-        }
-        let mut ctx = PassContext::new_placed(circuit, placement, hardware);
-        let mut reports = Vec::with_capacity(self.passes.len());
-        for pass in &self.passes {
-            reports.push(run_timed(pass.as_ref(), &mut ctx)?);
-        }
-        Ok(PipelineOutput {
-            circuit: ctx.circuit.into_owned(),
-            placement: ctx.placement,
-            ir: ctx.ir,
-            aggregated: ctx.aggregated,
-            assigned: ctx.assigned,
-            metrics: ctx.metrics,
-            schedule: ctx.schedule,
-            lowered: ctx.lowered,
-            reports,
-        })
-    }
-}
-
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pipeline").field("passes", &self.pass_names()).finish()
-    }
-}
-
-/// Fluent construction of a [`Pipeline`].
-pub struct PipelineBuilder {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl std::fmt::Debug for PipelineBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&str> = self.passes.iter().map(|p| p.name()).collect();
-        f.debug_struct("PipelineBuilder").field("passes", &names).finish()
-    }
-}
-
-impl PipelineBuilder {
-    /// Appends an arbitrary pass (the extension point for new protocols and
-    /// experiments).
-    pub fn pass(mut self, pass: impl Pass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Appends the symmetric-gate orientation stage.
-    pub fn orient(self) -> Self {
-        self.pass(OrientPass)
-    }
-
-    /// Appends the CX+U3 unrolling stage.
-    pub fn unroll(self) -> Self {
-        self.pass(UnrollPass)
-    }
-
-    /// Appends the indexed-IR construction stage (must follow unrolling;
-    /// aggregation builds the IR on demand when this stage is omitted).
-    pub fn comm_ir(self) -> Self {
-        self.pass(IrPass)
-    }
-
-    /// Appends commutation-aware burst aggregation.
-    pub fn aggregate(self, options: AggregateOptions) -> Self {
-        self.pass(AggregatePass { options, no_commute: false })
-    }
-
-    /// Appends commutation-free aggregation (Fig. 17a's “No Commute”).
-    pub fn aggregate_no_commute(self) -> Self {
-        self.pass(AggregatePass { options: AggregateOptions::default(), no_commute: true })
-    }
-
-    /// Appends the topology-aware block→node placement stage (must follow
-    /// aggregation — it optimizes over the discovered burst blocks).
-    pub fn place(self) -> Self {
-        self.pass(PlacementPass::default())
-    }
-
-    /// Appends a placement stage optimizing an explicit (typically
-    /// *measured*) block-level traffic matrix instead of the aggregated
-    /// program's predicted one.
-    pub fn place_with_traffic(self, traffic: Vec<Vec<u64>>) -> Self {
-        self.pass(PlacementPass { traffic: Some(traffic) })
-    }
-
-    /// Appends hybrid Cat/TP scheme assignment.
-    pub fn assign(self) -> Self {
-        self.pass(AssignPass { hybrid: true })
-    }
-
-    /// Appends Cat-Comm-only scheme assignment (Fig. 17b).
-    pub fn assign_cat_only(self) -> Self {
-        self.pass(AssignPass { hybrid: false })
-    }
-
-    /// Appends the Table-3 metrics stage.
-    pub fn metrics(self) -> Self {
-        self.pass(MetricsPass)
-    }
-
-    /// Appends the latency scheduling stage.
-    pub fn schedule(self, options: ScheduleOptions) -> Self {
-        self.pass(SchedulePass { options })
-    }
-
-    /// Appends physical protocol lowering (the verification back-end).
-    pub fn lower(self) -> Self {
-        self.pass(LowerPass)
-    }
-
-    /// Finishes the pipeline.
-    pub fn build(self) -> Pipeline {
-        Pipeline { passes: self.passes }
-    }
-}
-
-/// Everything a pipeline run produced: the final logical circuit, each
-/// stage's artifact (present iff the stage was in the pipeline), and the
-/// per-pass reports.
-#[derive(Clone, Debug)]
-pub struct PipelineOutput {
-    /// The logical circuit after all circuit-rewriting stages.
-    pub circuit: Circuit,
-    /// The placement the run compiled against (identity unless a
-    /// [`PlacementPass`] ran or [`Pipeline::run_placed`] provided one).
-    pub placement: Placement,
-    /// The indexed IR, if the comm-ir (or an aggregation) stage ran.
-    pub ir: Option<Arc<CommIr>>,
-    /// Burst blocks, if an aggregation stage ran.
-    pub aggregated: Option<AggregatedProgram>,
-    /// Scheme-assigned blocks, if an assignment stage ran.
-    pub assigned: Option<AssignedProgram>,
-    /// Table-3 metrics, if the metrics stage ran.
-    pub metrics: Option<CommMetrics>,
-    /// Latency schedule, if the scheduling stage ran.
-    pub schedule: Option<ScheduleSummary>,
-    /// Physical expansion, if the lowering stage ran.
-    pub lowered: Option<PhysicalProgram>,
-    /// Per-pass timing and headline metrics, in execution order.
-    pub reports: Vec<PassReport>,
-}
-
-/// The AutoComm compiler: the canonical pipeline derived from
+/// The AutoComm compiler: the canonical stage sequence configured by
 /// [`AutoCommOptions`].
 ///
 /// See the crate-level documentation for an end-to-end example.
@@ -453,11 +171,6 @@ impl AutoComm {
         &self.options
     }
 
-    /// The pipeline this compiler runs.
-    pub fn pipeline(&self) -> Pipeline {
-        Pipeline::autocomm(&self.options)
-    }
-
     /// Compiles `circuit` for the machine implied by `partition` (one node
     /// per partition class, two communication qubits each).
     ///
@@ -475,7 +188,7 @@ impl AutoComm {
     }
 
     /// Compiles for an explicit hardware model (more communication qubits,
-    /// different latency constants, …).
+    /// different latency constants, …) under the identity placement.
     ///
     /// # Errors
     ///
@@ -486,13 +199,11 @@ impl AutoComm {
         partition: &Partition,
         hw: &HardwareSpec,
     ) -> Result<CompileResult, CompileError> {
-        let out = self.pipeline().run(circuit, partition, hw)?;
-        CompileResult::from_output(out)
+        self.compile_with_placement(circuit, &Placement::identity(partition), hw)
     }
 
-    /// Compiles against an explicit placement through this compiler's
-    /// pipeline, with any in-pipeline placement stage removed — the caller
-    /// owns the block→node map.
+    /// Compiles against an explicit placement — the caller owns the
+    /// block→node map.
     ///
     /// # Errors
     ///
@@ -503,10 +214,97 @@ impl AutoComm {
         placement: &Placement,
         hw: &HardwareSpec,
     ) -> Result<CompileResult, CompileError> {
-        let mut options = self.options;
-        options.placement = PlacementStrategy::Identity;
-        let out = Pipeline::autocomm(&options).run_placed(circuit, placement, hw)?;
-        CompileResult::from_output(out)
+        let Analysis { unrolled, ir, aggregated, assigned, metrics, mut passes } =
+            self.analyze(circuit, placement, hw)?;
+        let schedule = timed(
+            &mut passes,
+            "schedule",
+            || schedule(&assigned, placement, hw, self.options.schedule),
+            |s| Some(schedule_metric(s)),
+        );
+        Ok(CompileResult {
+            unrolled,
+            placement: placement.clone(),
+            ir,
+            aggregated,
+            assigned,
+            metrics,
+            schedule,
+            passes,
+        })
+    }
+
+    /// Every stage before scheduling: orient (when enabled) → unroll →
+    /// comm-ir → aggregate → assign → metrics. This is all a candidate
+    /// placement needs for its EPR cost, so the placement driver's
+    /// re-partitioning rounds stop here.
+    fn analyze(
+        &self,
+        circuit: &Circuit,
+        placement: &Placement,
+        hw: &HardwareSpec,
+    ) -> Result<Analysis, CompileError> {
+        if circuit.num_qubits() != placement.num_qubits() {
+            return Err(CompileError::RegisterMismatch {
+                circuit_qubits: circuit.num_qubits(),
+                partition_qubits: placement.num_qubits(),
+            });
+        }
+        let options = &self.options;
+        let partition = placement.partition();
+        let topology = hw.topology();
+        let mut passes = Vec::with_capacity(7);
+        let oriented = options.orient_symmetric.then(|| {
+            timed(&mut passes, "orient", || orient_symmetric_gates(circuit, partition), |_| None)
+        });
+        // The closure owns the oriented copy, so it is freed inside the
+        // unroll stage, as soon as the unrolled circuit replaces it.
+        let unrolled = timed(
+            &mut passes,
+            "unroll",
+            move || unroll_circuit(oriented.as_ref().unwrap_or(circuit)),
+            |u| u.as_ref().ok().map(|u| format!("{} gates", u.len())),
+        )?;
+        let ir = timed(
+            &mut passes,
+            "comm-ir",
+            || CommIr::build_shared(&unrolled, partition),
+            |ir| Some(format!("{} gates ({} unique)", ir.len(), ir.unique_gates())),
+        );
+        let aggregated = timed(
+            &mut passes,
+            "aggregate",
+            || {
+                if options.commutation_aggregation {
+                    aggregate_ir(Arc::clone(&ir), options.aggregate)
+                } else {
+                    aggregate_no_commute_ir(Arc::clone(&ir))
+                }
+            },
+            |a| Some(format!("{} blocks", a.block_count())),
+        );
+        let assigned = timed(
+            &mut passes,
+            "assign",
+            || {
+                if options.hybrid_assignment {
+                    assign_on(&aggregated, placement, topology)
+                } else {
+                    assign_cat_only_on(&aggregated, placement, topology)
+                }
+            },
+            |a| {
+                let tp = a.blocks().filter(|b| b.scheme == Scheme::Tp).count();
+                Some(format!("{} cat / {tp} tp blocks", a.blocks().count() - tp))
+            },
+        );
+        let metrics = timed(
+            &mut passes,
+            "metrics",
+            || CommMetrics::of(&assigned),
+            |m| Some(format!("{} comms ({} tp)", m.total_comms, m.tp_comms)),
+        );
+        Ok(Analysis { unrolled, ir, aggregated, assigned, metrics, passes })
     }
 
     /// The topology- and traffic-aware iterative placement driver: compile,
@@ -553,29 +351,7 @@ impl AutoComm {
         let mut graph = comm_weighted_graph(&best.aggregated);
         let mut iterations = 0usize;
         let mut work = PlacementWork::default();
-        // Warm-start state for the hop-weighted OEE: carried across rounds
-        // so a round re-refining an unchanged (graph, partition, map) state
-        // resumes from the cached gain table instead of a cold O(n²)
-        // scan. The sparse traffic fingerprint of the round that produced
-        // the current placement lets an unchanged-traffic round skip
-        // re-refinement entirely (see below).
-        let mut oee_cache = OeeCache::new();
-        let mut prev_pair_comms: Option<Vec<(NodeId, NodeId, usize)>> = None;
         for _ in 0..config.refine_iters {
-            // Unchanged traffic graph ⇒ guaranteed fixed point: the round
-            // that produced the current placement saw these exact pair
-            // comms, so the deterministic place_blocks returns the same
-            // map, and re-refining the already-converged partition under
-            // the same metric finds no improving exchange — the round
-            // would compute `candidate == placement` and break. Skip the
-            // whole round. (Only armed by a partition-preserving accepted
-            // round whose refinement terminated naturally: a changed
-            // partition rebuilds the graph, and a saturated refinement is
-            // not a fixed point.)
-            if prev_pair_comms.as_ref() == Some(&best.metrics.pair_comms) {
-                work.rounds_skipped += 1;
-                break;
-            }
             // Measured communication traffic over logical blocks — what the
             // compiled program actually pays per pair, post-aggregation
             // (dense form of the sparse `CommMetrics::pair_comms`).
@@ -589,19 +365,17 @@ impl AutoComm {
             work.place_exchanges += place_stats.exchanges;
             work.saturated |= place_stats.saturated;
             // Refine the partition under the candidate map's hop metric.
-            let (refined, oee_stats) = oee_refine_cached(
+            let (refined, oee_stats) = oee_refine_on_stats(
                 &graph,
                 best.placement.partition().clone(),
                 &node_map,
                 topology,
                 OeeOptions::default(),
-                &mut oee_cache,
             );
             work.oee_exchanges += oee_stats.exchanges;
             work.oee_scanned += oee_stats.scanned;
             work.oee_cache_hits += oee_stats.cache_hits;
             work.saturated |= oee_stats.saturated;
-            let refine_converged = !oee_stats.saturated;
             let candidate = Placement::new(refined, node_map)?;
             if candidate == best.placement {
                 break; // fixed point
@@ -610,57 +384,35 @@ impl AutoComm {
             // leave the logical partition alone; then only blocks whose
             // physical endpoints moved are re-assigned (incremental
             // recompilation). A changed partition invalidates aggregation
-            // and falls back to the analysis pipeline (no scheduling — the
-            // winning placement gets its schedule after the loop).
-            let (cand_rebuilt, cand_assigned, cand_metrics) =
-                if candidate.partition() == best.placement.partition() {
-                    let inc = crate::assign_incremental(
-                        &best.assigned,
-                        &best.placement,
-                        &candidate,
-                        topology,
-                        self.options.hybrid_assignment,
-                    );
-                    let m = CommMetrics::of(&inc);
-                    (None, inc, m)
-                } else {
-                    let mut options = self.options;
-                    options.placement = PlacementStrategy::Identity;
-                    let out = Pipeline::autocomm_analysis(&options)
-                        .run_placed(circuit, &candidate, hw)?;
-                    let missing = |stage| CompileError::MissingArtifact {
-                        pass: "compile-placed",
-                        missing: stage,
-                    };
-                    (
-                        Some((
-                            out.circuit,
-                            out.ir.ok_or(missing("comm ir"))?,
-                            out.aggregated.ok_or(missing("aggregated program"))?,
-                            out.reports,
-                        )),
-                        out.assigned.ok_or(missing("assigned program"))?,
-                        out.metrics.ok_or(missing("metrics"))?,
-                    )
-                };
-            if cand_metrics.total_epr_cost >= best.metrics.total_epr_cost {
-                break; // no improvement: keep the best-so-far placement
-            }
-            // Arm the unchanged-traffic skip only when its fixed-point
-            // argument holds for the next round: the interaction graph
-            // survives (partition-preserving round) and the refinement
-            // above converged rather than hitting its safety valve.
-            let arm_skip = cand_rebuilt.is_none() && refine_converged;
-            let prev_metrics = std::mem::replace(&mut best.metrics, cand_metrics);
-            prev_pair_comms = arm_skip.then_some(prev_metrics.pair_comms);
-            if let Some((unrolled, ir, aggregated, passes)) = cand_rebuilt {
-                best.unrolled = unrolled;
-                best.ir = ir;
-                best.aggregated = aggregated;
-                best.passes = passes;
+            // and reruns every stage but the schedule (the winning placement
+            // gets its schedule after the loop).
+            if candidate.partition() == best.placement.partition() {
+                let assigned = assign_incremental(
+                    &best.assigned,
+                    &best.placement,
+                    &candidate,
+                    topology,
+                    self.options.hybrid_assignment,
+                );
+                let metrics = CommMetrics::of(&assigned);
+                if metrics.total_epr_cost >= best.metrics.total_epr_cost {
+                    break; // no improvement: keep the best-so-far placement
+                }
+                best.assigned = assigned;
+                best.metrics = metrics;
+            } else {
+                let round = self.analyze(circuit, &candidate, hw)?;
+                if round.metrics.total_epr_cost >= best.metrics.total_epr_cost {
+                    break;
+                }
+                best.unrolled = round.unrolled;
+                best.ir = round.ir;
+                best.aggregated = round.aggregated;
+                best.assigned = round.assigned;
+                best.metrics = round.metrics;
+                best.passes = round.passes;
                 graph = comm_weighted_graph(&best.aggregated);
             }
-            best.assigned = cand_assigned;
             best.placement = candidate;
             iterations += 1;
         }
@@ -676,14 +428,12 @@ impl AutoComm {
             // The identity run's stale schedule report is replaced by the
             // fresh one (`--timings` keys on unique pass names).
             best.passes.retain(|r| r.pass != "schedule");
-            let started = std::time::Instant::now();
-            best.schedule =
-                crate::schedule(&best.assigned, &best.placement, hw, self.options.schedule);
-            best.passes.push(PassReport {
-                pass: "schedule",
-                duration: started.elapsed(),
-                metric: Some(schedule_metric(&best.schedule)),
-            });
+            best.schedule = timed(
+                &mut best.passes,
+                "schedule",
+                || schedule(&best.assigned, &best.placement, hw, self.options.schedule),
+                |s| Some(schedule_metric(s)),
+            );
         }
         #[cfg(debug_assertions)]
         if iterations > 0 {
@@ -740,15 +490,15 @@ pub struct PlacementWork {
     pub oee_exchanges: usize,
     /// Candidate gains OEE computed (cold scans plus delta updates).
     pub oee_scanned: u64,
-    /// Candidate gains OEE reused from its cache instead of recomputing —
-    /// the work the gain cache and warm start saved over a full rescan.
+    /// Candidate gains OEE reused from its gain cache instead of
+    /// recomputing — the work the gain cache saved over a full rescan.
     pub oee_cache_hits: u64,
     /// Block swaps the map-placement refinement applied.
     pub place_exchanges: usize,
-    /// Rounds skipped outright because the traffic graph was unchanged
-    /// from the round that produced the current placement (a guaranteed
-    /// fixed point). A driver that never skips (such as the full-recompile
-    /// reference in `dqc_bench`) reports 0.
+    /// Rounds skipped without re-placing. [`AutoComm::compile_placed`]
+    /// never skips a round and always reports 0; the field keeps its place
+    /// in the artifact's `placement_work` line and in `--json` output, and
+    /// perfbench's replayed driver still counts its own skips here.
     pub rounds_skipped: usize,
     /// True when any exchange loop hit its `max_exchanges` safety valve —
     /// the result may be under-refined.
@@ -758,11 +508,12 @@ pub struct PlacementWork {
 /// What the iterative placement driver did and achieved.
 ///
 /// Equality deliberately *excludes* [`PlacementReport::work`]: the work
-/// counters trace execution (cache hits, skipped rounds), and
+/// counters trace execution, not outcome, and a driver that reaches the
+/// same placement by a different route (such as perfbench's replay, which
+/// warm-starts its refinement) legitimately differs there. The property
+/// suite pins every field, work included, between
 /// [`AutoComm::compile_placed`] and the full-recompile reference driver in
-/// `dqc_bench` legitimately differ there while producing identical
-/// placements — the property suite pins every other field across both
-/// drivers.
+/// `dqc_bench`.
 #[derive(Clone, Debug)]
 pub struct PlacementReport {
     /// Accepted re-place + recompile rounds (0 = the identity placement
@@ -797,23 +548,14 @@ impl PartialEq for PlacementReport {
     }
 }
 
-impl CompileResult {
-    /// Extracts the canonical artifacts from a pipeline run, surfacing a
-    /// hand-built pipeline that omitted a stage as a loud error instead of
-    /// silently producing half a result.
-    fn from_output(out: PipelineOutput) -> Result<CompileResult, CompileError> {
-        let missing = |stage| CompileError::MissingArtifact { pass: "compile", missing: stage };
-        Ok(CompileResult {
-            unrolled: out.circuit,
-            placement: out.placement,
-            ir: out.ir.ok_or(missing("comm ir"))?,
-            aggregated: out.aggregated.ok_or(missing("aggregated program"))?,
-            assigned: out.assigned.ok_or(missing("assigned program"))?,
-            metrics: out.metrics.ok_or(missing("metrics"))?,
-            schedule: out.schedule.ok_or(missing("schedule"))?,
-            passes: out.reports,
-        })
-    }
+/// The pre-schedule artifacts of one compile, with their stage reports.
+struct Analysis {
+    unrolled: Circuit,
+    ir: Arc<CommIr>,
+    aggregated: AggregatedProgram,
+    assigned: AssignedProgram,
+    metrics: CommMetrics,
+    passes: Vec<PassReport>,
 }
 
 #[cfg(test)]
@@ -883,40 +625,120 @@ mod tests {
         assert_eq!(r.metrics.total_comms, 3, "one comm per remote node");
     }
 
+    /// The `(name, metric)` pairs a compile reported, in order.
+    fn reports(r: &CompileResult) -> Vec<(&'static str, Option<&str>)> {
+        r.passes.iter().map(|p| (p.pass, p.metric.as_deref())).collect()
+    }
+
+    /// The schedule-free stages of `qft(6)` on two blocks, with the
+    /// aggregate, assign and metrics lines given.
+    fn qft6_prefix(
+        aggregate: &'static str,
+        assign: &'static str,
+        metrics: &'static str,
+    ) -> Vec<(&'static str, Option<&'static str>)> {
+        vec![
+            ("orient", None),
+            ("unroll", Some("90 gates")),
+            ("comm-ir", Some("90 gates (63 unique)")),
+            ("aggregate", Some(aggregate)),
+            ("assign", Some(assign)),
+            ("metrics", Some(metrics)),
+        ]
+    }
+
     #[test]
     fn compile_reports_every_pass_in_order() {
         let c = dqc_workloads::qft(6);
         let p = Partition::block(6, 2).unwrap();
-        let r = AutoComm::new().compile(&c, &p).unwrap();
-        let names: Vec<&str> = r.passes.iter().map(|p| p.pass).collect();
-        assert_eq!(
-            names,
-            ["orient", "unroll", "comm-ir", "aggregate", "assign", "metrics", "schedule"]
-        );
-        let no_orient = AutoComm::with_ablations(&[Ablation::NoOrient]).compile(&c, &p).unwrap();
-        let names: Vec<&str> = no_orient.passes.iter().map(|p| p.pass).collect();
-        assert_eq!(names, ["unroll", "comm-ir", "aggregate", "assign", "metrics", "schedule"]);
-    }
+        let hybrid = || qft6_prefix("5 blocks", "2 cat / 3 tp blocks", "8 comms (6 tp)");
+        let with_schedule = |mut prefix: Vec<_>, schedule| {
+            prefix.push(("schedule", Some(schedule)));
+            prefix
+        };
+        let expected = [
+            (vec![], with_schedule(hybrid(), "makespan 139.0, 8 epr")),
+            (
+                vec![Ablation::NoCommute],
+                with_schedule(
+                    qft6_prefix("27 blocks", "27 cat / 0 tp blocks", "27 comms (0 tp)"),
+                    "makespan 368.2, 27 epr",
+                ),
+            ),
+            (
+                vec![Ablation::CatOnly],
+                with_schedule(
+                    qft6_prefix("5 blocks", "5 cat / 0 tp blocks", "12 comms (0 tp)"),
+                    "makespan 212.9, 13 epr",
+                ),
+            ),
+            (vec![Ablation::PlainGreedy], with_schedule(hybrid(), "makespan 199.3, 8 epr")),
+            (
+                vec![Ablation::NoOrient],
+                with_schedule(hybrid()[1..].to_vec(), "makespan 139.0, 8 epr"),
+            ),
+        ];
+        for (ablations, want) in expected {
+            let r = AutoComm::with_ablations(&ablations).compile(&c, &p).unwrap();
+            assert_eq!(reports(&r), want, "{ablations:?}");
+        }
 
-    #[test]
-    fn builder_pipeline_matches_options_pipeline() {
-        let c = dqc_workloads::qft(10);
-        let p = Partition::block(10, 2).unwrap();
-        let hw = HardwareSpec::for_partition(&p);
-        let from_options = AutoComm::new().compile(&c, &p).unwrap();
-        let by_hand = Pipeline::builder()
-            .orient()
-            .unroll()
-            .aggregate(AggregateOptions::default())
-            .assign()
-            .metrics()
-            .schedule(ScheduleOptions::default())
-            .build()
-            .run(&c, &p, &hw)
+        // A buffered schedule reports its policy and hit counts.
+        let p3 = Partition::block(6, 3).unwrap();
+        let linear = HardwareSpec::for_partition(&p3)
+            .with_topology(dqc_hardware::NetworkTopology::linear(3).unwrap())
             .unwrap();
-        assert_eq!(by_hand.metrics.as_ref(), Some(&from_options.metrics));
-        assert_eq!(by_hand.schedule.as_ref(), Some(&from_options.schedule));
-        assert_eq!(by_hand.assigned.as_ref(), Some(&from_options.assigned));
+        let options =
+            AutoCommOptions::default().with_buffer(crate::BufferPolicy::Prefetch { depth: 4 });
+        let r = AutoComm::with_options(options).compile_on(&c, &p3, &linear).unwrap();
+        assert_eq!(
+            reports(&r),
+            with_schedule(
+                qft6_prefix("7 blocks", "5 cat / 2 tp blocks", "9 comms (4 tp)"),
+                "makespan 180.3, 14 epr, prefetch:4 buffering (8/9 hits)",
+            )
+        );
+
+        // Placed compiles report one schedule, last.
+        let p = Partition::block(9, 3).unwrap();
+        let hw = HardwareSpec::for_partition(&p)
+            .with_topology(dqc_hardware::NetworkTopology::linear(3).unwrap())
+            .unwrap();
+        // An accepted round that keeps the partition: the identity compile's
+        // stage reports stay, and only the schedule is rerun and reported.
+        let (r, report) = AutoComm::new()
+            .compile_placed(&dqc_workloads::qft(9), &p, &hw, &PlacementConfig::default())
+            .unwrap();
+        assert_eq!((report.iterations, r.placement.partition() == &p), (1, true));
+        assert_eq!(
+            reports(&r),
+            [
+                ("orient", None),
+                ("unroll", Some("201 gates")),
+                ("comm-ir", Some("201 gates (141 unique)")),
+                ("aggregate", Some("11 blocks")),
+                ("assign", Some("8 cat / 3 tp blocks")),
+                ("metrics", Some("14 comms (6 tp)")),
+                ("schedule", Some("makespan 251.8, 17 epr")),
+            ]
+        );
+        // An accepted round that re-partitions: every stage is the round's.
+        let (c, p, hw) = chain();
+        let (r, report) =
+            AutoComm::new().compile_placed(&c, &p, &hw, &PlacementConfig::default()).unwrap();
+        assert_eq!((report.iterations, r.placement.partition() == &p), (1, false));
+        assert_eq!(
+            reports(&r),
+            [
+                ("orient", None),
+                ("unroll", Some("9 gates")),
+                ("comm-ir", Some("9 gates (3 unique)")),
+                ("aggregate", Some("0 blocks")),
+                ("assign", Some("0 cat / 0 tp blocks")),
+                ("metrics", Some("0 comms (0 tp)")),
+                ("schedule", Some("makespan 4.4, 0 epr")),
+            ]
+        );
     }
 
     #[test]
@@ -924,45 +746,14 @@ mod tests {
         let c = dqc_workloads::bv(8);
         let p = Partition::block(8, 2).unwrap();
         let hw = HardwareSpec::for_partition(&p);
-        let out = Pipeline::builder()
-            .orient()
-            .unroll()
-            .aggregate(AggregateOptions::default())
-            .assign()
-            .metrics()
-            .schedule(ScheduleOptions::default())
-            .lower()
-            .build()
-            .run(&c, &p, &hw)
-            .unwrap();
-        let lowered = out.lowered.expect("lower stage ran");
-        assert_eq!(lowered.epr_pairs, out.schedule.unwrap().epr_pairs);
+        let r = AutoComm::new().compile_on(&c, &p, &hw).unwrap();
+        let lowered = crate::lower_assigned_on(&r.assigned, &r.placement, hw.topology()).unwrap();
+        assert_eq!(lowered.epr_pairs, r.schedule.epr_pairs);
     }
 
-    #[test]
-    fn placement_pass_appears_under_the_topology_strategy() {
-        let c = dqc_workloads::qft(6);
-        let p = Partition::block(6, 2).unwrap();
-        let options =
-            AutoCommOptions { placement: PlacementStrategy::Topology, ..Default::default() };
-        let r = AutoComm::with_options(options).compile(&c, &p).unwrap();
-        let names: Vec<&str> = r.passes.iter().map(|p| p.pass).collect();
-        assert_eq!(
-            names,
-            ["orient", "unroll", "comm-ir", "aggregate", "place", "assign", "metrics", "schedule"]
-        );
-        // On the implicit all-to-all machine every map costs the same, so
-        // the optimizer keeps the identity and the results match exactly.
-        let base = AutoComm::new().compile(&c, &p).unwrap();
-        assert!(r.placement.is_identity());
-        assert_eq!(r.metrics, base.metrics);
-        assert_eq!(r.schedule, base.schedule);
-    }
-
-    #[test]
-    fn compile_placed_never_loses_to_identity_and_improves_on_a_chain() {
-        // Heavy traffic between blocks 0 and 2 of a 3-chain: the identity
-        // map pays 2 hops per comm; placement pulls the pair adjacent.
+    /// Heavy traffic between blocks 0 and 2 of a 3-chain: the identity map
+    /// pays 2 hops per comm; placement pulls the pair adjacent.
+    fn chain() -> (Circuit, Partition, HardwareSpec) {
         let mut c = Circuit::new(6);
         for _ in 0..4 {
             c.push(Gate::cx(q(0), q(4))).unwrap();
@@ -973,6 +764,12 @@ mod tests {
         let hw = HardwareSpec::for_partition(&p)
             .with_topology(dqc_hardware::NetworkTopology::linear(3).unwrap())
             .unwrap();
+        (c, p, hw)
+    }
+
+    #[test]
+    fn compile_placed_never_loses_to_identity_and_improves_on_a_chain() {
+        let (c, p, hw) = chain();
         let identity = AutoComm::new().compile_on(&c, &p, &hw).unwrap();
         let (placed, report) =
             AutoComm::new().compile_placed(&c, &p, &hw, &PlacementConfig::default()).unwrap();
@@ -990,50 +787,6 @@ mod tests {
         let mut nodes: Vec<usize> = report.node_map.iter().map(|n| n.index()).collect();
         nodes.sort_unstable();
         assert_eq!(nodes, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn place_with_traffic_overrides_the_derived_matrix() {
-        // The circuit's own traffic is negligible; an explicit measured
-        // matrix demanding blocks 0 and 2 be adjacent must drive the map.
-        let mut c = Circuit::new(6);
-        c.push(Gate::cx(q(0), q(4))).unwrap();
-        let p = Partition::block(6, 3).unwrap();
-        let linear = dqc_hardware::NetworkTopology::linear(3).unwrap();
-        let hw = HardwareSpec::for_partition(&p).with_topology(linear.clone()).unwrap();
-        let traffic = vec![vec![0, 0, 50], vec![0, 0, 0], vec![50, 0, 0]];
-        let out = Pipeline::builder()
-            .unroll()
-            .comm_ir()
-            .aggregate(AggregateOptions::default())
-            .place_with_traffic(traffic)
-            .assign()
-            .metrics()
-            .build()
-            .run(&c, &p, &hw)
-            .unwrap();
-        let map = out.placement.node_map();
-        assert_eq!(
-            linear.hop_distance(map[0], map[2]),
-            Some(1),
-            "the override's heavy pair must land adjacent, got {map:?}"
-        );
-        // The single 2-hop-under-identity comm is now charged one hop.
-        assert_eq!(out.metrics.unwrap().total_epr_cost, 1);
-        // Dropping the override falls back to the aggregated program's own
-        // (here: identical-preference) traffic.
-        let derived = Pipeline::builder()
-            .unroll()
-            .comm_ir()
-            .aggregate(AggregateOptions::default())
-            .place()
-            .assign()
-            .metrics()
-            .build()
-            .run(&c, &p, &hw)
-            .unwrap();
-        let dmap = derived.placement.node_map();
-        assert_eq!(linear.hop_distance(dmap[0], dmap[2]), Some(1));
     }
 
     #[test]

@@ -81,6 +81,10 @@ impl OeeStats {
 /// block→node distances, the cold O(n²) scan is skipped entirely — the
 /// refinement loop resumes exactly where it left off (trivially so when the
 /// previous run terminated with no improving exchange left).
+///
+/// Only perfbench's replayed placement driver (`perfbench/src/trace.rs`)
+/// uses it; `autocomm`'s `compile_placed` refines cold every round, since
+/// the warm start never hit on its workloads.
 #[derive(Debug, Default)]
 pub struct OeeCache {
     valid: bool,
@@ -196,11 +200,12 @@ pub fn oee_refine_on_stats(
 }
 
 /// [`oee_refine_on_stats`] with a warm-start cache: when `cache` still
-/// matches `(graph, partition, node_map, dist)` — the normal case for the
-/// iterative placement driver re-refining an unchanged partition — the
-/// cold candidate scan is skipped and every skipped gain counts as a cache
-/// hit. The refined partition is always identical to the uncached call;
-/// only the work counters differ.
+/// matches `(graph, partition, node_map, dist)` — a driver re-refining an
+/// unchanged partition under an unchanged map — the cold candidate scan is
+/// skipped and every skipped gain counts as a cache hit. The refined
+/// partition is always identical to the uncached call; only the work
+/// counters differ. Kept for perfbench's replayed placement driver only
+/// (see [`OeeCache`]).
 pub fn oee_refine_cached(
     graph: &InteractionGraph,
     partition: Partition,

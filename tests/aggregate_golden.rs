@@ -14,9 +14,9 @@
 
 use autocomm_repro::circuit::{unroll_circuit, CBitId, Circuit, Gate, Partition, QubitId};
 use autocomm_repro::core::{
-    aggregate, aggregate_ir_with_stats, AggregateOptions, AggregatedProgram, CommIr, Item, Pipeline,
+    aggregate, aggregate_ir, aggregate_ir_with_stats, orient_symmetric_gates, AggregateOptions,
+    AggregatedProgram, CommIr, Item,
 };
-use autocomm_repro::hardware::HardwareSpec;
 use autocomm_repro::partition::{oee_partition, InteractionGraph};
 use autocomm_repro::workloads::{
     generate, random_distributed_circuit, smoke_suite, BenchConfig, Workload,
@@ -59,14 +59,9 @@ fn pin(program: &AggregatedProgram) -> Pin {
 fn compile_oee(circuit: &Circuit, nodes: usize) -> AggregatedProgram {
     let unrolled = unroll_circuit(circuit).unwrap();
     let partition = oee_partition(&InteractionGraph::from_circuit(&unrolled), nodes).unwrap();
-    let pipeline = Pipeline::builder()
-        .orient()
-        .unroll()
-        .comm_ir()
-        .aggregate(AggregateOptions::default())
-        .build();
-    let hw = HardwareSpec::for_partition(&partition);
-    pipeline.run(circuit, &partition, &hw).unwrap().aggregated.unwrap()
+    let oriented = orient_symmetric_gates(circuit, &partition);
+    let unrolled = unroll_circuit(&oriented).unwrap();
+    aggregate_ir(CommIr::build_shared(&unrolled, &partition), AggregateOptions::default())
 }
 
 #[test]

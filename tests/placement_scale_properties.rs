@@ -93,9 +93,9 @@ fn suite_sparse_graph_matches_dense_reference() {
     }
 }
 
-/// The warm-started incremental driver against the full-recompile driver:
-/// identical reports (iterations, node map, costs, work counters compare
-/// outside the report's own equality, which excludes work) and metrics.
+/// The incremental driver against the full-recompile driver: identical
+/// reports (iterations, node map, costs), work counters (compared on their
+/// own, since the report's equality excludes them), metrics and schedules.
 #[test]
 fn warm_driver_matches_force_full_on_every_topology() {
     let nodes = 4;
@@ -115,6 +115,7 @@ fn warm_driver_matches_force_full_on_every_topology() {
                 full_recompile_placed(&compiler, &circuit, &partition, &hw, &placement).unwrap();
             let context = format!("{}/{}", config.label(), topology.name());
             assert_eq!(warm_report, full_report, "report differs on {context}");
+            assert_eq!(warm_report.work, full_report.work, "work differs on {context}");
             assert_eq!(warm.metrics, full.metrics, "metrics differ on {context}");
             assert_eq!(warm.schedule, full.schedule, "schedule differs on {context}");
         }

@@ -1,7 +1,7 @@
-//! Suite-wide invariants: every benchmark workload, compiled through the
-//! pass manager under every configuration, satisfies the paper's metric
-//! relations — and the pass-manager pipeline produces *exactly* the same
-//! artifacts as composing the passes by hand (the legacy
+//! Suite-wide invariants: every benchmark workload, compiled through
+//! `AutoComm` under every configuration, satisfies the paper's metric
+//! relations — and `AutoComm` produces *exactly* the same artifacts as
+//! composing the public stage functions by hand (the legacy
 //! orient → unroll → aggregate → assign → schedule sequence).
 
 use autocomm_repro::circuit::{unroll_circuit, Circuit, Partition};
@@ -24,8 +24,10 @@ fn suite() -> Vec<(&'static str, Circuit, usize)> {
     ]
 }
 
-/// The pre-pass-manager compiler: direct calls to each pass in the fixed
-/// legacy order, with the same option toggles `AutoComm` honours.
+/// The legacy compiler: direct calls to each public stage function in the
+/// fixed order, through the circuit-level entry points (`aggregate`,
+/// `assign`) rather than the `CommIr` ones `AutoComm` uses, with the same
+/// option toggles `AutoComm` honours.
 fn compile_legacy(
     circuit: &Circuit,
     partition: &Partition,
@@ -200,7 +202,7 @@ fn comm_summary_matches_pairwise_commutes_on_random_windows() {
 #[test]
 fn whole_table2_suite_compiles_under_the_quick_configs() {
     // The same configurations dqc-bench smoke-tests: every workload family
-    // at two scales, end to end through the pass manager.
+    // at two scales, end to end through `AutoComm`.
     for workload in wl::Workload::all() {
         let (qubits, nodes) = if workload == wl::Workload::Uccsd { (8, 4) } else { (20, 2) };
         let config = wl::BenchConfig::new(workload, qubits, nodes);
