@@ -228,13 +228,69 @@ impl fmt::Display for GateKind {
 /// assert_eq!(g.control(), Some(QubitId::new(0)));
 /// assert_eq!(g.target(), Some(QubitId::new(1)));
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone)]
 pub struct Gate {
     kind: GateKind,
-    qubits: Vec<QubitId>,
-    params: Vec<f64>,
+    qubits: Operands,
+    /// Rotation parameters: the first `num_params` entries, the rest zero.
+    /// No kind takes more than [`MAX_PARAMS`].
+    params: [f64; MAX_PARAMS],
+    num_params: u8,
     cbit: Option<CBitId>,
     condition: Option<CBitId>,
+}
+
+/// The most rotation parameters any [`GateKind`] takes (`U3`).
+const MAX_PARAMS: usize = 3;
+
+/// The most operands stored inline; only `Mcx` and `Barrier` take more.
+const INLINE_QUBITS: usize = 3;
+
+// Operands and parameters live inside the gate, so building, cloning and
+// dropping a gate of at most three operands never touches the heap. A
+// re-boxed field would grow the gate past this bound.
+const _: () = assert!(std::mem::size_of::<Gate>() <= 80);
+
+/// A gate's qubit operands: up to [`INLINE_QUBITS`] stored in place, longer
+/// lists (wide `Mcx` and `Barrier` gates) in one boxed slice.
+#[derive(Clone)]
+enum Operands {
+    /// The first `len` entries are the operands; the rest are unused.
+    Inline {
+        len: u8,
+        qubits: [QubitId; INLINE_QUBITS],
+    },
+    Spilled(Box<[QubitId]>),
+}
+
+impl Operands {
+    /// Stores `qubits` inline when they fit, else copies them to the heap.
+    fn from_slice(qubits: &[QubitId]) -> Self {
+        match qubits.len() {
+            len @ 0..=INLINE_QUBITS => {
+                let mut inline = [QubitId::default(); INLINE_QUBITS];
+                inline[..len].copy_from_slice(qubits);
+                Operands::Inline { len: len as u8, qubits: inline }
+            }
+            _ => Operands::Spilled(qubits.into()),
+        }
+    }
+
+    /// [`Operands::from_slice`], reusing the vector's buffer for a spill.
+    fn from_vec(qubits: Vec<QubitId>) -> Self {
+        if qubits.len() <= INLINE_QUBITS {
+            Operands::from_slice(&qubits)
+        } else {
+            Operands::Spilled(qubits.into_boxed_slice())
+        }
+    }
+
+    fn as_slice(&self) -> &[QubitId] {
+        match self {
+            Operands::Inline { len, qubits } => &qubits[..*len as usize],
+            Operands::Spilled(qubits) => qubits,
+        }
+    }
 }
 
 impl Gate {
@@ -251,6 +307,12 @@ impl Gate {
         qubits: Vec<QubitId>,
         params: Vec<f64>,
     ) -> Result<Self, CircuitError> {
+        Gate::checked(kind, Operands::from_vec(qubits), &params)
+    }
+
+    /// The validating constructor every other one funnels into.
+    fn checked(kind: GateKind, operands: Operands, params: &[f64]) -> Result<Self, CircuitError> {
+        let qubits = operands.as_slice();
         if let Some(arity) = kind.arity() {
             if qubits.len() != arity {
                 return Err(CircuitError::ArityMismatch {
@@ -274,86 +336,96 @@ impl Gate {
                 return Err(CircuitError::DuplicateOperand { qubit: *q });
             }
         }
-        Ok(Gate { kind, qubits, params, cbit: None, condition: None })
+        let mut inline = [0.0; MAX_PARAMS];
+        inline[..params.len()].copy_from_slice(params);
+        Ok(Gate {
+            kind,
+            qubits: operands,
+            params: inline,
+            num_params: params.len() as u8,
+            cbit: None,
+            condition: None,
+        })
     }
 
-    fn new_unchecked(kind: GateKind, qubits: Vec<QubitId>, params: Vec<f64>) -> Self {
-        Gate::try_new(kind, qubits, params).expect("gate constructor invariant")
+    fn new_unchecked(kind: GateKind, qubits: &[QubitId], params: &[f64]) -> Self {
+        Gate::checked(kind, Operands::from_slice(qubits), params)
+            .expect("gate constructor invariant")
     }
 
     /// Identity gate on `q`.
     pub fn i(q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::I, vec![q], vec![])
+        Gate::new_unchecked(GateKind::I, &[q], &[])
     }
 
     /// Hadamard on `q`.
     pub fn h(q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::H, vec![q], vec![])
+        Gate::new_unchecked(GateKind::H, &[q], &[])
     }
 
     /// Pauli X on `q`.
     pub fn x(q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::X, vec![q], vec![])
+        Gate::new_unchecked(GateKind::X, &[q], &[])
     }
 
     /// Pauli Y on `q`.
     pub fn y(q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Y, vec![q], vec![])
+        Gate::new_unchecked(GateKind::Y, &[q], &[])
     }
 
     /// Pauli Z on `q`.
     pub fn z(q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Z, vec![q], vec![])
+        Gate::new_unchecked(GateKind::Z, &[q], &[])
     }
 
     /// S gate on `q`.
     pub fn s(q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::S, vec![q], vec![])
+        Gate::new_unchecked(GateKind::S, &[q], &[])
     }
 
     /// S† gate on `q`.
     pub fn sdg(q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Sdg, vec![q], vec![])
+        Gate::new_unchecked(GateKind::Sdg, &[q], &[])
     }
 
     /// T gate on `q`.
     pub fn t(q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::T, vec![q], vec![])
+        Gate::new_unchecked(GateKind::T, &[q], &[])
     }
 
     /// T† gate on `q`.
     pub fn tdg(q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Tdg, vec![q], vec![])
+        Gate::new_unchecked(GateKind::Tdg, &[q], &[])
     }
 
     /// √X gate on `q`.
     pub fn sx(q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Sx, vec![q], vec![])
+        Gate::new_unchecked(GateKind::Sx, &[q], &[])
     }
 
     /// X rotation by `theta` on `q`.
     pub fn rx(theta: f64, q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Rx, vec![q], vec![theta])
+        Gate::new_unchecked(GateKind::Rx, &[q], &[theta])
     }
 
     /// Y rotation by `theta` on `q`.
     pub fn ry(theta: f64, q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Ry, vec![q], vec![theta])
+        Gate::new_unchecked(GateKind::Ry, &[q], &[theta])
     }
 
     /// Z rotation by `theta` on `q`.
     pub fn rz(theta: f64, q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Rz, vec![q], vec![theta])
+        Gate::new_unchecked(GateKind::Rz, &[q], &[theta])
     }
 
     /// Phase rotation diag(1, e^{iθ}) on `q`.
     pub fn phase(theta: f64, q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Phase, vec![q], vec![theta])
+        Gate::new_unchecked(GateKind::Phase, &[q], &[theta])
     }
 
     /// Generic single-qubit unitary U3(θ, φ, λ) on `q`.
     pub fn u3(theta: f64, phi: f64, lambda: f64, q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::U3, vec![q], vec![theta, phi, lambda])
+        Gate::new_unchecked(GateKind::U3, &[q], &[theta, phi, lambda])
     }
 
     /// CNOT with the given `control` and `target`.
@@ -362,7 +434,7 @@ impl Gate {
     ///
     /// Panics if `control == target`.
     pub fn cx(control: QubitId, target: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Cx, vec![control, target], vec![])
+        Gate::new_unchecked(GateKind::Cx, &[control, target], &[])
     }
 
     /// Controlled Z between `a` and `b` (symmetric).
@@ -371,7 +443,7 @@ impl Gate {
     ///
     /// Panics if `a == b`.
     pub fn cz(a: QubitId, b: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Cz, vec![a, b], vec![])
+        Gate::new_unchecked(GateKind::Cz, &[a, b], &[])
     }
 
     /// Swap of `a` and `b`.
@@ -380,7 +452,7 @@ impl Gate {
     ///
     /// Panics if `a == b`.
     pub fn swap(a: QubitId, b: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Swap, vec![a, b], vec![])
+        Gate::new_unchecked(GateKind::Swap, &[a, b], &[])
     }
 
     /// Controlled RZ(θ) with the given `control` and `target`.
@@ -389,7 +461,7 @@ impl Gate {
     ///
     /// Panics if `control == target`.
     pub fn crz(theta: f64, control: QubitId, target: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Crz, vec![control, target], vec![theta])
+        Gate::new_unchecked(GateKind::Crz, &[control, target], &[theta])
     }
 
     /// Controlled phase gate between `a` and `b` (symmetric).
@@ -398,7 +470,7 @@ impl Gate {
     ///
     /// Panics if `a == b`.
     pub fn cp(theta: f64, a: QubitId, b: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Cp, vec![a, b], vec![theta])
+        Gate::new_unchecked(GateKind::Cp, &[a, b], &[theta])
     }
 
     /// ZZ interaction exp(-iθ Z⊗Z / 2) between `a` and `b` (symmetric).
@@ -407,7 +479,7 @@ impl Gate {
     ///
     /// Panics if `a == b`.
     pub fn rzz(theta: f64, a: QubitId, b: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Rzz, vec![a, b], vec![theta])
+        Gate::new_unchecked(GateKind::Rzz, &[a, b], &[theta])
     }
 
     /// Toffoli with controls `c0`, `c1` and target `t`.
@@ -416,7 +488,7 @@ impl Gate {
     ///
     /// Panics if any two operands coincide.
     pub fn ccx(c0: QubitId, c1: QubitId, t: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Ccx, vec![c0, c1, t], vec![])
+        Gate::new_unchecked(GateKind::Ccx, &[c0, c1, t], &[])
     }
 
     /// Multi-controlled X with the given controls and target.
@@ -425,21 +497,27 @@ impl Gate {
     ///
     /// Panics if any two operands coincide or the operand list is empty.
     pub fn mcx(controls: &[QubitId], target: QubitId) -> Self {
-        let mut qubits = controls.to_vec();
-        qubits.push(target);
-        Gate::new_unchecked(GateKind::Mcx, qubits, vec![])
+        let n = controls.len();
+        let operands = if n < INLINE_QUBITS {
+            let mut qubits = [target; INLINE_QUBITS];
+            qubits[..n].copy_from_slice(controls);
+            Operands::from_slice(&qubits[..=n])
+        } else {
+            Operands::from_vec([controls, &[target]].concat())
+        };
+        Gate::checked(GateKind::Mcx, operands, &[]).expect("gate constructor invariant")
     }
 
     /// Z-basis measurement of `q` into classical bit `c`.
     pub fn measure(q: QubitId, c: CBitId) -> Self {
-        let mut g = Gate::new_unchecked(GateKind::Measure, vec![q], vec![]);
+        let mut g = Gate::new_unchecked(GateKind::Measure, &[q], &[]);
         g.cbit = Some(c);
         g
     }
 
     /// Reset of `q` to |0⟩.
     pub fn reset(q: QubitId) -> Self {
-        Gate::new_unchecked(GateKind::Reset, vec![q], vec![])
+        Gate::new_unchecked(GateKind::Reset, &[q], &[])
     }
 
     /// Barrier across `qubits`.
@@ -448,7 +526,7 @@ impl Gate {
     ///
     /// Panics if a qubit is repeated.
     pub fn barrier(qubits: &[QubitId]) -> Self {
-        Gate::new_unchecked(GateKind::Barrier, qubits.to_vec(), vec![])
+        Gate::new_unchecked(GateKind::Barrier, qubits, &[])
     }
 
     /// Returns a copy of this gate conditioned on classical bit `c` being 1.
@@ -470,12 +548,12 @@ impl Gate {
 
     /// The qubit operands, controls before targets.
     pub fn qubits(&self) -> &[QubitId] {
-        &self.qubits
+        self.qubits.as_slice()
     }
 
     /// The rotation parameters (empty for non-parameterized kinds).
     pub fn params(&self) -> &[f64] {
-        &self.params
+        &self.params[..self.num_params as usize]
     }
 
     /// The classical bit written by a measurement, if any.
@@ -490,22 +568,22 @@ impl Gate {
 
     /// First rotation parameter, if the kind is parameterized.
     pub fn theta(&self) -> Option<f64> {
-        self.params.first().copied()
+        self.params().first().copied()
     }
 
     /// Number of qubit operands.
     pub fn num_qubits(&self) -> usize {
-        self.qubits.len()
+        self.qubits().len()
     }
 
     /// Whether this is a unitary acting on exactly one qubit.
     pub fn is_single_qubit_unitary(&self) -> bool {
-        self.kind.is_unitary() && self.qubits.len() == 1
+        self.kind.is_unitary() && self.num_qubits() == 1
     }
 
     /// Whether this is a unitary acting on exactly two qubits.
     pub fn is_two_qubit_unitary(&self) -> bool {
-        self.kind.is_unitary() && self.qubits.len() == 2
+        self.kind.is_unitary() && self.num_qubits() == 2
     }
 
     /// The control qubit for asymmetric controlled gates (`Cx`, `Crz`).
@@ -515,7 +593,7 @@ impl Gate {
     pub fn control(&self) -> Option<QubitId> {
         match self.kind {
             GateKind::Cx | GateKind::Crz | GateKind::Cz | GateKind::Cp | GateKind::Rzz => {
-                Some(self.qubits[0])
+                Some(self.qubits()[0])
             }
             _ => None,
         }
@@ -531,14 +609,14 @@ impl Gate {
             | GateKind::Cp
             | GateKind::Rzz
             | GateKind::Ccx
-            | GateKind::Mcx => self.qubits.last().copied(),
+            | GateKind::Mcx => self.qubits().last().copied(),
             _ => None,
         }
     }
 
     /// Whether `q` is one of this gate's operands.
     pub fn acts_on(&self, q: QubitId) -> bool {
-        self.qubits.contains(&q)
+        self.qubits().contains(&q)
     }
 
     /// Returns the same gate with each qubit operand remapped through `f`.
@@ -551,11 +629,42 @@ impl Gate {
     /// Panics if the remapping makes two operands collide.
     pub fn map_qubits(&self, mut f: impl FnMut(QubitId) -> QubitId) -> Gate {
         let mut g = self.clone();
-        g.qubits = self.qubits.iter().map(|&q| f(q)).collect();
-        for (i, q) in g.qubits.iter().enumerate() {
-            assert!(!g.qubits[..i].contains(q), "qubit remapping created duplicate operand {q}");
+        match &mut g.qubits {
+            Operands::Inline { len, qubits } => {
+                qubits[..*len as usize].iter_mut().for_each(|q| *q = f(*q));
+            }
+            Operands::Spilled(qubits) => qubits.iter_mut().for_each(|q| *q = f(*q)),
+        }
+        let qubits = g.qubits();
+        for (i, q) in qubits.iter().enumerate() {
+            assert!(!qubits[..i].contains(q), "qubit remapping created duplicate operand {q}");
         }
         g
+    }
+}
+
+/// Field-wise equality over the stored operands and parameters; parameters
+/// compare as `f64`, so `-0.0 == 0.0`.
+impl PartialEq for Gate {
+    fn eq(&self, other: &Self) -> bool {
+        self.kind == other.kind
+            && self.qubits() == other.qubits()
+            && self.params() == other.params()
+            && self.cbit == other.cbit
+            && self.condition == other.condition
+    }
+}
+
+/// Prints the gate's fields as a struct, operands and parameters as lists.
+impl fmt::Debug for Gate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Gate")
+            .field("kind", &self.kind)
+            .field("qubits", &self.qubits())
+            .field("params", &self.params())
+            .field("cbit", &self.cbit)
+            .field("condition", &self.condition)
+            .finish()
     }
 }
 
@@ -565,9 +674,9 @@ impl fmt::Display for Gate {
             write!(f, "if({c}) ")?;
         }
         f.write_str(self.kind.name())?;
-        if !self.params.is_empty() {
+        if !self.params().is_empty() {
             write!(f, "(")?;
-            for (i, p) in self.params.iter().enumerate() {
+            for (i, p) in self.params().iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
@@ -576,7 +685,7 @@ impl fmt::Display for Gate {
             write!(f, ")")?;
         }
         write!(f, " ")?;
-        for (i, q) in self.qubits.iter().enumerate() {
+        for (i, q) in self.qubits().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -716,5 +825,85 @@ mod tests {
     fn gate_equality_includes_params() {
         assert_eq!(Gate::rz(0.5, q(0)), Gate::rz(0.5, q(0)));
         assert_ne!(Gate::rz(0.5, q(0)), Gate::rz(0.6, q(0)));
+        assert_eq!(Gate::rz(-0.0, q(0)), Gate::rz(0.0, q(0)));
+        assert_eq!(Gate::u3(0.1, -0.0, 0.3, q(0)), Gate::u3(0.1, 0.0, 0.3, q(0)));
+        assert_ne!(Gate::u3(0.1, 0.2, 0.3, q(0)), Gate::u3(0.1, 0.2, 0.4, q(0)));
+    }
+
+    /// Gates past three operands: a 3- and a 6-control `mcx` and a 10-qubit
+    /// barrier, beside their inline neighbours (a 2-control `mcx`).
+    fn wide_gates() -> Vec<Gate> {
+        let qs: Vec<QubitId> = (0..10).map(q).collect();
+        vec![
+            Gate::mcx(&qs[..2], q(9)),
+            Gate::mcx(&qs[..3], q(9)),
+            Gate::mcx(&qs[2..8], q(0)),
+            Gate::barrier(&qs),
+        ]
+    }
+
+    #[test]
+    fn wide_gates_keep_every_operand() {
+        let qs: Vec<QubitId> = (0..10).map(q).collect();
+        let [mcx2, mcx3, mcx6, barrier] = <[Gate; 4]>::try_from(wide_gates()).unwrap();
+        assert_eq!(mcx2.qubits(), &[q(0), q(1), q(9)]);
+        assert_eq!(mcx3.qubits(), &[q(0), q(1), q(2), q(9)]);
+        assert_eq!(mcx3.target(), Some(q(9)));
+        assert_eq!(mcx6.num_qubits(), 7);
+        assert_eq!(mcx6.qubits()[..6], qs[2..8]);
+        assert_eq!(barrier.qubits(), &qs[..]);
+        assert!(barrier.acts_on(q(7)));
+        let built = Gate::try_new(GateKind::Barrier, qs.clone(), vec![]).unwrap();
+        assert_eq!(built, barrier);
+        let err = Gate::try_new(GateKind::Mcx, vec![q(0), q(1), q(2), q(1)], vec![]).unwrap_err();
+        assert!(matches!(err, CircuitError::DuplicateOperand { .. }));
+    }
+
+    #[test]
+    fn wide_gates_compare_display_and_remap() {
+        let qs: Vec<QubitId> = (0..10).map(q).collect();
+        for g in wide_gates() {
+            assert_eq!(g.clone(), g);
+            let shifted = g.map_qubits(|x| q(x.index() + 10));
+            assert_ne!(shifted, g);
+            assert!(shifted
+                .qubits()
+                .iter()
+                .zip(g.qubits())
+                .all(|(a, b)| a.index() == b.index() + 10));
+            assert_eq!(shifted.map_qubits(|x| q(x.index() - 10)), g);
+        }
+        assert_ne!(Gate::barrier(&qs), Gate::barrier(&qs[..9]));
+        assert_ne!(Gate::mcx(&qs[..3], q(9)), Gate::mcx(&qs[..3], q(8)));
+        assert_eq!(Gate::mcx(&qs[..3], q(9)).to_string(), "mcx q0,q1,q2,q9",);
+        assert_eq!(Gate::barrier(&qs).to_string(), "barrier q0,q1,q2,q3,q4,q5,q6,q7,q8,q9");
+        assert!(
+            format!("{:?}", Gate::barrier(&qs[..4])).contains("qubits: [QubitId(0), QubitId(1)")
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "qubit remapping created duplicate operand")]
+    fn wide_remap_collision_panics() {
+        let qs: Vec<QubitId> = (0..10).map(q).collect();
+        let _ = Gate::barrier(&qs).map_qubits(|x| q(x.index() / 2));
+    }
+
+    #[test]
+    fn wide_gates_round_trip_qasm_and_intern() {
+        let mut c = crate::Circuit::new(10);
+        for g in wide_gates() {
+            c.push(g).unwrap();
+        }
+        assert_eq!(crate::from_qasm(&crate::to_qasm(&c)).unwrap(), c);
+        let mut table = crate::GateTable::new();
+        let ids: Vec<_> = wide_gates().iter().map(|g| table.intern(g)).collect();
+        for (id, g) in ids.iter().zip(wide_gates()) {
+            assert_eq!(table.intern(&g), *id, "re-interning finds the same slot");
+            assert_eq!(table.gate(*id), &g);
+            assert_eq!(table.operand_count(*id), g.num_qubits());
+            assert!(table.qubit_indices(*id).eq(g.qubits().iter().map(|x| x.index())));
+        }
+        assert_eq!(table.len(), 4);
     }
 }

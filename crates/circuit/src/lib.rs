@@ -76,4 +76,4 @@ pub use qasm::to_qasm;
 pub use qasm_parse::{from_qasm, QasmParseError, MAX_REGISTER_WIDTH};
 pub use stats::{circuit_depth, CircuitStats};
 pub use table::{CommSummary, GateId, GateTable, WireClass};
-pub use unroll::{unroll_circuit, unroll_gate};
+pub use unroll::{unroll_circuit, unroll_gate, unroll_gate_each};

@@ -37,22 +37,41 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
+    let mut parts = par_chunks(items, |part| part.iter().map(&f).collect::<Vec<U>>());
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
+    let mut out = Vec::with_capacity(items.len());
+    for part in parts {
+        out.extend(part);
+    }
+    out
+}
+
+/// Calls `f` once per contiguous chunk of `items` and returns the results
+/// in input order: one call on the whole slice below [`PAR_THRESHOLD`] items
+/// (or on one core), else one chunk per worker thread. Lets a stage that
+/// emits a variable number of outputs per item fill one buffer per chunk
+/// instead of one per item. Panics in `f` propagate to the caller.
+pub(crate) fn par_chunks<T, U, F>(items: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&[T]) -> U + Sync,
+{
     let threads = worker_count();
     if items.len() < PAR_THRESHOLD || threads < 2 {
-        return items.iter().map(f).collect();
+        return vec![f(items)];
     }
     let chunk = items.len().div_ceil(threads);
     let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || part.iter().map(f).collect::<Vec<U>>()))
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        for handle in handles {
-            out.extend(handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-        out
+        let handles: Vec<_> =
+            items.chunks(chunk).map(|part| scope.spawn(move || f(part))).collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     })
 }
 
@@ -71,6 +90,16 @@ mod tests {
         let items: Vec<usize> = (0..3 * PAR_THRESHOLD + 17).collect();
         let expected: Vec<usize> = items.iter().map(|&x| x.wrapping_mul(31) ^ 7).collect();
         assert_eq!(par_map(&items, |&x| x.wrapping_mul(31) ^ 7), expected);
+    }
+
+    #[test]
+    fn chunks_cover_the_input_in_order() {
+        for len in [0, 100, 3 * PAR_THRESHOLD + 17] {
+            let items: Vec<usize> = (0..len).collect();
+            let parts = par_chunks(&items, |part| part.to_vec());
+            assert!(!parts.is_empty());
+            assert_eq!(parts.concat(), items, "len {len}");
+        }
     }
 
     #[test]

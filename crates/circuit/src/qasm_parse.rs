@@ -218,6 +218,9 @@ fn parse_statement(stmt: &str, line_no: usize) -> Result<LineStmt, QasmParseErro
 struct Assembler {
     circuit: Option<Circuit>,
     num_cbits: usize,
+    /// Gate statements still to come, reserved up front so the circuit is
+    /// allocated once at its final size.
+    gates: usize,
 }
 
 impl Assembler {
@@ -240,7 +243,9 @@ impl Assembler {
                         message: "multiple qreg declarations".into(),
                     });
                 }
-                self.circuit = Some(Circuit::with_cbits(size, self.num_cbits));
+                let mut circuit = Circuit::with_cbits(size, self.num_cbits);
+                circuit.reserve(self.gates);
+                self.circuit = Some(circuit);
             }
             LineStmt::Creg(size) => {
                 self.num_cbits = size;
@@ -305,7 +310,17 @@ impl Assembler {
 pub fn from_qasm(text: &str) -> Result<Circuit, QasmParseError> {
     let lines: Vec<(usize, &str)> = text.lines().enumerate().collect();
     let parsed = crate::par_map(&lines, |&(idx, raw)| parse_line(raw, idx + 1));
-    let mut asm = Assembler::default();
+    let gates = parsed
+        .iter()
+        .map(|line| match line {
+            Ok(ParsedLine::One(LineStmt::Gate(_))) => 1,
+            Ok(ParsedLine::Many(stmts)) => {
+                stmts.iter().filter(|s| matches!(s, LineStmt::Gate(_))).count()
+            }
+            _ => 0,
+        })
+        .sum();
+    let mut asm = Assembler { gates, ..Assembler::default() };
     for (result, &(idx, _)) in parsed.into_iter().zip(&lines) {
         asm.feed_line(result?, idx + 1)?;
     }
@@ -371,31 +386,56 @@ fn parse_gate(body: &str, line: usize) -> Result<Gate, QasmParseError> {
             message: format!("missing operands in `{body}`"),
         })?
     };
-    let (name, params): (&str, Vec<f64>) = match head.split_once('(') {
+    // Every parameter is checked, but no kind takes more than three, so
+    // only the first three are kept (with the full count).
+    let mut params = [0.0; 3];
+    let mut num_params = 0;
+    let name = match head.split_once('(') {
         Some((n, ptext)) => {
             let ptext = ptext.strip_suffix(')').ok_or_else(|| QasmParseError::Syntax {
                 line,
                 message: "unterminated parameter list".into(),
             })?;
-            // Non-finite angles (`nan`, `inf`, or an overflowing `1e400`)
-            // would poison every downstream metric and simulation.
-            let params = ptext
-                .split(',')
-                .map(|p| p.trim().parse::<f64>().ok().filter(|v| v.is_finite()))
-                .collect::<Option<Vec<f64>>>()
-                .ok_or_else(|| QasmParseError::Syntax {
-                    line,
-                    message: format!("bad parameters `{ptext}` (finite numbers expected)"),
-                })?;
-            (n, params)
+            for p in ptext.split(',') {
+                // Non-finite angles (`nan`, `inf`, or an overflowing `1e400`)
+                // would poison every downstream metric and simulation.
+                let value =
+                    p.trim().parse::<f64>().ok().filter(|v| v.is_finite()).ok_or_else(|| {
+                        QasmParseError::Syntax {
+                            line,
+                            message: format!("bad parameters `{ptext}` (finite numbers expected)"),
+                        }
+                    })?;
+                if let Some(slot) = params.get_mut(num_params) {
+                    *slot = value;
+                }
+                num_params += 1;
+            }
+            n
         }
-        None => (head, Vec::new()),
+        None => head,
     };
+    let params = &params[..num_params.min(3)];
 
-    let operands: Vec<QubitId> = operand_text
-        .split(',')
-        .map(|t| parse_operand(t, line).map(QubitId::new))
-        .collect::<Result<_, _>>()?;
+    // Operands, in place up to three; only wide `mcx`/`barrier` statements
+    // collect into a vector.
+    let mut inline = [QubitId::default(); 3];
+    let mut wide = Vec::new();
+    let mut arity = 0;
+    for t in operand_text.split(',') {
+        let qb = QubitId::new(parse_operand(t, line)?);
+        match inline.get_mut(arity) {
+            Some(slot) => *slot = qb,
+            None => {
+                if wide.is_empty() {
+                    wide.extend_from_slice(&inline);
+                }
+                wide.push(qb);
+            }
+        }
+        arity += 1;
+    }
+    let operands: &[QubitId] = if arity <= 3 { &inline[..arity] } else { &wide };
     // The infallible gate constructors assume distinct operands; reject
     // repeats here so malformed input surfaces as an error, not a panic.
     for (i, qb) in operands.iter().enumerate() {
@@ -405,7 +445,6 @@ fn parse_gate(body: &str, line: usize) -> Result<Gate, QasmParseError> {
     }
 
     let q = |i: usize| operands[i];
-    let arity = operands.len();
     let expect = |n: usize| -> Result<(), QasmParseError> {
         if arity == n {
             Ok(())
@@ -466,23 +505,23 @@ fn parse_gate(body: &str, line: usize) -> Result<Gate, QasmParseError> {
         }
         "rx" => {
             expect(1)?;
-            Gate::rx(theta(&params)?, q(0))
+            Gate::rx(theta(params)?, q(0))
         }
         "ry" => {
             expect(1)?;
-            Gate::ry(theta(&params)?, q(0))
+            Gate::ry(theta(params)?, q(0))
         }
         "rz" => {
             expect(1)?;
-            Gate::rz(theta(&params)?, q(0))
+            Gate::rz(theta(params)?, q(0))
         }
         "p" | "u1" => {
             expect(1)?;
-            Gate::phase(theta(&params)?, q(0))
+            Gate::phase(theta(params)?, q(0))
         }
         "u3" | "u" => {
             expect(1)?;
-            if params.len() != 3 {
+            if num_params != 3 {
                 return Err(QasmParseError::Syntax {
                     line,
                     message: "u3 needs three parameters".into(),
@@ -504,15 +543,15 @@ fn parse_gate(body: &str, line: usize) -> Result<Gate, QasmParseError> {
         }
         "crz" => {
             expect(2)?;
-            Gate::crz(theta(&params)?, q(0), q(1))
+            Gate::crz(theta(params)?, q(0), q(1))
         }
         "cp" | "cu1" => {
             expect(2)?;
-            Gate::cp(theta(&params)?, q(0), q(1))
+            Gate::cp(theta(params)?, q(0), q(1))
         }
         "rzz" => {
             expect(2)?;
-            Gate::rzz(theta(&params)?, q(0), q(1))
+            Gate::rzz(theta(params)?, q(0), q(1))
         }
         "ccx" => {
             expect(3)?;
@@ -526,7 +565,7 @@ fn parse_gate(body: &str, line: usize) -> Result<Gate, QasmParseError> {
             expect(1)?;
             Gate::reset(q(0))
         }
-        "barrier" => Gate::barrier(&operands),
+        "barrier" => Gate::barrier(operands),
         other => return Err(QasmParseError::UnsupportedGate { line, name: other.into() }),
     };
     Ok(gate)

@@ -8,8 +8,8 @@
 //! "are these the same gate?" an integer comparison.
 //!
 //! On intern the table precomputes, per unique gate, a flat (CSR) record of
-//! its wires and their commutation classes, so the hot passes never touch
-//! the heap-allocated [`Gate`] at all:
+//! its wires and their commutation classes, so the hot passes never resolve
+//! a [`Gate`] at all:
 //!
 //! * [`GateTable::commutes_ids`] — the exact pairwise [`crate::commutes`]
 //!   oracle over ids (identical-gate test becomes `a == b`);
@@ -145,7 +145,7 @@ struct Wire {
 /// Public view of a gate's precomputed per-wire commutation class — what
 /// [`GateTable::wire_class_on`] reports so hot passes (segmentation,
 /// aggregation) can classify a gate's action on a wire without resolving
-/// the heap-allocated [`Gate`] at all.
+/// the [`Gate`] at all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireClass {
     /// Diagonal in the computational basis on this wire.
@@ -207,8 +207,8 @@ pub struct GateTable {
     wires: Vec<Wire>,
     offsets: Vec<u32>,
     /// Arena (bump) copies of the per-gate scalar metadata, so the hot
-    /// passes read flat `Vec`s instead of chasing each [`Gate`]'s
-    /// heap-allocated operand storage: one [`GateKind`] per gate…
+    /// passes read flat `Vec`s instead of resolving each [`Gate`]: one
+    /// [`GateKind`] per gate…
     kinds: Vec<GateKind>,
     /// …and the rotation parameters in a CSR arena
     /// (`params[param_off[id]..param_off[id + 1]]`).

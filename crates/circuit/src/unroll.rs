@@ -11,7 +11,8 @@
 
 use crate::{Circuit, CircuitError, Gate, GateKind, QubitId};
 
-/// Unrolls one gate into the `CX + U3` basis.
+/// Unrolls one gate into the `CX + U3` basis, collected into a vector (see
+/// [`unroll_gate_each`], which hands the gates over one at a time).
 ///
 /// `num_qubits` is the register size, used to locate dirty ancillas for
 /// multi-controlled gates.
@@ -28,75 +29,95 @@ use crate::{Circuit, CircuitError, Gate, GateKind, QubitId};
 /// assert_eq!(gates.iter().filter(|g| g.kind() == GateKind::Cx).count(), 2);
 /// ```
 pub fn unroll_gate(gate: &Gate, num_qubits: usize) -> Result<Vec<Gate>, CircuitError> {
+    let mut out = Vec::new();
+    unroll_gate_each(gate, num_qubits, |g| out.push(g))?;
+    Ok(out)
+}
+
+/// Unrolls one gate into the `CX + U3` basis, passing each basis gate to
+/// `emit` in order — the expansion [`unroll_gate`] collects, without a
+/// buffer of its own.
+///
+/// # Errors
+///
+/// As [`unroll_gate`]. On error, some gates of the expansion may already
+/// have been emitted.
+///
+/// ```
+/// use dqc_circuit::{unroll_gate_each, Gate, GateKind, QubitId};
+/// let ccx = Gate::ccx(QubitId::new(0), QubitId::new(1), QubitId::new(2));
+/// let mut cx = 0;
+/// unroll_gate_each(&ccx, 3, |g| cx += usize::from(g.kind() == GateKind::Cx)).unwrap();
+/// assert_eq!(cx, 6);
+/// ```
+pub fn unroll_gate_each(
+    gate: &Gate,
+    num_qubits: usize,
+    mut emit: impl FnMut(Gate),
+) -> Result<(), CircuitError> {
     // Already in basis (or non-unitary bookkeeping): pass through. This is
-    // the single source of truth for the basis set — `unroll_circuit`'s
-    // fast path uses the same predicate.
+    // the single source of truth for the basis set.
     if in_basis(gate.kind()) {
-        return Ok(vec![gate.clone()]);
+        emit(gate.clone());
+        return Ok(());
     }
     let q = gate.qubits();
-    let out = match gate.kind() {
+    match gate.kind() {
         GateKind::Cz => {
             let (a, b) = (q[0], q[1]);
-            vec![Gate::h(b), Gate::cx(a, b), Gate::h(b)]
+            [Gate::h(b), Gate::cx(a, b), Gate::h(b)].into_iter().for_each(emit);
         }
         GateKind::Crz => {
             let theta = gate.theta().expect("crz has a parameter");
             let (c, t) = (q[0], q[1]);
-            vec![
-                Gate::rz(theta / 2.0, t),
-                Gate::cx(c, t),
-                Gate::rz(-theta / 2.0, t),
-                Gate::cx(c, t),
-            ]
+            [Gate::rz(theta / 2.0, t), Gate::cx(c, t), Gate::rz(-theta / 2.0, t), Gate::cx(c, t)]
+                .into_iter()
+                .for_each(emit);
         }
         GateKind::Cp => {
             let theta = gate.theta().expect("cp has a parameter");
             let (a, b) = (q[0], q[1]);
-            vec![
+            [
                 Gate::phase(theta / 2.0, a),
                 Gate::phase(theta / 2.0, b),
                 Gate::cx(a, b),
                 Gate::phase(-theta / 2.0, b),
                 Gate::cx(a, b),
             ]
+            .into_iter()
+            .for_each(emit);
         }
         GateKind::Rzz => {
             let theta = gate.theta().expect("rzz has a parameter");
             let (a, b) = (q[0], q[1]);
-            vec![Gate::cx(a, b), Gate::rz(theta, b), Gate::cx(a, b)]
+            [Gate::cx(a, b), Gate::rz(theta, b), Gate::cx(a, b)].into_iter().for_each(emit);
         }
         GateKind::Swap => {
             let (a, b) = (q[0], q[1]);
-            vec![Gate::cx(a, b), Gate::cx(b, a), Gate::cx(a, b)]
+            [Gate::cx(a, b), Gate::cx(b, a), Gate::cx(a, b)].into_iter().for_each(emit);
         }
-        GateKind::Ccx => ccx_basis(q[0], q[1], q[2]),
+        GateKind::Ccx => ccx_basis(q[0], q[1], q[2]).into_iter().for_each(emit),
         GateKind::Mcx => {
             let (controls, target) = q.split_at(q.len() - 1);
-            let mut toffolis = Vec::new();
-            mcx_to_toffolis(controls, target[0], num_qubits, &mut toffolis)?;
-            let mut out = Vec::with_capacity(toffolis.len() * 15);
-            for g in toffolis {
-                match g.kind() {
-                    GateKind::Ccx => {
-                        let p = g.qubits();
-                        out.extend(ccx_basis(p[0], p[1], p[2]));
-                    }
-                    _ => out.push(g),
+            mcx_to_toffolis(controls, target[0], num_qubits, &mut |g: Gate| match g.kind() {
+                GateKind::Ccx => {
+                    let p = g.qubits();
+                    ccx_basis(p[0], p[1], p[2]).into_iter().for_each(&mut emit);
                 }
-            }
-            out
+                _ => emit(g),
+            })?;
         }
         kind => unreachable!("in_basis claims `{kind}` needs decomposition but no rule exists"),
-    };
-    Ok(out)
+    }
+    Ok(())
 }
 
 /// Unrolls every gate of `circuit` into the `CX + U3` basis.
 ///
-/// Unrolling is per-gate pure, so the rewrites run through
-/// [`crate::par_map`] (worker threads from [`crate::PAR_THRESHOLD`] gates)
-/// and the expansions are spliced back in input order — the same circuit
+/// Unrolling is per-gate pure, so the gates are split into contiguous
+/// chunks (one per worker thread from [`crate::PAR_THRESHOLD`] gates, as
+/// [`crate::par_map`] splits its items), each chunk unrolled into its own
+/// circuit, and the chunks spliced back in input order — the same circuit
 /// as unrolling gate by gate, including which error surfaces first when
 /// several gates fail.
 ///
@@ -107,27 +128,26 @@ pub fn unroll_gate(gate: &Gate, num_qubits: usize) -> Result<Vec<Gate>, CircuitE
 /// already validated.
 pub fn unroll_circuit(circuit: &Circuit) -> Result<Circuit, CircuitError> {
     let n = circuit.num_qubits();
-    // `None` marks in-basis pass-throughs so the fan-out never allocates a
-    // singleton Vec per unchanged gate (the overwhelmingly common case).
-    let expanded: Vec<Result<Option<Vec<Gate>>, CircuitError>> =
-        crate::par_map(circuit.gates(), |gate| {
-            if in_basis(gate.kind()) {
-                Ok(None)
-            } else {
-                unroll_gate(gate, n).map(Some)
-            }
-        });
-    let mut out = Circuit::with_cbits(n, circuit.num_cbits());
-    out.reserve(circuit.len());
-    for (gate, exp) in circuit.gates().iter().zip(expanded) {
-        match exp? {
-            None => out.push(gate.clone())?,
-            Some(gates) => {
-                for g in gates {
-                    out.push(g)?;
-                }
-            }
+    let parts = crate::par::par_chunks(circuit.gates(), |gates| {
+        let mut part = Circuit::with_cbits(n, circuit.num_cbits());
+        part.reserve(gates.len());
+        for gate in gates {
+            unroll_gate_each(gate, n, |g| {
+                part.push(g).expect("unrolling stays on the validated registers");
+            })?;
         }
+        Ok(part)
+    });
+    let mut parts = parts.into_iter().collect::<Result<Vec<Circuit>, _>>()?;
+    if parts.len() == 1 {
+        return Ok(parts.pop().expect("one chunk"));
+    }
+    // Splice on the calling thread into one exact-size buffer, so the
+    // result lives in the caller's allocator arena, not a worker's.
+    let mut out = Circuit::with_cbits(n, circuit.num_cbits());
+    out.reserve(parts.iter().map(Circuit::len).sum());
+    for part in parts {
+        out.extend_gates(part.into_gates())?;
     }
     Ok(out)
 }
@@ -159,8 +179,8 @@ fn in_basis(kind: GateKind) -> bool {
 }
 
 /// Textbook 6-CX Toffoli decomposition (controls `a`, `b`; target `t`).
-fn ccx_basis(a: QubitId, b: QubitId, t: QubitId) -> Vec<Gate> {
-    vec![
+fn ccx_basis(a: QubitId, b: QubitId, t: QubitId) -> [Gate; 15] {
+    [
         Gate::h(t),
         Gate::cx(b, t),
         Gate::tdg(t),
@@ -179,33 +199,34 @@ fn ccx_basis(a: QubitId, b: QubitId, t: QubitId) -> Vec<Gate> {
     ]
 }
 
-/// Lowers an `n`-controlled X into Toffoli/CX/X gates using dirty ancillas.
+/// Lowers an `n`-controlled X into Toffoli/CX/X gates using dirty ancillas,
+/// passing each to `emit` in order.
 fn mcx_to_toffolis(
     controls: &[QubitId],
     target: QubitId,
     num_qubits: usize,
-    out: &mut Vec<Gate>,
+    emit: &mut dyn FnMut(Gate),
 ) -> Result<(), CircuitError> {
     match controls.len() {
         0 => {
-            out.push(Gate::x(target));
+            emit(Gate::x(target));
             Ok(())
         }
         1 => {
-            out.push(Gate::cx(controls[0], target));
+            emit(Gate::cx(controls[0], target));
             Ok(())
         }
         2 => {
-            out.push(Gate::ccx(controls[0], controls[1], target));
+            emit(Gate::ccx(controls[0], controls[1], target));
             Ok(())
         }
         n => {
             let free = free_qubits(controls, target, num_qubits);
             if free.len() >= n - 2 {
-                v_chain(controls, &free[..n - 2], target, out);
+                v_chain(controls, &free[..n - 2], target, emit);
                 Ok(())
             } else if !free.is_empty() {
-                split_mcx(controls, target, free[0], num_qubits, out)
+                split_mcx(controls, target, free[0], num_qubits, emit)
             } else {
                 Err(CircuitError::InsufficientAncillas { needed: 1, available: 0 })
             }
@@ -223,20 +244,24 @@ fn free_qubits(controls: &[QubitId], target: QubitId, num_qubits: usize) -> Vec<
 /// The toggle network is emitted twice; the second pass cancels all dirt on
 /// the ancillas while the target accumulates exactly the AND of all
 /// controls.
-fn v_chain(controls: &[QubitId], ancillas: &[QubitId], target: QubitId, out: &mut Vec<Gate>) {
+fn v_chain(
+    controls: &[QubitId],
+    ancillas: &[QubitId],
+    target: QubitId,
+    emit: &mut dyn FnMut(Gate),
+) {
     let n = controls.len();
     debug_assert!(n >= 3 && ancillas.len() >= n - 2);
-    let mut seq = Vec::with_capacity(2 * (n - 2));
-    seq.push(Gate::ccx(controls[n - 1], ancillas[n - 3], target));
-    for i in (2..=n - 2).rev() {
-        seq.push(Gate::ccx(controls[i], ancillas[i - 2], ancillas[i - 1]));
+    for _ in 0..2 {
+        emit(Gate::ccx(controls[n - 1], ancillas[n - 3], target));
+        for i in (2..=n - 2).rev() {
+            emit(Gate::ccx(controls[i], ancillas[i - 2], ancillas[i - 1]));
+        }
+        emit(Gate::ccx(controls[1], controls[0], ancillas[0]));
+        for i in 2..=n - 2 {
+            emit(Gate::ccx(controls[i], ancillas[i - 2], ancillas[i - 1]));
+        }
     }
-    seq.push(Gate::ccx(controls[1], controls[0], ancillas[0]));
-    for i in 2..=n - 2 {
-        seq.push(Gate::ccx(controls[i], ancillas[i - 2], ancillas[i - 1]));
-    }
-    out.extend(seq.iter().cloned());
-    out.extend(seq);
 }
 
 /// Barenco Lemma 7.3 ABAB split using a single dirty ancilla; each half then
@@ -246,7 +271,7 @@ fn split_mcx(
     target: QubitId,
     ancilla: QubitId,
     num_qubits: usize,
-    out: &mut Vec<Gate>,
+    emit: &mut dyn FnMut(Gate),
 ) -> Result<(), CircuitError> {
     let n = controls.len();
     let m = n.div_ceil(2);
@@ -257,8 +282,8 @@ fn split_mcx(
     // ancilla's initial value first, B = C^{m}X(low → ancilla); the target
     // toggles exactly when all of `low` and `high` are one.
     for _ in 0..2 {
-        mcx_to_toffolis(&upper, target, num_qubits, out)?;
-        mcx_to_toffolis(low, ancilla, num_qubits, out)?;
+        mcx_to_toffolis(&upper, target, num_qubits, emit)?;
+        mcx_to_toffolis(low, ancilla, num_qubits, emit)?;
     }
     Ok(())
 }

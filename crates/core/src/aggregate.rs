@@ -52,6 +52,20 @@
 //!   relocated and re-inserted items fold their wires and index into the
 //!   receiving segment. Summaries only grow, so a stale bit costs an extra
 //!   visit, never a wrong skip.
+//! * **The `last_slot` stop.** A walk also ends at the first item whose
+//!   slot index exceeds `last_slot`, the stream position of the pair's last
+//!   live occurrence. The check compares arena slot indices, as if list
+//!   order were slot order, and it is not: sealing re-inserts each trimmed
+//!   trailing gate in a fresh slot at the end of the arena (index at least
+//!   the stream length). A later pair's walk that reaches such an item
+//!   stops there, with live occurrences of its pair still ahead, and the
+//!   next occurrence opens a new block instead of joining this one. On
+//!   `random_circuit(64, 300000, 1)` (OEE, 8 nodes) 141,028 of 147,488
+//!   block walks end this way, with 338 live occurrences of the pair still
+//!   ahead on average; QAOA-300-30 shows 1,918 of 5,248, UCCSD-16-8 2,172
+//!   of 11,192, and the QFT rows none. This is the behaviour the golden
+//!   files pin, and `walk_stops_on_reinserted_trimmed_item` pins it on a
+//!   hand-built case, so a fix lands as a deliberate golden change.
 //!
 //! [`AggregateStats::visited`] and [`AggregateStats::skipped`] count the
 //! items classified one by one and the items passed inside skipped
@@ -255,20 +269,16 @@ pub fn aggregate_no_commute(circuit: &Circuit, partition: &Partition) -> Aggrega
 
 /// [`aggregate_no_commute`] over a prebuilt [`CommIr`].
 pub fn aggregate_no_commute_ir(ir: Arc<CommIr>) -> AggregatedProgram {
-    let partition = ir.partition();
     let items = ir
         .stream()
         .iter()
-        .map(|&id| {
-            let g = ir.gate(id);
-            if g.is_two_qubit_unitary() && partition.is_remote(g) {
-                let (q, node) = crate::remote_pairs_of(g, partition)[0];
+        .map(|&id| match crate::remote_pairs_of(ir.gate(id), ir.partition()) {
+            Some([(q, node), _]) => {
                 let mut b = CommBlock::new(q, node);
-                b.push(id, g);
+                b.push(id, ir.table());
                 Item::Block(b)
-            } else {
-                Item::Local(id)
             }
+            None => Item::Local(id),
         })
         .collect();
     AggregatedProgram { items, ir }
@@ -760,15 +770,20 @@ fn process_pair(
     options: AggregateOptions,
 ) {
     let table = ir.table();
-    let partition = ir.partition();
-    let is_pair_gate = |g: &Gate| -> bool {
-        g.is_two_qubit_unitary()
-            && g.condition().is_none()
-            && g.acts_on(q)
-            && g.qubits().iter().all(|&x| x == q || partition.node_of(x) == node)
+    let node_of = ir.partition().assignment();
+    // Classification reads the table's flat arenas, never a `Gate`.
+    // `on_pair`: every operand is the burst qubit or on the remote node.
+    let on_pair =
+        |id: GateId| table.qubit_indices(id).all(|x| x == q.index() || node_of[x] == node);
+    let is_pair_gate = |id: GateId| -> bool {
+        table.operand_count(id) == 2
+            && table.is_unitary(id)
+            && table.condition_bit(id).is_none()
+            && table.qubit_indices(id).any(|x| x == q.index())
+            && on_pair(id)
     };
     let is_live_occurrence = |arena: &Arena, s: usize| -> bool {
-        matches!(&arena.slots[s], Slot::Local(id) if is_pair_gate(table.gate(*id)))
+        matches!(arena.slots[s], Slot::Local(id) if is_pair_gate(id))
     };
 
     // Remaining live occurrences of this pair (stream positions, ascending).
@@ -799,7 +814,7 @@ fn process_pair(
         let Slot::Local(first_id) = arena.slots[start] else { unreachable!("liveness checked") };
         let bi = arena.blocks.len();
         let mut block = CommBlock::new(q, node);
-        block.push(first_id, table.gate(first_id));
+        block.push(first_id, table);
         arena.blocks.push(block);
         arena.slots[start] = Slot::Block(bi as u32);
         ws.open_block();
@@ -863,7 +878,7 @@ fn process_pair(
             if disjoint_fast {
                 split = Some(ws.carried.len());
             } else if ws.is_occurrence_pos(cur)
-                && matches!(slot, Slot::Local(id) if is_pair_gate(table.gate(id)))
+                && matches!(slot, Slot::Local(id) if is_pair_gate(id))
             {
                 remaining -= 1;
                 let Slot::Local(id) = slot else { unreachable!() };
@@ -872,7 +887,7 @@ fn process_pair(
                 if ws.deferred.commutes_with(table, id) {
                     arena.unlink(cur, seg);
                     ws.add_to_block(table, id);
-                    arena.blocks[bi].push(id, table.gate(id));
+                    arena.blocks[bi].push(id, table);
                 } else {
                     // Seal here and restart a fresh block at this occurrence.
                     break;
@@ -892,13 +907,10 @@ fn process_pair(
                 } else {
                     let absorbable = match slot {
                         Slot::Local(id) => {
-                            let g = table.gate(id);
                             !edge_defer
-                                && g.kind().is_unitary()
-                                && g.condition().is_none()
-                                && g.qubits()
-                                    .iter()
-                                    .all(|&x| x == q || partition.node_of(x) == node)
+                                && table.is_unitary(id)
+                                && table.condition_bit(id).is_none()
+                                && on_pair(id)
                                 && ws.deferred.commutes_with(table, id)
                         }
                         _ => false,
@@ -907,7 +919,7 @@ fn process_pair(
                         let Slot::Local(id) = slot else { unreachable!() };
                         arena.unlink(cur, seg);
                         ws.add_to_block(table, id);
-                        arena.blocks[bi].push(id, table.gate(id));
+                        arena.blocks[bi].push(id, table);
                     } else {
                         // `carried` holds the block slot, then the deferred
                         // items: this is `deferred >= defer_limit`.
@@ -1252,6 +1264,40 @@ mod tests {
         );
         let (_, again) = aggregate_ir_with_stats(ir, AggregateOptions::default());
         assert_eq!(stats, again, "walk counters must be deterministic");
+    }
+
+    /// Pins the `last_slot` stop (see the module docs): a walk ends on a
+    /// re-inserted trimmed item even with a mergeable occurrence ahead.
+    #[test]
+    fn walk_stops_on_reinserted_trimmed_item() {
+        let p = Partition::block(4, 2).unwrap();
+        let mut c = Circuit::new(4);
+        c.push(Gate::cx(q(1), q(3))).unwrap(); // 0: (q1, N1)
+        c.push(Gate::cx(q(0), q(2))).unwrap(); // 1: (q0, N1) opens its block
+        c.push(Gate::h(q(2))).unwrap(); // 2: absorbed into it
+        c.push(Gate::cx(q(1), q(0))).unwrap(); // 3: deferred behind it
+        c.push(Gate::cx(q(0), q(2))).unwrap(); // 4: crosses 3, so seals it
+        c.push(Gate::cx(q(1), q(3))).unwrap(); // 5: (q1, N1)
+        let ir = CommIr::build_shared(&c, &p);
+        let ranked: Vec<_> = ir.ranked_pairs().iter().map(|&(pair, _)| pair).collect();
+        assert_eq!(ranked[..2], [(q(0), NodeId::new(1)), (q(1), NodeId::new(1))]);
+        let agg = aggregate_ir(ir, AggregateOptions::default());
+        // (q0, N1) seals its first block on slot 4 and trims `h q2` back out
+        // into a fresh slot (7, past the sentinel's 6) right after it. The
+        // (q1, N1) walk from slot 0 hoists that block ahead of its own, then
+        // stops on the fresh slot: its second gate opens a block of its own,
+        // although every item between the two commutes with `cx q1,q3` and a
+        // longer walk would join them.
+        let shape: Vec<String> = agg
+            .items()
+            .iter()
+            .map(|item| match item {
+                Item::Local(id) => agg.gate(*id).to_string(),
+                Item::Block(b) => format!("{}:{}", b.qubit(), b.remote_gate_count()),
+            })
+            .collect();
+        assert_eq!(shape, ["q0:1", "q1:1", "h q2", "cx q1,q0", "q0:1", "q1:1"]);
+        assert!(dqc_sim::circuits_equivalent(&c, &agg.to_circuit(), 1e-9).unwrap());
     }
 
     #[test]

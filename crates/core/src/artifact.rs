@@ -719,6 +719,11 @@ mod tests {
         assert_eq!(parse_gate(&reader, &gate_record(&m)).unwrap(), m);
         let u = Gate::u3(0.1, -0.0, 2e-9, q(2));
         assert_eq!(parse_gate(&reader, &gate_record(&u)).unwrap(), u);
+        // Wide gates keep their operands out of line.
+        let qs: Vec<QubitId> = (0..10).map(q).collect();
+        for wide in [Gate::mcx(&qs[..3], q(9)), Gate::barrier(&qs)] {
+            assert_eq!(parse_gate(&reader, &gate_record(&wide)).unwrap(), wide);
+        }
     }
 
     #[test]

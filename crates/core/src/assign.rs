@@ -158,7 +158,7 @@ impl AssignedProgram {
 /// incompatible interior gate touches the burst qubit.
 pub(crate) fn cat_segments(table: &GateTable, block: &CommBlock) -> (usize, CatOrientation) {
     // Walks the table's precomputed per-wire class records exclusively —
-    // never the heap-allocated gates — so the hot per-block assignment
+    // never the resolved gates — so the hot per-block assignment
     // stage reads only flat arena `Vec`s. `WireClass` reproduces
     // `AxisBehavior::of` exactly on operand wires, with `Block` standing
     // in for non-unitary opacity (both are segment breakers here).
@@ -383,7 +383,7 @@ pub(crate) fn split_into_segments(table: &GateTable, block: &CommBlock) -> Vec<C
     for &id in block.ids() {
         let gate = table.gate(id);
         if !gate.acts_on(q) {
-            current.push(id, gate);
+            current.push(id, table);
             continue;
         }
         let behavior = AxisBehavior::of(gate, q);
@@ -396,17 +396,17 @@ pub(crate) fn split_into_segments(table: &GateTable, block: &CommBlock) -> Vec<C
                     seal(&mut current, &mut out);
                     orientation = None;
                     let mut solo = CommBlock::new(q, block.node());
-                    solo.push(id, gate);
+                    solo.push(id, table);
                     out.push(solo);
                     continue;
                 }
             };
             match orientation {
-                Some(cur) if cur == o => current.push(id, gate),
+                Some(cur) if cur == o => current.push(id, table),
                 _ => {
                     seal(&mut current, &mut out);
                     orientation = Some(o);
-                    current.push(id, gate);
+                    current.push(id, table);
                 }
             }
         } else {
@@ -416,11 +416,11 @@ pub(crate) fn split_into_segments(table: &GateTable, block: &CommBlock) -> Vec<C
                     | (Some(CatOrientation::Target), AxisBehavior::XDiag)
             );
             if compatible {
-                current.push(id, gate);
+                current.push(id, table);
             } else {
                 seal(&mut current, &mut out);
                 orientation = None;
-                current.push(id, gate);
+                current.push(id, table);
             }
         }
     }
@@ -448,7 +448,7 @@ mod tests {
         let mut b = CommBlock::new(q(0), NodeId::new(1));
         for (pos, _) in gates.iter().enumerate() {
             let id = ir.stream()[pos];
-            b.push(id, ir.gate(id));
+            b.push(id, ir.table());
         }
         (ir, b)
     }
@@ -549,7 +549,7 @@ mod tests {
         let mut b = CommBlock::new(q(0), NodeId::new(2));
         for (pos, _) in gates.iter().enumerate() {
             let id = ir.stream()[pos];
-            b.push(id, ir.gate(id));
+            b.push(id, ir.table());
         }
         let program = AggregatedProgram::from_parts(ir, vec![Item::Block(b)]);
         assign_on(&program, &Placement::identity(&p), topology).blocks().next().unwrap().clone()
@@ -567,7 +567,7 @@ mod tests {
         let ir = CommIr::build_shared(&c, &p);
         let mut b = CommBlock::new(q(0), NodeId::new(2));
         let id = ir.stream()[0];
-        b.push(id, ir.gate(id));
+        b.push(id, ir.table());
         let program = AggregatedProgram::from_parts(ir, vec![Item::Block(b)]);
         let identity = assign_on(&program, &Placement::identity(&p), &linear);
         assert_eq!(identity.blocks().next().unwrap().epr_cost, 2);

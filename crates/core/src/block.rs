@@ -12,7 +12,8 @@ use dqc_circuit::{Gate, GateId, GateTable, NodeId, Partition, QubitId};
 /// compile's shared [`GateTable`] — building, splitting, and cloning blocks
 /// moves `u32` indices, never gate payloads. The remote-gate count is
 /// maintained on push so the hot metric needs no table at all; body
-/// accessors that need gate contents take the table explicitly.
+/// accessors that need gate contents take the table explicitly, and the
+/// classification on push and trim reads only the table's flat arenas.
 ///
 /// The body holds both the remote two-qubit gates of the pair and any
 /// interior local gates absorbed during aggregation (gates on the remote
@@ -52,17 +53,17 @@ impl CommBlock {
         self.gates.iter().map(|&id| table.gate(id))
     }
 
-    /// Whether `gate` counts as a remote gate of this block's pair: a
+    /// Whether gate `id` counts as a remote gate of this block's pair: a
     /// two-qubit unitary acting on the burst qubit.
-    fn is_remote(&self, gate: &Gate) -> bool {
-        gate.is_two_qubit_unitary() && gate.acts_on(self.qubit)
+    fn is_remote(&self, table: &GateTable, id: GateId) -> bool {
+        table.operand_count(id) == 2
+            && table.is_unitary(id)
+            && table.qubit_indices(id).any(|x| x == self.qubit.index())
     }
 
-    /// Appends a gate to the body. The resolved `gate` must be `id`'s gate
-    /// in the compile's table (both are passed so the block can classify it
-    /// without a table lookup).
-    pub fn push(&mut self, id: GateId, gate: &Gate) {
-        if self.is_remote(gate) {
+    /// Appends gate `id` of the compile's `table` to the body.
+    pub fn push(&mut self, id: GateId, table: &GateTable) {
+        if self.is_remote(table, id) {
             self.remote += 1;
         }
         self.gates.push(id);
@@ -81,7 +82,7 @@ impl CommBlock {
     /// The remote two-qubit gates of the pair (body gates acting on the
     /// burst qubit with their partner on the remote node).
     pub fn remote_gates<'a>(&'a self, table: &'a GateTable) -> impl Iterator<Item = &'a Gate> + 'a {
-        self.gates(table).filter(|g| self.is_remote(g))
+        self.gates.iter().filter(|&&id| self.is_remote(table, id)).map(|&id| table.gate(id))
     }
 
     /// Number of remote two-qubit gates carried by this block — the
@@ -96,19 +97,6 @@ impl CommBlock {
         self.gates(table).flat_map(|g| g.qubits().iter().copied()).collect()
     }
 
-    /// The remote node's qubits used by the body, ascending.
-    pub fn partner_qubits(&self, table: &GateTable) -> Vec<QubitId> {
-        let mut out: BTreeSet<QubitId> = BTreeSet::new();
-        for g in self.gates(table) {
-            for &q in g.qubits() {
-                if q != self.qubit {
-                    out.insert(q);
-                }
-            }
-        }
-        out.into_iter().collect()
-    }
-
     /// The node the burst qubit lives on.
     pub fn home(&self, partition: &Partition) -> NodeId {
         partition.node_of(self.qubit)
@@ -118,7 +106,7 @@ impl CommBlock {
     /// (they never needed to ride the communication; aggregation calls this
     /// before sealing a block). Returns the trimmed-off suffix in order.
     pub fn trim_trailing_locals(&mut self, table: &GateTable) -> Vec<GateId> {
-        let last_remote = self.gates.iter().rposition(|&id| self.is_remote(table.gate(id)));
+        let last_remote = self.gates.iter().rposition(|&id| self.is_remote(table, id));
         match last_remote {
             Some(i) => self.gates.split_off(i + 1),
             None => std::mem::take(&mut self.gates),
@@ -154,7 +142,7 @@ mod tests {
 
     fn push(b: &mut CommBlock, table: &mut GateTable, gate: Gate) {
         let id = table.intern(&gate);
-        b.push(id, &gate);
+        b.push(id, table);
     }
 
     fn sample_block(table: &mut GateTable) -> CommBlock {
@@ -166,12 +154,11 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_partners() {
+    fn counts_remote_gates() {
         let mut table = GateTable::new();
         let b = sample_block(&mut table);
         assert_eq!(b.len(), 3);
         assert_eq!(b.remote_gate_count(), 2);
-        assert_eq!(b.partner_qubits(&table), vec![q(2), q(3)]);
         assert_eq!(b.involved_qubits(&table).len(), 3);
         assert_eq!(b.remote_gates(&table).count(), 2);
     }

@@ -64,7 +64,7 @@ impl CommIr {
         let mut occurrences: Vec<Vec<u32>> = vec![Vec::new(); circuit.num_qubits() * num_nodes];
         for (pos, gate) in circuit.gates().iter().enumerate() {
             stream.push(table.intern(gate));
-            for (q, node) in crate::remote_pairs_of(gate, partition) {
+            for (q, node) in crate::remote_pairs_of(gate, partition).into_iter().flatten() {
                 occurrences[q.index() * num_nodes + node.index()].push(pos as u32);
             }
         }

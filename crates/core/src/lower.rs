@@ -166,7 +166,7 @@ fn plan_cat_segment(steps: &mut Vec<CommOp>, table: &GateTable, block: &CommBloc
     }
     let mut trimmed = CommBlock::new(q, block.node());
     for &id in &block.ids()[prefix_len..] {
-        trimmed.push(id, table.gate(id));
+        trimmed.push(id, table);
     }
     if trimmed.remote_gate_count() == 0 {
         for g in trimmed.gates(table) {

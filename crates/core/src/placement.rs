@@ -141,6 +141,9 @@ impl Placement {
 pub fn comm_weighted_graph(program: &AggregatedProgram) -> InteractionGraph {
     let table = program.ir().table();
     let mut g = InteractionGraph::new(program.ir().num_qubits());
+    // `seen[x] == stamp`: qubit `x` already partners the current block.
+    let mut seen = vec![0u32; program.ir().num_qubits()];
+    let mut stamp = 0u32;
     for item in program.items() {
         match item {
             Item::Local(id) => {
@@ -157,9 +160,13 @@ pub fn comm_weighted_graph(program: &AggregatedProgram) -> InteractionGraph {
             }
             Item::Block(block) => {
                 let q = block.qubit();
-                for partner in block.partner_qubits(table) {
-                    if partner != q {
-                        g.add_weight(q, partner, 1);
+                stamp += 1;
+                for &id in block.ids() {
+                    for x in table.qubit_indices(id) {
+                        if x != q.index() && seen[x] != stamp {
+                            seen[x] = stamp;
+                            g.add_weight(q, QubitId::new(x), 1);
+                        }
                     }
                 }
             }

@@ -4,28 +4,28 @@ use std::collections::HashMap;
 
 use dqc_circuit::{Circuit, Gate, NodeId, Partition, QubitId};
 
-/// The (qubit, node) pairs a remote two-qubit gate participates in.
+/// The two (qubit, node) pairs a remote two-qubit gate participates in.
 ///
 /// A remote gate with operands `a` on node A and `b` on node B belongs to
 /// the burst pair `(a, B)` and symmetrically `(b, A)` (paper §3.2). Returns
-/// an empty vector for local or non-two-qubit gates.
+/// `None` for local or non-two-qubit gates.
 ///
 /// ```
 /// use autocomm::remote_pairs_of;
 /// use dqc_circuit::{Gate, Partition, QubitId};
 /// let p = Partition::block(4, 2).unwrap();
-/// let pairs = remote_pairs_of(&Gate::cx(QubitId::new(0), QubitId::new(2)), &p);
-/// assert_eq!(pairs.len(), 2);
+/// let pairs = remote_pairs_of(&Gate::cx(QubitId::new(0), QubitId::new(2)), &p).unwrap();
 /// assert_eq!(pairs[0].0, QubitId::new(0)); // q0 talks to node 1
 /// assert_eq!(pairs[0].1.index(), 1);
+/// assert_eq!(pairs[1].0, QubitId::new(2)); // q2 talks to node 0
 /// ```
-pub fn remote_pairs_of(gate: &Gate, partition: &Partition) -> Vec<(QubitId, NodeId)> {
+pub fn remote_pairs_of(gate: &Gate, partition: &Partition) -> Option<[(QubitId, NodeId); 2]> {
     if !gate.is_two_qubit_unitary() || !partition.is_remote(gate) {
-        return Vec::new();
+        return None;
     }
     let a = gate.qubits()[0];
     let b = gate.qubits()[1];
-    vec![(a, partition.node_of(b)), (b, partition.node_of(a))]
+    Some([(a, partition.node_of(b)), (b, partition.node_of(a))])
 }
 
 /// Number of remote gates associated with every (qubit, node) pair — the
@@ -37,7 +37,7 @@ pub fn pair_stats(circuit: &Circuit, partition: &Partition) -> HashMap<(QubitId,
     let nodes = partition.num_nodes();
     let mut dense = vec![0usize; circuit.num_qubits() * nodes];
     for gate in circuit.gates() {
-        for (q, node) in remote_pairs_of(gate, partition) {
+        for (q, node) in remote_pairs_of(gate, partition).into_iter().flatten() {
             dense[q.index() * nodes + node.index()] += 1;
         }
     }
@@ -60,8 +60,8 @@ mod tests {
     #[test]
     fn local_gates_have_no_pairs() {
         let p = Partition::block(4, 2).unwrap();
-        assert!(remote_pairs_of(&Gate::cx(q(0), q(1)), &p).is_empty());
-        assert!(remote_pairs_of(&Gate::h(q(0)), &p).is_empty());
+        assert!(remote_pairs_of(&Gate::cx(q(0), q(1)), &p).is_none());
+        assert!(remote_pairs_of(&Gate::h(q(0)), &p).is_none());
     }
 
     #[test]

@@ -4,7 +4,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use dqc_circuit::{unroll_gate, Circuit, CircuitError, Gate, GateKind, NodeId, Partition, QubitId};
+use dqc_circuit::{
+    unroll_gate_each, Circuit, CircuitError, Gate, GateKind, NodeId, Partition, QubitId,
+};
 
 use crate::NodeDistance;
 
@@ -119,9 +121,10 @@ impl InteractionGraph {
     ///
     /// CX, single-qubit and non-unitary gates count as they stand (they
     /// unroll to themselves or to single-qubit gates); every other gate
-    /// counts through its [`unroll_gate`] expansion. `unroll_circuit` is
-    /// the in-order concatenation of those expansions, so the weights are
-    /// the same by construction, and so is the first error.
+    /// counts through its [`unroll_gate_each`] expansion, which needs no
+    /// buffer. `unroll_circuit` is the in-order concatenation of those
+    /// expansions, so the weights are the same by construction, and so is
+    /// the first error.
     ///
     /// # Errors
     ///
@@ -145,9 +148,7 @@ impl InteractionGraph {
             if gate.kind() == GateKind::Cx || gate.num_qubits() < 2 || !gate.kind().is_unitary() {
                 g.count_gate(gate);
             } else {
-                for part in unroll_gate(gate, circuit.num_qubits())? {
-                    g.count_gate(&part);
-                }
+                unroll_gate_each(gate, circuit.num_qubits(), |part| g.count_gate(&part))?;
             }
         }
         Ok(g)
