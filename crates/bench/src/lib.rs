@@ -135,7 +135,7 @@ pub fn run_config(config: &BenchConfig) -> ExperimentRow {
 /// `compile_placed` reaches the same result with less work: it re-assigns
 /// only moved blocks and schedules once. Both drivers run the same
 /// placement and cold refinement each round, so they also agree on the
-/// work counters. The property tests and `placement_scale_gate` assert that
+/// work counters. The property tests and `perf_gate` assert that
 /// the two drivers agree on the compile and the report.
 ///
 /// # Errors

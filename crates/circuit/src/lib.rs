@@ -49,7 +49,6 @@
 mod axis;
 mod circuit;
 mod commute;
-mod dag;
 mod error;
 mod gate;
 mod hash;
@@ -65,7 +64,6 @@ mod unroll;
 pub use axis::AxisBehavior;
 pub use circuit::Circuit;
 pub use commute::{commutes, commutes_with_all, disjoint_supports};
-pub use dag::{ConflictScan, DependencyDag};
 pub use error::CircuitError;
 pub use gate::{Gate, GateKind};
 pub use hash::{circuit_content_hash, stream_content_hash, ContentHash};

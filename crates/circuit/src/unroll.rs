@@ -36,7 +36,8 @@ pub fn unroll_gate(gate: &Gate, num_qubits: usize) -> Result<Vec<Gate>, CircuitE
 
 /// Unrolls one gate into the `CX + U3` basis, passing each basis gate to
 /// `emit` in order — the expansion [`unroll_gate`] collects, without a
-/// buffer of its own.
+/// buffer of its own. Every gate of a conditioned gate's expansion carries
+/// the same [`Gate::condition`].
 ///
 /// # Errors
 ///
@@ -61,6 +62,13 @@ pub fn unroll_gate_each(
         emit(gate.clone());
         return Ok(());
     }
+    // A conditioned gate's expansion carries its condition on every gate.
+    // No expansion writes the bit, so either all of it runs or none does.
+    let condition = gate.condition();
+    let mut emit = |g: Gate| match condition {
+        Some(c) => emit(g.with_condition(c)),
+        None => emit(g),
+    };
     let q = gate.qubits();
     match gate.kind() {
         GateKind::Cz => {

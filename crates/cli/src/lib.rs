@@ -287,7 +287,6 @@ impl CompileReport {
                     sections::ir_json(
                         self.result.ir.len(),
                         self.result.ir.unique_gates(),
-                        0, // dag_edges: see `ArtifactIrStats::dag_edges`
                         self.result.ir.ranked_pairs().len(),
                     ),
                 ),

@@ -69,11 +69,10 @@ pub fn circuit_json(qubits: usize, gates: usize, two_qubit: usize, remote_cx: us
 }
 
 /// The `"ir"` object: indexed-IR statistics.
-pub fn ir_json(gates: usize, unique_gates: usize, dag_edges: usize, burst_pairs: usize) -> Json {
+pub fn ir_json(gates: usize, unique_gates: usize, burst_pairs: usize) -> Json {
     Json::object([
         ("gates", Json::number(gates as f64)),
         ("unique_gates", Json::number(unique_gates as f64)),
-        ("dag_edges", Json::number(dag_edges as f64)),
         ("burst_pairs", Json::number(burst_pairs as f64)),
     ])
 }
@@ -184,7 +183,7 @@ pub fn artifact_json(a: &CompiledArtifact) -> Json {
                 a.circuit.remote_cx,
             ),
         ),
-        ("ir", ir_json(a.ir.gates, a.ir.unique_gates, a.ir.dag_edges, a.ir.burst_pairs)),
+        ("ir", ir_json(a.ir.gates, a.ir.unique_gates, a.ir.burst_pairs)),
         ("metrics", metrics_json(&a.metrics)),
         ("buffering", buffering_json(&a.buffering)),
         (

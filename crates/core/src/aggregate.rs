@@ -196,8 +196,8 @@ impl Default for AggregateOptions {
 }
 
 /// Deterministic working-set counters from one aggregation run (see
-/// [`aggregate_ir_with_stats`]); the `frontend_scale_gate` bench records
-/// them in its baseline and asserts the bound.
+/// [`aggregate_ir_with_stats`]); the `perf_gate` bench records them in its
+/// baseline and asserts the bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AggregateStats {
     /// Peak live entries in the streaming conflict filter (newest block /

@@ -28,8 +28,11 @@ use crate::pipeline::{Ablation, CompileResult, PlacementReport, PlacementWork};
 use crate::{lower_plan, CommOp};
 
 /// Version tag of the artifact text format. v2 added the `placement_work`
-/// record (optimizer work counters).
-pub const ARTIFACT_VERSION: u32 = 2;
+/// record (optimizer work counters); v3 dropped the always-zero conflict-DAG
+/// edge count from the `ir` record, which now carries three numbers.
+/// [`CompiledArtifact::from_text`] reads only the current version and
+/// rejects any other header, v2 included, at line 1.
+pub const ARTIFACT_VERSION: u32 = 3;
 
 /// The compile-job configuration an artifact echoes back — everything in
 /// the cache key except the circuit content hash (which keys the circuit
@@ -79,10 +82,6 @@ pub struct ArtifactIrStats {
     pub gates: usize,
     /// Distinct interned gates.
     pub unique_gates: usize,
-    /// Conflict-DAG edges: always 0, since a compile builds no conflict
-    /// DAG. The field keeps its place in the exchange format, whose `ir`
-    /// line carries four numbers.
-    pub dag_edges: usize,
     /// Ranked (qubit, node) burst pairs.
     pub burst_pairs: usize,
 }
@@ -172,7 +171,6 @@ impl CompiledArtifact {
             ir: ArtifactIrStats {
                 gates: result.ir.len(),
                 unique_gates: result.ir.unique_gates(),
-                dag_edges: 0,
                 burst_pairs: result.ir.ranked_pairs().len(),
             },
             placement: placement.clone(),
@@ -222,8 +220,8 @@ impl CompiledArtifact {
             self.circuit.remote_cx
         ));
         out.push_str(&format!(
-            "ir {} {} {} {}\n",
-            self.ir.gates, self.ir.unique_gates, self.ir.dag_edges, self.ir.burst_pairs
+            "ir {} {} {}\n",
+            self.ir.gates, self.ir.unique_gates, self.ir.burst_pairs
         ));
         let p = &self.placement;
         out.push_str(&format!(
@@ -359,8 +357,8 @@ impl CompiledArtifact {
 
         let [qubits, gates, two_qubit_gates, remote_cx] = lines.fixed("circuit")?;
         let circuit = ArtifactCircuitStats { qubits, gates, two_qubit_gates, remote_cx };
-        let [ir_gates, unique_gates, dag_edges, burst_pairs] = lines.fixed("ir")?;
-        let ir = ArtifactIrStats { gates: ir_gates, unique_gates, dag_edges, burst_pairs };
+        let [ir_gates, unique_gates, burst_pairs] = lines.fixed("ir")?;
+        let ir = ArtifactIrStats { gates: ir_gates, unique_gates, burst_pairs };
 
         let place_line = lines.tagged("placement")?.to_string();
         let mut f = place_line.split(' ');
@@ -738,5 +736,11 @@ mod tests {
         assert!(CompiledArtifact::from_text(&truncated).is_err());
         let trailing = artifact.to_text() + "extra\n";
         assert!(CompiledArtifact::from_text(&trailing).is_err());
+        // A v2 text is rejected at its header, before its `ir` record
+        // (four numbers in v2) is read.
+        let v2 = artifact.to_text().replacen("autocomm-artifact v3", "autocomm-artifact v2", 1);
+        let err = CompiledArtifact::from_text(&v2).unwrap_err();
+        assert_eq!(err.line, 1, "{err}");
+        assert_eq!(err.message, "unsupported header 'autocomm-artifact v2'");
     }
 }

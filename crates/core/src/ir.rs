@@ -11,10 +11,8 @@
 //!   single sweep.
 //!
 //! The IR holds no conflict graph: aggregation streams its conflict checks
-//! through per-wire member maps. Tests and gates that want the windowed
-//! conflict DAG build it from the table and stream with
-//! [`dqc_circuit::DependencyDag::commutation_aware_indexed`] at
-//! [`DAG_WINDOW`].
+//! through per-wire member maps, answered by [`GateTable::commutes_ids`]
+//! and the table's per-gate summaries.
 //!
 //! [`AggregatedProgram`](crate::AggregatedProgram) and
 //! [`AssignedProgram`](crate::AssignedProgram) share the `CommIr` by
@@ -24,10 +22,6 @@
 use std::sync::Arc;
 
 use dqc_circuit::{Circuit, Gate, GateId, GateTable, NodeId, Partition, QubitId};
-
-/// Default backward wire window for a conflict DAG over a [`CommIr`] stream
-/// (see [`dqc_circuit::DependencyDag::commutation_aware_windowed`]).
-pub const DAG_WINDOW: usize = 64;
 
 /// The indexed IR one compile runs on. See the module docs.
 #[derive(Clone, Debug)]
@@ -162,7 +156,6 @@ impl CommIr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqc_circuit::{commutes, DependencyDag};
 
     fn q(i: usize) -> QubitId {
         QubitId::new(i)
@@ -198,32 +191,6 @@ mod tests {
         assert_eq!(ir.occurrences((q(0), NodeId::new(1))), &[0, 2]);
         assert_eq!(ir.occurrences((q(1), NodeId::new(1))), &[3]);
         assert!(ir.occurrences((q(2), NodeId::new(1))).is_empty());
-    }
-
-    #[test]
-    fn dag_edges_are_conflict_proofs() {
-        let (c, p) = sample();
-        let ir = CommIr::build(&c, &p);
-        let dag = DependencyDag::commutation_aware_indexed(
-            ir.table(),
-            ir.stream(),
-            ir.num_qubits(),
-            ir.num_cbits(),
-            DAG_WINDOW,
-        );
-        for a in 0..ir.len() {
-            for b in (a + 1)..ir.len() {
-                if dag.has_edge(a, b) {
-                    assert!(
-                        !commutes(ir.gate_at(a), ir.gate_at(b)),
-                        "edge {a}->{b} links commuting gates"
-                    );
-                }
-            }
-        }
-        // rz on the control commutes with both CXs: no edge touches it.
-        assert!(!dag.has_edge(0, 1));
-        assert!(!dag.has_edge(1, 2));
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub use block::CommBlock;
 pub use dqc_circuit::PAR_THRESHOLD;
 pub use dqc_hardware::BufferPolicy;
 pub use error::CompileError;
-pub use ir::{CommIr, DAG_WINDOW};
+pub use ir::CommIr;
 pub use lower::{lower_assigned, lower_assigned_on, lower_plan, CommOp};
 pub use metrics::{burst_distribution, BufferingReport, CommMetrics};
 pub use orient::orient_symmetric_gates;

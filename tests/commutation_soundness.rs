@@ -1,8 +1,12 @@
 //! Property tests: the symbolic commutation oracle and the gate unrolling
-//! rules are sound with respect to dense unitaries.
+//! rules are sound with respect to dense unitaries, and unrolling keeps
+//! classical conditions (checked on state vectors, since the dense
+//! unitaries have no classical register).
 
-use autocomm_repro::circuit::{commutes, unroll_circuit, Circuit, Gate, GateKind, QubitId};
-use autocomm_repro::sim::{circuit_unitary, circuits_equivalent, equivalent_up_to_phase};
+use autocomm_repro::circuit::{commutes, unroll_circuit, CBitId, Circuit, Gate, GateKind, QubitId};
+use autocomm_repro::sim::{
+    circuit_unitary, circuits_equivalent, equivalent_up_to_phase, SplitMix64, StateVector,
+};
 use proptest::prelude::*;
 
 fn q(i: usize) -> QubitId {
@@ -98,5 +102,49 @@ fn anti_commuting_pairs_are_never_claimed() {
     ];
     for (a, b) in pairs {
         assert!(!commutes(&a, &b), "{a} vs {b}");
+    }
+}
+
+/// Unrolling a conditioned gate conditions its whole expansion. Qubit 0 is
+/// prepared in |0⟩ or |1⟩ and measured into `c[0]`, so each condition value
+/// is tested with a fixed outcome; the other qubits start in distinct
+/// superpositions that every gate below changes.
+#[test]
+fn conditioned_unrolling_is_sound() {
+    let gates = [
+        Gate::cz(q(1), q(2)),
+        Gate::crz(0.7, q(1), q(2)),
+        Gate::cp(0.9, q(2), q(1)),
+        Gate::rzz(1.1, q(1), q(3)),
+        Gate::swap(q(1), q(2)),
+        Gate::ccx(q(1), q(2), q(3)),
+        Gate::mcx(&[q(1), q(2), q(3)], q(4)),
+        Gate::mcx(&[q(1), q(2), q(3), q(4)], q(5)),
+    ];
+    let final_state = |circuit: &Circuit| {
+        let mut state = StateVector::zero_state(circuit.num_qubits()).unwrap();
+        state.run(circuit, &mut SplitMix64::new(7)).unwrap();
+        state
+    };
+    for gate in gates {
+        for bit in [false, true] {
+            let mut c = Circuit::with_cbits(6, 1);
+            if bit {
+                c.push(Gate::x(q(0))).unwrap();
+            }
+            c.push(Gate::measure(q(0), CBitId::new(0))).unwrap();
+            for i in 1..6 {
+                c.push(Gate::ry(0.3 + 0.4 * i as f64, q(i))).unwrap();
+                c.push(Gate::t(q(i))).unwrap();
+            }
+            c.push(gate.clone().with_condition(CBitId::new(0))).unwrap();
+            let unrolled = unroll_circuit(&c).unwrap();
+            let fidelity = final_state(&c).fidelity(&final_state(&unrolled)).unwrap();
+            assert!(
+                (fidelity - 1.0).abs() < 1e-9,
+                "if (c[0] == 1) {gate} with c[0] = {}: fidelity {fidelity}",
+                u8::from(bit)
+            );
+        }
     }
 }
