@@ -151,7 +151,8 @@ impl Flight {
 
 enum Slot {
     InFlight(Arc<Flight>),
-    Ready(Arc<CacheEntry>),
+    /// A compiled entry and the use stamp of its last hit or completion.
+    Ready(Arc<CacheEntry>, u64),
 }
 
 enum Lookup {
@@ -167,8 +168,8 @@ enum Lookup {
 #[derive(Default)]
 struct CacheInner {
     map: HashMap<String, Slot>,
-    /// Ready keys, least-recently-used first.
-    order: Vec<String>,
+    /// The last use stamp handed out.
+    clock: u64,
     hits: usize,
     misses: usize,
     coalesced: usize,
@@ -190,13 +191,14 @@ impl ArtifactCache {
     }
 
     fn begin(&self, key: &str) -> Lookup {
-        let mut inner = self.lock();
-        match inner.map.get(key) {
-            Some(Slot::Ready(entry)) => {
-                let entry = Arc::clone(entry);
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        match inner.map.get_mut(key) {
+            Some(Slot::Ready(entry, used)) => {
+                inner.clock += 1;
+                *used = inner.clock;
                 inner.hits += 1;
-                touch(&mut inner.order, key);
-                Lookup::Hit(entry)
+                Lookup::Hit(Arc::clone(entry))
             }
             Some(Slot::InFlight(flight)) => {
                 let flight = Arc::clone(flight);
@@ -225,11 +227,23 @@ impl ArtifactCache {
             };
             let result = result.map(Arc::new);
             if let Ok(entry) = &result {
-                inner.map.insert(key.to_string(), Slot::Ready(Arc::clone(entry)));
-                touch(&mut inner.order, key);
-                while inner.order.len() > self.capacity {
-                    let evicted = inner.order.remove(0);
-                    inner.map.remove(&evicted);
+                inner.clock += 1;
+                let stamp = inner.clock;
+                inner.map.insert(key.to_string(), Slot::Ready(Arc::clone(entry), stamp));
+                if inner.ready() > self.capacity {
+                    // Evict the least recently used ready entry.
+                    let oldest = inner
+                        .map
+                        .iter()
+                        .filter_map(|(k, slot)| match slot {
+                            Slot::Ready(_, used) => Some((*used, k)),
+                            Slot::InFlight(_) => None,
+                        })
+                        .min()
+                        .map(|(_, k)| k.clone());
+                    if let Some(k) = oldest {
+                        inner.map.remove(&k);
+                    }
                 }
             }
             (flight, result)
@@ -243,22 +257,23 @@ impl ArtifactCache {
     /// `artifact` op, which is an inspection, not a submission).
     fn get_ready(&self, key: &str) -> Option<Arc<CacheEntry>> {
         match self.lock().map.get(key) {
-            Some(Slot::Ready(entry)) => Some(Arc::clone(entry)),
+            Some(Slot::Ready(entry, _)) => Some(Arc::clone(entry)),
             _ => None,
         }
     }
 
     fn stats(&self) -> (usize, usize, usize, usize) {
         let inner = self.lock();
-        (inner.hits, inner.misses, inner.coalesced, inner.order.len())
+        (inner.hits, inner.misses, inner.coalesced, inner.ready())
     }
 }
 
-fn touch(order: &mut Vec<String>, key: &str) {
-    if let Some(pos) = order.iter().position(|k| k == key) {
-        order.remove(pos);
+impl CacheInner {
+    /// Ready entries; the map also holds in-flight compiles. A scan of at
+    /// most the capacity plus one ready slots is cheap beside a compile.
+    fn ready(&self) -> usize {
+        self.map.values().filter(|slot| matches!(slot, Slot::Ready(..))).count()
     }
-    order.push(key.to_string());
 }
 
 /// Bounded memo from raw QASM bytes to the circuit content hash.

@@ -9,7 +9,9 @@
 //! legal body gates (Algorithm 1's `non_commute_gates`), or *deferred*
 //! behind the block otherwise; an unmovable conflict seals the block
 //! (*linear merge*). Remaining pairs are processed against the
-//! already-built blocks (*iterative refinement*).
+//! already-built blocks (*iterative refinement*). A classically
+//! conditioned remote gate joins no burst; it becomes a one-gate block of
+//! its own, so it is still counted, communicated and lowered.
 //!
 //! Since the `CommIr` refactor the merge loop never re-derives commutation
 //! from raw gate pairs:
@@ -256,7 +258,28 @@ pub fn aggregate_ir_with_stats(
         visited: ws.visited,
         skipped: ws.skipped,
     };
-    (AggregatedProgram { items: arena.into_items(), ir }, stats)
+    let mut items = arena.into_items();
+    // A conditioned remote gate joins no burst (`is_pair_gate`), but it
+    // still needs its communication: give it a block of its own.
+    for item in &mut items {
+        if let Item::Local(id) = *item {
+            if ir.table().condition_bit(id).is_some() {
+                if let Some(b) = one_gate_block(&ir, id) {
+                    *item = Item::Block(b);
+                }
+            }
+        }
+    }
+    (AggregatedProgram { items, ir }, stats)
+}
+
+/// A block holding only gate `id` when it is a remote two-qubit unitary,
+/// with its first operand as the burst qubit; `None` for a local gate.
+fn one_gate_block(ir: &CommIr, id: GateId) -> Option<CommBlock> {
+    let [(q, node), _] = crate::remote_pairs_of(ir.gate(id), ir.partition())?;
+    let mut b = CommBlock::new(q, node);
+    b.push(id, ir.table());
+    Some(b)
 }
 
 /// The no-commutation ablation of paper Fig. 17(a): every remote gate
@@ -272,14 +295,7 @@ pub fn aggregate_no_commute_ir(ir: Arc<CommIr>) -> AggregatedProgram {
     let items = ir
         .stream()
         .iter()
-        .map(|&id| match crate::remote_pairs_of(ir.gate(id), ir.partition()) {
-            Some([(q, node), _]) => {
-                let mut b = CommBlock::new(q, node);
-                b.push(id, ir.table());
-                Item::Block(b)
-            }
-            None => Item::Local(id),
-        })
+        .map(|&id| one_gate_block(&ir, id).map_or(Item::Local(id), Item::Block))
         .collect();
     AggregatedProgram { items, ir }
 }

@@ -13,6 +13,9 @@
 //!   segments while TP-Comm costs a flat two EPR pairs; the cheaper wins
 //!   and ties go to TP, exactly the paper's default.
 //!
+//! A remote gate opaque on the burst qubit (a SWAP; unrolling leaves none)
+//! fits no cat call, so its block takes TP under either assignment.
+//!
 //! Since the topology re-platforming the cost model is hop-distance-aware
 //! ([`assign_on`]): every end-to-end communication between nodes at routed
 //! hop distance `h` consumes `h` link-level EPR pairs, recorded per block
@@ -23,13 +26,18 @@
 //! exactly the paper's, so all-to-all machines reproduce the historical
 //! assignment bit for bit.
 //!
-//! Since the `CommIr` refactor blocks carry gate ids; segmentation walks
-//! the shared table instead of cloned bodies, and splitting a block into
-//! segments copies `u32` indices only.
+//! One segmentation serves every consumer: `cat_pieces` walks a block's
+//! gate ids once through the shared table's wire classes and yields
+//! contiguous pieces of the body, each either a Cat call (with its
+//! orientation) or a run of local gates that needs no communication.
+//! Assignment and the metrics charge a Cat block one communication per
+//! call piece, the scheduler times one Cat call per call piece, and
+//! lowering emits one `CommOp::Cat` per call piece and the local pieces as
+//! `CommOp::Local`.
 
 use std::sync::Arc;
 
-use dqc_circuit::{AxisBehavior, Gate, GateId, GateTable, WireClass};
+use dqc_circuit::{Gate, GateId, GateTable, WireClass};
 use dqc_hardware::NetworkTopology;
 
 use crate::par::par_map;
@@ -65,7 +73,9 @@ pub struct AssignedBlock {
     /// paper's metric: 1 for a single-call Cat block, `segments` for a
     /// Cat-only split, 2 for TP.
     pub comms: usize,
-    /// Number of single-call Cat segments the body splits into.
+    /// Number of single-call Cat segments the body splits into: the call
+    /// pieces of its segmentation, a remote gate opaque on the burst qubit
+    /// counting twice.
     pub segments: usize,
     /// Link-level EPR pairs this block is charged for under the hardware's
     /// routed hop distances: `comms × hops(home, node)`. Equal to `comms`
@@ -150,62 +160,103 @@ impl AssignedProgram {
     }
 }
 
-/// Splits a block body into maximal single-call Cat segments and reports
-/// the orientation when there is exactly one.
-///
-/// A segment extends while remote gates keep one orientation (Z-diagonal on
-/// the burst qubit = control form; X-diagonal = target form) and no
-/// incompatible interior gate touches the burst qubit.
-pub(crate) fn cat_segments(table: &GateTable, block: &CommBlock) -> (usize, CatOrientation) {
-    // Walks the table's precomputed per-wire class records exclusively —
-    // never the resolved gates — so the hot per-block assignment
-    // stage reads only flat arena `Vec`s. `WireClass` reproduces
-    // `AxisBehavior::of` exactly on operand wires, with `Block` standing
-    // in for non-unitary opacity (both are segment breakers here).
-    let q = block.qubit().index();
-    let mut segments = 0usize;
-    let mut current: Option<CatOrientation> = None;
-    let mut first = CatOrientation::Control;
-    for &id in block.ids() {
-        let Some(class) = table.wire_class_on(id, q) else {
-            continue; // node-local interior gate: rides along
+/// One contiguous piece of a Cat block's body, as [`CatPieces`] yields it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Piece {
+    /// One Cat-Comm call in this orientation. It starts at a remote gate
+    /// and runs over further remote gates of the same orientation, gates on
+    /// the burst qubit that are diagonal in the same basis (the cat copy
+    /// commutes through them) and node-local interior gates.
+    Call(CatOrientation),
+    /// Gates that run as local gates and need no communication: a gate on
+    /// the burst qubit that no running call can carry, and every following
+    /// gate up to the next remote gate.
+    Local,
+}
+
+/// The single-call segmentation of a block, shared by assignment, the
+/// scheduler walk and lowering: one walk over `block.ids()` through the
+/// table's precomputed wire classes (never the resolved gates), yielding
+/// contiguous `(piece, ids)` runs in order without allocating.
+pub(crate) struct CatPieces<'a> {
+    table: &'a GateTable,
+    q: usize,
+    rest: &'a [GateId],
+    /// Remote gates opaque on the burst qubit seen so far (e.g. a SWAP;
+    /// unrolling leaves none). No cat call can carry one: each is yielded
+    /// as a call of its own and charged two communications, and
+    /// [`assign_block`] sends its block over TP.
+    opaque: usize,
+}
+
+/// Segments `block` into its [`Piece`]s.
+pub(crate) fn cat_pieces<'a>(table: &'a GateTable, block: &'a CommBlock) -> CatPieces<'a> {
+    CatPieces { table, q: block.qubit().index(), rest: block.ids(), opaque: 0 }
+}
+
+impl CatPieces<'_> {
+    /// How `id` acts on the burst qubit: `None` off it, else whether it is
+    /// a remote gate (a two-qubit unitary) and the call orientation its
+    /// wire class is diagonal in. `WireClass` reproduces
+    /// `AxisBehavior::of` on operand wires, with `Block` standing in for
+    /// non-unitary opacity; both break a call.
+    fn on_burst(&self, id: GateId) -> Option<(bool, Option<CatOrientation>)> {
+        let class = self.table.wire_class_on(id, self.q)?;
+        let remote = self.table.is_unitary(id) && self.table.operand_count(id) == 2;
+        let orientation = match class {
+            WireClass::ZDiag => Some(CatOrientation::Control),
+            WireClass::XDiag => Some(CatOrientation::Target),
+            WireClass::Opaque | WireClass::Block => None,
         };
-        if table.is_unitary(id) && table.operand_count(id) == 2 {
-            let orientation = match class {
-                WireClass::ZDiag => CatOrientation::Control,
-                WireClass::XDiag => CatOrientation::Target,
-                WireClass::Opaque | WireClass::Block => {
-                    // e.g. a SWAP: no cat segment can carry it; force splits.
-                    current = None;
-                    segments += 2;
-                    continue;
-                }
-            };
-            match current {
-                Some(o) if o == orientation => {}
-                _ => {
-                    segments += 1;
-                    if segments == 1 {
-                        first = orientation;
-                    }
-                    current = Some(orientation);
-                }
+        Some((remote, orientation))
+    }
+}
+
+impl<'a> Iterator for CatPieces<'a> {
+    type Item = (Piece, &'a [GateId]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &first = self.rest.first()?;
+        let (piece, extends) = match self.on_burst(first) {
+            Some((true, Some(o))) => (Piece::Call(o), true),
+            Some((true, None)) => {
+                self.opaque += 1;
+                (Piece::Call(CatOrientation::Control), false)
             }
+            _ => (Piece::Local, true),
+        };
+        let len = 1 + if extends {
+            self.rest[1..]
+                .iter()
+                .take_while(|&&id| match (piece, self.on_burst(id)) {
+                    (_, None) => true, // node-local interior gate: rides along
+                    (Piece::Call(o), Some((_, orientation))) => orientation == Some(o),
+                    (Piece::Local, Some((remote, _))) => !remote,
+                })
+                .count()
         } else {
-            // Interior single-qubit gate on the burst qubit: compatible with
-            // the running orientation only if it is diagonal in the same
-            // basis (then the cat copy commutes through it).
-            let compatible = matches!(
-                (current, class),
-                (Some(CatOrientation::Control), WireClass::ZDiag)
-                    | (Some(CatOrientation::Target), WireClass::XDiag)
-            );
-            if !compatible {
-                current = None;
-            }
+            0
+        };
+        let (ids, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Some((piece, ids))
+    }
+}
+
+/// A block's Cat cost: its call count (at least 1, an opaque remote gate
+/// counting twice), the first call's orientation, and whether it carries
+/// an opaque remote gate.
+fn cat_cost(table: &GateTable, block: &CommBlock) -> (usize, CatOrientation, bool) {
+    let mut pieces = cat_pieces(table, block);
+    let (mut calls, mut first) = (0usize, None);
+    for (piece, _) in pieces.by_ref() {
+        if let Piece::Call(o) = piece {
+            calls += 1;
+            first.get_or_insert(o);
         }
     }
-    (segments.max(1), first)
+    let segments = (calls + pieces.opaque).max(1);
+    (segments, first.unwrap_or(CatOrientation::Control), pieces.opaque > 0)
 }
 
 /// Hybrid assignment (the paper's scheme): single-call blocks ride
@@ -279,8 +330,11 @@ fn block_hops(block: &CommBlock, routing: Option<(&Placement, &NetworkTopology)>
 /// per-block kernel both the full assignment fan-out and the incremental
 /// re-assignment share.
 fn assign_block(table: &GateTable, b: &CommBlock, hops: usize, hybrid: bool) -> AssignedBlock {
-    let (segments, orientation) = cat_segments(table, b);
-    let (scheme, comms) = if segments == 1 {
+    let (segments, orientation, opaque) = cat_cost(table, b);
+    let (scheme, comms) = if opaque {
+        // No cat call can carry the gate; TP carries anything.
+        (Scheme::Tp, 2)
+    } else if segments == 1 {
         (Scheme::Cat(orientation), 1)
     } else if !hybrid {
         (Scheme::Cat(orientation), segments)
@@ -322,7 +376,7 @@ fn assign_with(
 /// depends only on its body, and its scheme/cost only on the routed hop
 /// distance between its two physical endpoints, so an unmoved block's
 /// previous [`AssignedBlock`] is bit-identical to a fresh recompute. Only
-/// blocks with a moved endpoint re-run `cat_segments`.
+/// blocks with a moved endpoint are segmented again.
 ///
 /// This is the incremental-recompilation kernel of
 /// [`crate::AutoComm::compile_placed`]: a refinement round that moves two
@@ -364,68 +418,6 @@ pub fn assign_incremental(
         }
     });
     AssignedProgram { ir: Arc::clone(prev.ir()), items }
-}
-
-/// Splits a block into its single-call Cat segments (used when lowering
-/// Cat-only assignments, and by the scheduler to serialize split blocks).
-/// Interior node-local gates attach to the current segment. Only gate ids
-/// move — bodies are never cloned.
-pub(crate) fn split_into_segments(table: &GateTable, block: &CommBlock) -> Vec<CommBlock> {
-    let q = block.qubit();
-    let mut out: Vec<CommBlock> = Vec::new();
-    let mut current = CommBlock::new(q, block.node());
-    let mut orientation: Option<CatOrientation> = None;
-    let seal = |blk: &mut CommBlock, out: &mut Vec<CommBlock>| {
-        if !blk.is_empty() {
-            out.push(std::mem::replace(blk, CommBlock::new(q, block.node())));
-        }
-    };
-    for &id in block.ids() {
-        let gate = table.gate(id);
-        if !gate.acts_on(q) {
-            current.push(id, table);
-            continue;
-        }
-        let behavior = AxisBehavior::of(gate, q);
-        if gate.is_two_qubit_unitary() {
-            let o = match behavior {
-                AxisBehavior::ZDiag => CatOrientation::Control,
-                AxisBehavior::XDiag => CatOrientation::Target,
-                AxisBehavior::Opaque => {
-                    // Unsplittable remote gate: isolate it.
-                    seal(&mut current, &mut out);
-                    orientation = None;
-                    let mut solo = CommBlock::new(q, block.node());
-                    solo.push(id, table);
-                    out.push(solo);
-                    continue;
-                }
-            };
-            match orientation {
-                Some(cur) if cur == o => current.push(id, table),
-                _ => {
-                    seal(&mut current, &mut out);
-                    orientation = Some(o);
-                    current.push(id, table);
-                }
-            }
-        } else {
-            let compatible = matches!(
-                (orientation, behavior),
-                (Some(CatOrientation::Control), AxisBehavior::ZDiag)
-                    | (Some(CatOrientation::Target), AxisBehavior::XDiag)
-            );
-            if compatible {
-                current.push(id, table);
-            } else {
-                seal(&mut current, &mut out);
-                orientation = None;
-                current.push(id, table);
-            }
-        }
-    }
-    seal(&mut current, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -515,19 +507,41 @@ mod tests {
     }
 
     #[test]
-    fn split_segments_cover_all_gates() {
+    fn pieces_cover_all_gates_in_order() {
         let (ir, b) = ir_and_block(vec![
             Gate::cx(q(0), q(2)),
             Gate::h(q(2)),
+            Gate::h(q(0)),
+            Gate::t(q(3)),
             Gate::cx(q(2), q(0)),
             Gate::cx(q(3), q(0)),
         ]);
-        let segs = split_into_segments(ir.table(), &b);
-        assert_eq!(segs.len(), 2);
-        let total: usize = segs.iter().map(|s| s.len()).sum();
-        assert_eq!(total, b.len());
-        assert_eq!(segs[0].remote_gate_count(), 1);
-        assert_eq!(segs[1].remote_gate_count(), 2);
+        let pieces: Vec<_> = cat_pieces(ir.table(), &b).collect();
+        let kinds: Vec<Piece> = pieces.iter().map(|&(p, _)| p).collect();
+        assert_eq!(
+            kinds,
+            [
+                Piece::Call(CatOrientation::Control),
+                Piece::Local,
+                Piece::Call(CatOrientation::Target)
+            ]
+        );
+        let lens: Vec<usize> = pieces.iter().map(|(_, ids)| ids.len()).collect();
+        assert_eq!(lens, [2, 2, 2], "interior gates ride with the run before them");
+        let flat: Vec<GateId> = pieces.iter().flat_map(|(_, ids)| ids.iter().copied()).collect();
+        assert_eq!(flat, b.ids());
+        assert_eq!(cat_cost(ir.table(), &b), (2, CatOrientation::Control, false));
+    }
+
+    #[test]
+    fn opaque_remote_gate_is_charged_twice_and_takes_tp() {
+        let gates = vec![Gate::cx(q(0), q(2)), Gate::swap(q(0), q(3))];
+        let (ir, b) = ir_and_block(gates.clone());
+        assert_eq!(cat_cost(ir.table(), &b), (3, CatOrientation::Control, true));
+        for hybrid in [true, false] {
+            let a = assigned_single(gates.clone(), hybrid);
+            assert_eq!((a.scheme, a.comms, a.segments), (Scheme::Tp, 2, 3));
+        }
     }
 
     #[test]

@@ -10,11 +10,9 @@ use dqc_circuit::{Gate, GateTable, NodeId, QubitId};
 use dqc_hardware::NetworkTopology;
 use dqc_protocols::{PhysicalProgram, ProtocolExpander};
 
-use crate::assign::split_into_segments;
+use crate::assign::{cat_pieces, Piece};
 use crate::par::par_map;
-use crate::{
-    AssignedItem, AssignedProgram, CatOrientation, CommBlock, CompileError, Placement, Scheme,
-};
+use crate::{AssignedItem, AssignedProgram, CatOrientation, CompileError, Placement, Scheme};
 
 /// One planned call into the stateful [`ProtocolExpander`] — the
 /// communication-primitive form of a compiled program. Planning an item is
@@ -81,6 +79,8 @@ pub fn lower_assigned(
 ///
 /// This is the cold verification path, so block bodies are materialized
 /// from the shared gate table into the slices the protocol expander wants.
+/// The program's classical bits keep their indices; protocol measurements
+/// use bits after them.
 ///
 /// # Errors
 ///
@@ -95,7 +95,8 @@ pub fn lower_assigned_on(
     let plan = lower_plan(program, placement);
     // Apply: drive the single stateful expander sequentially.
     let mut exp =
-        ProtocolExpander::with_topology(placement.physical_partition(), topology.clone())?;
+        ProtocolExpander::with_topology(placement.physical_partition(), topology.clone())?
+            .with_program_cbits(program.num_cbits());
     for step in &plan {
         match step {
             CommOp::Local(g) => exp.push_local(g)?,
@@ -120,29 +121,30 @@ pub fn lower_plan(program: &AssignedProgram, placement: &Placement) -> Vec<CommO
 }
 
 /// Plans the expander calls for one assigned item (the pure half of
-/// lowering).
+/// lowering): a Cat block's call pieces become Cat calls and its local
+/// pieces local gates.
 fn plan_item(table: &GateTable, placement: &Placement, item: &AssignedItem) -> Vec<CommOp> {
     let mut steps = Vec::new();
     match item {
         AssignedItem::Local(id) => steps.push(CommOp::Local(table.gate(*id).clone())),
         AssignedItem::Block(b) => {
-            let node = placement.physical_of(b.block.node());
+            let (q, node) = (b.block.qubit(), placement.physical_of(b.block.node()));
             match b.scheme {
                 Scheme::Tp => {
                     let body: Vec<Gate> = b.block.gates(table).cloned().collect();
-                    steps.push(CommOp::Tp { q: b.block.qubit(), node, body });
-                }
-                Scheme::Cat(_) if b.comms == 1 => {
-                    plan_cat_segment(&mut steps, table, &b.block, node);
+                    steps.push(CommOp::Tp { q, node, body });
                 }
                 Scheme::Cat(_) => {
-                    for seg in split_into_segments(table, &b.block) {
-                        if seg.remote_gate_count() == 0 {
-                            for g in seg.gates(table) {
-                                steps.push(CommOp::Local(g.clone()));
+                    for (piece, ids) in cat_pieces(table, &b.block) {
+                        let gates = ids.iter().map(|&id| table.gate(id));
+                        match piece {
+                            Piece::Local => steps.extend(gates.cloned().map(CommOp::Local)),
+                            Piece::Call(CatOrientation::Control) => {
+                                steps.push(CommOp::Cat { q, node, body: gates.cloned().collect() });
                             }
-                        } else {
-                            plan_cat_segment(&mut steps, table, &seg, node);
+                            Piece::Call(CatOrientation::Target) => {
+                                plan_target_call(&mut steps, q, node, gates);
+                            }
                         }
                     }
                 }
@@ -152,84 +154,57 @@ fn plan_item(table: &GateTable, placement: &Placement, item: &AssignedItem) -> V
     steps
 }
 
-/// Plans one single-call Cat segment, conjugating target-form bodies into
-/// control form first. `node` is the physical node the remote block is
-/// placed on.
-fn plan_cat_segment(steps: &mut Vec<CommOp>, table: &GateTable, block: &CommBlock, node: NodeId) {
-    let q = block.qubit();
-    // A segment may start with single-qubit gates on the burst qubit left
-    // over from a split (they precede every remote gate); they execute
-    // locally on q before the communication.
-    let prefix_len = block.gates(table).take_while(|g| g.num_qubits() == 1 && g.acts_on(q)).count();
-    for g in block.gates(table).take(prefix_len) {
-        steps.push(CommOp::Local(g.clone()));
-    }
-    let mut trimmed = CommBlock::new(q, block.node());
-    for &id in &block.ids()[prefix_len..] {
-        trimmed.push(id, table);
-    }
-    if trimmed.remote_gate_count() == 0 {
-        for g in trimmed.gates(table) {
-            steps.push(CommOp::Local(g.clone()));
-        }
-        return;
-    }
-
-    let (_, orientation) = crate::assign::cat_segments(table, &trimmed);
-    match orientation {
-        CatOrientation::Control => {
-            let body: Vec<Gate> = trimmed.gates(table).cloned().collect();
-            steps.push(CommOp::Cat { q, node, body });
-        }
-        CatOrientation::Target => {
-            // Conjugation set: the burst qubit plus every partner of a
-            // remote CX in this segment.
-            let mut set: Vec<QubitId> = vec![q];
-            for g in trimmed.remote_gates(table) {
-                for &x in g.qubits() {
-                    if x != q && !set.contains(&x) {
-                        set.push(x);
-                    }
-                }
-            }
-            // Boundary Hadamards (local gates).
-            for &s in &set {
-                steps.push(CommOp::Local(Gate::h(s)));
-            }
-            // Per-gate conjugated body.
-            let mut body = Vec::with_capacity(trimmed.len() * 3);
-            for g in trimmed.gates(table) {
-                if g.is_two_qubit_unitary() && g.acts_on(q) {
-                    // CX(x → q) ≡ (H x ⊗ H q) CX(q → x) (H x ⊗ H q).
-                    let x = g
-                        .qubits()
-                        .iter()
-                        .copied()
-                        .find(|&p| p != q)
-                        .expect("two-qubit gate has a partner");
-                    body.push(Gate::cx(q, x));
-                } else if g.acts_on(q) {
-                    // Interior X-diagonal gate on the burst qubit: conjugate
-                    // algebraically so the body stays Z-diagonal on q.
-                    body.extend(h_conjugate_single(g));
-                } else {
-                    // Interior partner gate: wrap its operands in the set.
-                    let wrapped: Vec<QubitId> =
-                        g.qubits().iter().copied().filter(|x| set.contains(x)).collect();
-                    for &w in &wrapped {
-                        body.push(Gate::h(w));
-                    }
-                    body.push(g.clone());
-                    for &w in &wrapped {
-                        body.push(Gate::h(w));
-                    }
-                }
-            }
-            steps.push(CommOp::Cat { q, node, body });
-            for &s in &set {
-                steps.push(CommOp::Local(Gate::h(s)));
+/// Plans one target-form Cat call: conjugates its gates into control form
+/// and wraps the call in boundary Hadamards (paper Fig. 10a). `node` is the
+/// physical node the remote block is placed on.
+fn plan_target_call<'a>(
+    steps: &mut Vec<CommOp>,
+    q: QubitId,
+    node: NodeId,
+    gates: impl Iterator<Item = &'a Gate> + Clone,
+) {
+    // Conjugation set: the burst qubit plus every partner of a remote CX
+    // in this call.
+    let mut set: Vec<QubitId> = vec![q];
+    for g in gates.clone().filter(|g| g.is_two_qubit_unitary() && g.acts_on(q)) {
+        for &x in g.qubits() {
+            if x != q && !set.contains(&x) {
+                set.push(x);
             }
         }
+    }
+    // Boundary Hadamards (local gates).
+    for &s in &set {
+        steps.push(CommOp::Local(Gate::h(s)));
+    }
+    // Per-gate conjugated body.
+    let mut body = Vec::new();
+    for g in gates {
+        if g.is_two_qubit_unitary() && g.acts_on(q) {
+            // CX(x → q) ≡ (H x ⊗ H q) CX(q → x) (H x ⊗ H q).
+            let x =
+                g.qubits().iter().copied().find(|&p| p != q).expect("two-qubit gate has a partner");
+            body.push(Gate::cx(q, x));
+        } else if g.acts_on(q) {
+            // Interior X-diagonal gate on the burst qubit: conjugate
+            // algebraically so the body stays Z-diagonal on q.
+            body.extend(h_conjugate_single(g));
+        } else {
+            // Interior partner gate: wrap its operands in the set.
+            let wrapped: Vec<QubitId> =
+                g.qubits().iter().copied().filter(|x| set.contains(x)).collect();
+            for &w in &wrapped {
+                body.push(Gate::h(w));
+            }
+            body.push(g.clone());
+            for &w in &wrapped {
+                body.push(Gate::h(w));
+            }
+        }
+    }
+    steps.push(CommOp::Cat { q, node, body });
+    for &s in &set {
+        steps.push(CommOp::Local(Gate::h(s)));
     }
 }
 

@@ -669,7 +669,7 @@ mod tests {
                 vec![Ablation::CatOnly],
                 with_schedule(
                     qft6_prefix("5 blocks", "5 cat / 0 tp blocks", "12 comms (0 tp)"),
-                    "makespan 212.9, 13 epr",
+                    "makespan 199.6, 12 epr",
                 ),
             ),
             (vec![Ablation::PlainGreedy], with_schedule(hybrid(), "makespan 199.3, 8 epr")),

@@ -16,8 +16,12 @@
 //!   `(n-1)(tep + t_tele)` latency over teleporting home each time
 //!   (Fig. 14b).
 //!
-//! Disabling all three yields the plain-greedy ablation of paper
-//! Fig. 17(c).
+//! [`ScheduleOptions::burst_aware`] switches all three; off is the
+//! plain-greedy ablation of paper Fig. 17(c).
+//!
+//! A Cat block is walked through the same segmentation assignment charges
+//! it by: one Cat call per call piece and the local pieces as local gates, so
+//! the schedule times exactly the communications the metrics count.
 //!
 //! On top of those, [`BufferPolicy`] selects how EPR pairs are
 //! materialized. [`BufferPolicy::OnDemand`] reproduces the historical
@@ -42,24 +46,24 @@
 //! is returned (with [`BufferingReport::fell_back`] set), so `Prefetch`
 //! and `Greedy` never lose to `OnDemand`.
 
-use dqc_circuit::{CommSummary, Gate, GateTable, NodeId, QubitId};
+use dqc_circuit::{CommSummary, Gate, GateId, GateTable, NodeId, QubitId};
 use dqc_hardware::{
     BufferPolicy, HardwareSpec, NetworkTopology, ResourceManager, Timeline, TimelineEvent,
 };
 
-use crate::assign::split_into_segments;
+use crate::assign::{cat_pieces, Piece};
 use crate::metrics::BufferingReport;
 use crate::{AssignedItem, AssignedProgram, CommBlock, Placement, Scheme};
 
 /// Scheduler feature toggles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScheduleOptions {
-    /// Issue EPR preparations as early as slot availability allows.
-    pub prefetch_epr: bool,
-    /// Overlap commutable Cat blocks sharing the burst qubit.
-    pub parallel_commutable: bool,
-    /// Fuse consecutive same-qubit TP blocks into teleport cycles.
-    pub fuse_tp_chains: bool,
+    /// The paper's three burst-aware optimizations (see the module docs):
+    /// issue EPR preparations as early as slot availability allows, overlap
+    /// commutable Cat blocks sharing the burst qubit, and fuse consecutive
+    /// same-qubit TP blocks into teleport cycles. Off is the plain-greedy
+    /// ablation of Fig. 17(c).
+    pub burst_aware: bool,
     /// Record timeline events (needed for validation; off for large runs).
     pub record_events: bool,
     /// How EPR pairs are materialized relative to the bursts that consume
@@ -70,13 +74,7 @@ pub struct ScheduleOptions {
 
 impl Default for ScheduleOptions {
     fn default() -> Self {
-        ScheduleOptions {
-            prefetch_epr: true,
-            parallel_commutable: true,
-            fuse_tp_chains: true,
-            record_events: false,
-            buffer: BufferPolicy::OnDemand,
-        }
+        ScheduleOptions { burst_aware: true, record_events: false, buffer: BufferPolicy::OnDemand }
     }
 }
 
@@ -84,13 +82,7 @@ impl ScheduleOptions {
     /// The plain as-soon-as-possible schedule without burst-aware
     /// optimizations (paper Fig. 17c's “Greedy”).
     pub fn plain_greedy() -> Self {
-        ScheduleOptions {
-            prefetch_epr: false,
-            parallel_commutable: false,
-            fuse_tp_chains: false,
-            record_events: false,
-            buffer: BufferPolicy::OnDemand,
-        }
+        ScheduleOptions { burst_aware: false, ..ScheduleOptions::default() }
     }
 
     /// These options with `policy` selecting the EPR-buffering engine.
@@ -117,7 +109,8 @@ pub struct ScheduleSummary {
     pub link_traffic: Vec<(NodeId, NodeId, usize)>,
     /// Teleports (and EPR pairs) saved by TP fusion.
     pub fusion_savings: usize,
-    /// Cat blocks scheduled (counting Cat-only segments individually).
+    /// Cat calls scheduled: one per call piece of each Cat block, so it
+    /// equals the metrics' Cat communications.
     pub cat_blocks: usize,
     /// TP blocks scheduled.
     pub tp_blocks: usize,
@@ -228,19 +221,18 @@ fn schedule_run(
     while i < items.len() {
         match &items[i] {
             AssignedItem::Local(id) => {
-                let g = table.gate(*id);
-                sched.close_group_if_conflicts(g.qubits());
-                sched.rm.timeline_mut().schedule_gate(g);
+                sched.schedule_local(&[*id]);
                 i += 1;
             }
             AssignedItem::Block(b) => match b.scheme {
                 Scheme::Cat(_) => {
-                    if b.comms == 1 {
-                        sched.schedule_cat_block(&b.block);
-                    } else {
-                        // Cat-only split: one communication per segment.
-                        for seg in split_into_segments(table, &b.block) {
-                            sched.schedule_cat_block(&seg);
+                    // One communication per call; local pieces need none.
+                    for (piece, ids) in cat_pieces(table, &b.block) {
+                        match piece {
+                            Piece::Call(_) => {
+                                sched.schedule_cat_call(b.block.qubit(), b.block.node(), ids);
+                            }
+                            Piece::Local => sched.schedule_local(ids),
                         }
                     }
                     i += 1;
@@ -252,7 +244,7 @@ fn schedule_run(
                     // unitaries *on* the qubit ride the chain and execute on
                     // the teleported state at whichever node holds it.
                     let q = b.block.qubit();
-                    let chain_end = if sched.options.fuse_tp_chains {
+                    let chain_end = if sched.options.burst_aware {
                         find_chain_end(table, items, i, q)
                     } else {
                         i + 1
@@ -286,10 +278,11 @@ fn schedule_run(
 /// endpoint pairs every [`dqc_hardware::Timeline`] claim will be issued
 /// for, in consumption order. The item list is a topological
 /// linearization of the program DAG, so this sequence *is* the lookahead
-/// frontier the buffered engine prefetches along. Mirrors the walk's
-/// structural decisions exactly: Cat-split segmentation, TP chain
-/// grouping, and hop-distance-aware re-homing (all placement/topology
-/// functions, independent of timing).
+/// frontier the buffered engine prefetches along. A Cat block announces
+/// its `comms` calls (the walk schedules one per call piece); a TP chain
+/// is grouped by the walk's [`find_chain_end`] and its hops come from the
+/// walk's [`tp_legs`] (all placement/topology functions, independent of
+/// timing).
 fn comm_requests(
     program: &AssignedProgram,
     placement: &Placement,
@@ -301,64 +294,60 @@ fn comm_requests(
     let mut requests = Vec::new();
     let mut i = 0usize;
     while i < items.len() {
-        let b = match &items[i] {
-            AssignedItem::Local(_) => {
-                i += 1;
-                continue;
-            }
-            AssignedItem::Block(b) => b,
+        let AssignedItem::Block(b) = &items[i] else {
+            i += 1;
+            continue;
         };
-        match b.scheme {
-            Scheme::Cat(_) => {
-                let home = placement.physical_node_of(b.block.qubit());
-                let node = placement.physical_of(b.block.node());
-                let comms =
-                    if b.comms == 1 { 1 } else { split_into_segments(table, &b.block).len() };
-                for _ in 0..comms {
-                    requests.push((home, node));
-                }
-                i += 1;
-            }
-            Scheme::Tp => {
-                let q = b.block.qubit();
-                let chain_end =
-                    if options.fuse_tp_chains { find_chain_end(table, items, i, q) } else { i + 1 };
-                let home = placement.physical_node_of(q);
-                let mut cursor = home;
-                let mut hop = |from: NodeId, to: NodeId| requests.push((from, to));
-                for item in &items[i..chain_end] {
-                    let AssignedItem::Block(tb) = item else { continue };
-                    if tb.scheme != Scheme::Tp {
-                        continue;
-                    }
-                    let node = placement.physical_of(tb.block.node());
-                    if node != cursor {
-                        if cursor != home && node != home && rehomes(topology, cursor, node, home) {
-                            hop(cursor, home);
-                            cursor = home;
-                        }
-                        if node != cursor {
-                            hop(cursor, node);
-                            cursor = node;
-                        }
-                    }
-                }
-                hop(cursor, home);
-                i = chain_end;
+        let home = placement.physical_node_of(b.block.qubit());
+        if let Scheme::Cat(_) = b.scheme {
+            let node = placement.physical_of(b.block.node());
+            requests.extend(std::iter::repeat_n((home, node), b.comms));
+            i += 1;
+            continue;
+        }
+        let chain_end = if options.burst_aware {
+            find_chain_end(table, items, i, b.block.qubit())
+        } else {
+            i + 1
+        };
+        let mut cursor = home;
+        for item in &items[i..chain_end] {
+            if let AssignedItem::Block(tb) = item {
+                let node = placement.physical_of(tb.block.node());
+                requests.extend(tp_legs(topology, cursor, node, home));
+                cursor = node;
             }
         }
+        requests.push((cursor, home));
+        i = chain_end;
     }
     requests
 }
 
-/// The TP-chain junction decision shared by the prescan and the walk:
-/// continuing `cursor → node` directly is only worth it while strictly
-/// cheaper than re-homing (see [`Scheduler::schedule_tp_chain`]).
-fn rehomes(topology: &NetworkTopology, cursor: NodeId, node: NodeId, home: NodeId) -> bool {
-    let direct = topology.route_weight(cursor, node).expect("connected topology");
-    let via_home = topology.route_weight(cursor, home).expect("connected")
-        + topology.route_weight(home, node).expect("connected");
-    direct + 1e-12 >= via_home
+/// The teleports that carry a TP chain's state from `cursor` on to `node`
+/// (`home` is the burst qubit's node): none when it is already there, else
+/// one direct leg, or two legs through `home` when the direct route is no
+/// cheaper than re-homing. On all-to-all machines direct is always 1 < 2,
+/// preserving the paper's always-fuse behavior; on sparse topologies a
+/// junction whose route passes home anyway breaks the chain there, freeing
+/// home's comm slots at equal link cost.
+fn tp_legs(
+    topology: &NetworkTopology,
+    cursor: NodeId,
+    node: NodeId,
+    home: NodeId,
+) -> impl Iterator<Item = (NodeId, NodeId)> {
+    let weight = |a, b| topology.route_weight(a, b).expect("connected topology");
+    let rehome = cursor != home
+        && node != home
+        && cursor != node
+        && weight(cursor, node) + 1e-12 >= weight(cursor, home) + weight(home, node);
+    let legs = match (cursor == node, rehome) {
+        (true, _) => [None, None],
+        (false, true) => [Some((cursor, home)), Some((home, node))],
+        (false, false) => [Some((cursor, node)), None],
+    };
+    legs.into_iter().flatten()
 }
 
 /// Extends `[start..end)` over consecutive TP blocks with burst qubit `q`,
@@ -423,7 +412,7 @@ struct Scheduler<'a> {
 
 impl Scheduler<'_> {
     fn claim_earliest(&self, fallback: f64) -> f64 {
-        if self.options.prefetch_epr {
+        if self.options.burst_aware {
             0.0
         } else {
             fallback
@@ -441,26 +430,36 @@ impl Scheduler<'_> {
         }
     }
 
+    /// Schedules gates that need no communication, in order.
+    fn schedule_local(&mut self, ids: &[GateId]) {
+        for &id in ids {
+            let g = self.table.gate(id);
+            self.close_group_if_conflicts(g.qubits());
+            self.rm.timeline_mut().schedule_gate(g);
+        }
+    }
+
     /// Whether the candidate body commutes with every member body of the
     /// open group (an exact [`dqc_circuit::commutes_with_all`] through the
     /// group summary).
-    fn joins_group(&self, block: &CommBlock) -> bool {
-        block.ids().iter().all(|&id| self.group_summary.commutes_with(self.table, id))
+    fn joins_group(&self, ids: &[GateId]) -> bool {
+        ids.iter().all(|&id| self.group_summary.commutes_with(self.table, id))
     }
 
-    fn schedule_cat_block(&mut self, block: &CommBlock) {
+    /// Schedules one Cat call: burst qubit `q` cat-entangled to logical
+    /// node `node`, running the body `ids`.
+    fn schedule_cat_call(&mut self, q: QubitId, node: NodeId, ids: &[GateId]) {
         self.cat_blocks += 1;
-        let q = block.qubit();
         // Claims route between *physical* nodes: where the placement put
         // the home and remote blocks.
         let home = self.placement.physical_node_of(q);
-        let node = self.placement.physical_of(block.node());
+        let node = self.placement.physical_of(node);
         let lat = *self.rm.timeline().latency();
 
         // Decide group membership before touching the timeline.
-        let joins = self.options.parallel_commutable
+        let joins = self.options.burst_aware
             && matches!(&self.open_group, Some(group) if group.qubit == q)
-            && self.joins_group(block);
+            && self.joins_group(ids);
         let q_avail = if joins {
             self.open_group.as_ref().expect("joins implies open").q_stagger
         } else {
@@ -482,7 +481,7 @@ impl Scheduler<'_> {
         let mut comm_cursor = ent_end;
         let mut body_end = ent_end;
         let mut partners = Vec::new();
-        for gate in block.gates(self.table) {
+        for gate in ids.iter().map(|&id| self.table.gate(id)) {
             if gate.acts_on(q) {
                 partners.clear();
                 partners.extend(gate.qubits().iter().copied().filter(|&x| x != q));
@@ -505,7 +504,7 @@ impl Scheduler<'_> {
         tl.release_comm(&claim, dis_end);
 
         // Update / open the group; either way the body joins the summary.
-        if self.options.parallel_commutable {
+        if self.options.burst_aware {
             match &mut self.open_group {
                 Some(group) if group.qubit == q => {
                     group.q_stagger = ent_start + lat.t_2q;
@@ -517,7 +516,7 @@ impl Scheduler<'_> {
                         Some(CatGroup { qubit: q, q_stagger: ent_start + lat.t_2q, end: dis_end });
                 }
             }
-            for &id in block.ids() {
+            for &id in ids {
                 self.group_summary.add(self.table, id);
             }
         }
@@ -581,27 +580,14 @@ impl Scheduler<'_> {
                 }
             };
             let node = self.placement.physical_of(block.node());
-            if node != cursor_node {
-                // Hop-distance-aware fusion: continuing the chain directly
-                // is worth it only while the direct route is strictly
-                // cheaper than re-homing (teleport home, then out again).
-                // On all-to-all machines direct is always 1 < 2, preserving
-                // the paper's always-fuse behavior; on sparse topologies a
-                // junction whose route passes home anyway breaks the chain
-                // there, freeing home's comm slots at equal link cost.
-                if cursor_node != home
-                    && node != home
-                    && rehomes(self.rm.timeline().topology(), cursor_node, node, home)
-                {
-                    state_time = hop(self, cursor_node, home, state_time, &mut holding);
-                    cursor_node = home;
+            for (from, to) in tp_legs(self.rm.timeline().topology(), cursor_node, node, home) {
+                if to == home {
+                    // Re-homed at a junction: one fusion saving fewer.
                     self.fusion_savings = self.fusion_savings.saturating_sub(1);
                 }
-                if node != cursor_node {
-                    state_time = hop(self, cursor_node, node, state_time, &mut holding);
-                    cursor_node = node;
-                }
+                state_time = hop(self, from, to, state_time, &mut holding);
             }
+            cursor_node = node;
             // Body on `node`, with the comm qubit (holding q) serializing.
             let mut comm_cursor = state_time;
             let tl = self.rm.timeline_mut();

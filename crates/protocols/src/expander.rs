@@ -117,6 +117,18 @@ impl ProtocolExpander {
         })
     }
 
+    /// This expander with the input program's first `n` classical bits
+    /// reserved: the physical circuit starts with them, so the program's
+    /// own measurements and conditions keep their indices, and protocol
+    /// measurement bits are numbered after them. Call it before expanding
+    /// anything.
+    #[must_use]
+    pub fn with_program_cbits(mut self, n: usize) -> Self {
+        self.circuit.ensure_cbits(n);
+        self.next_cbit = self.next_cbit.max(n);
+        self
+    }
+
     /// The communication qubit `slot` (0 or 1) of `node`.
     ///
     /// # Panics
@@ -154,7 +166,9 @@ impl ProtocolExpander {
     /// Body gates must each either (a) be Z-diagonal on the burst qubit
     /// with all other operands on `node` (remote CX must have the burst
     /// qubit as control), (b) act only on `node`'s qubits, or (c) be a
-    /// single-qubit Z-diagonal gate on the burst qubit.
+    /// single-qubit Z-diagonal gate on the burst qubit. A body gate may be
+    /// conditioned on a program bit (see [`Self::with_program_cbits`]):
+    /// applied or not, it leaves the body Z-diagonal on the copy.
     ///
     /// # Errors
     ///
@@ -342,12 +356,6 @@ impl ProtocolExpander {
         node: NodeId,
         cat: bool,
     ) -> Result<(), ProtocolError> {
-        if gate.condition().is_some() {
-            return Err(ProtocolError::NotCatCompatible {
-                gate: gate.to_string(),
-                reason: "conditioned gates cannot appear inside a block body",
-            });
-        }
         for &q in gate.qubits() {
             if q != burst && self.partition.node_of(q) != node {
                 return Err(ProtocolError::ForeignQubit { qubit: q, node });

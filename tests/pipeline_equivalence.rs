@@ -100,3 +100,67 @@ fn workload_pipelines_are_exact() {
         assert!((f - 1.0).abs() < 1e-8, "fidelity {f} for {nodes}-node workload");
     }
 }
+
+/// Classically controlled programs compile to the input program: a measured
+/// bit conditions a remote `cz`, the measurement precedes the first remote
+/// block, and qubit 0 is prepared in |0⟩ or |1⟩ so the outcome is fixed.
+/// The conditioned remote gate is counted, communicated and lowered, and
+/// the program's bit keeps its index beside the protocols' own bits.
+#[test]
+fn conditioned_remote_gates_compile_exactly() {
+    use autocomm_repro::circuit::{CBitId, Circuit, Gate, QubitId};
+    use autocomm_repro::core::{lower_assigned_on, Ablation, AutoComm, AutoCommOptions};
+    use autocomm_repro::hardware::{HardwareSpec, NetworkTopology};
+
+    let q = QubitId::new;
+    let partition = Partition::block(6, 3).unwrap();
+    let final_state = |circuit: &Circuit| {
+        let mut state = StateVector::zero_state(circuit.num_qubits()).unwrap();
+        state.run(circuit, &mut SplitMix64::new(11)).unwrap();
+        state
+    };
+    for bit in [false, true] {
+        let mut c = Circuit::with_cbits(6, 1);
+        if bit {
+            c.push(Gate::x(q(0))).unwrap();
+        }
+        c.push(Gate::measure(q(0), CBitId::new(0))).unwrap();
+        for i in 1..6 {
+            c.push(Gate::ry(0.3 + 0.4 * i as f64, q(i))).unwrap();
+            c.push(Gate::t(q(i))).unwrap();
+        }
+        c.push(Gate::cx(q(1), q(4))).unwrap();
+        c.push(Gate::cx(q(4), q(1))).unwrap();
+        c.push(Gate::cz(q(1), q(3)).with_condition(CBitId::new(0))).unwrap();
+        c.push(Gate::cx(q(0), q(5))).unwrap();
+        let expected = final_state(&c);
+        for topology in [NetworkTopology::all_to_all(3), NetworkTopology::linear(3).unwrap()] {
+            let hw = HardwareSpec::for_partition(&partition).with_topology(topology).unwrap();
+            for cat_only in [false, true] {
+                let options = if cat_only {
+                    AutoCommOptions::default().with_ablation(Ablation::CatOnly)
+                } else {
+                    AutoCommOptions::default()
+                };
+                let what = format!(
+                    "c[0] = {}, {}, cat_only {cat_only}",
+                    u8::from(bit),
+                    hw.topology().name()
+                );
+                let r = AutoComm::with_options(options).compile_on(&c, &partition, &hw).unwrap();
+                let remote_cx = r
+                    .unrolled
+                    .gates()
+                    .iter()
+                    .filter(|g| g.is_two_qubit_unitary() && partition.is_remote(g))
+                    .count();
+                assert_eq!(r.metrics.total_rem_cx, remote_cx, "{what}");
+                let physical = lower_assigned_on(&r.assigned, &r.placement, hw.topology())
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let state = final_state(&physical.circuit);
+                let f = state.subset_fidelity(&expected, &physical.logical_qubits()).unwrap();
+                assert!((f - 1.0).abs() < 1e-8, "{what}: fidelity {f}");
+            }
+        }
+    }
+}
