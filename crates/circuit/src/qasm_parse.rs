@@ -177,28 +177,16 @@ fn parse_statement(stmt: &str, line_no: usize) -> Result<LineStmt, QasmParseErro
 
     // Conditional prefix: `if (c[i] == 1) <gate>`.
     let (condition, body) = if let Some(rest) = stmt.strip_prefix("if") {
-        let rest = rest.trim_start();
-        let close = rest.find(')').ok_or_else(|| QasmParseError::Syntax {
-            line: line_no,
-            message: "unterminated `if (...)`".into(),
+        let syntax = |message: String| QasmParseError::Syntax { line: line_no, message };
+        let (cond_text, body) = rest
+            .trim_start()
+            .strip_prefix('(')
+            .and_then(|t| t.split_once(')'))
+            .ok_or_else(|| syntax("unterminated `if (...)`".into()))?;
+        let bit = parse_condition(cond_text).ok_or_else(|| {
+            syntax(format!("unsupported condition `{cond_text}` (only `c[i] == 1` is)"))
         })?;
-        let cond_text = &rest[..close];
-        let bit = cond_text
-            .trim_start_matches(['(', ' '])
-            .strip_prefix("c[")
-            .and_then(|t| t.split(']').next())
-            .and_then(|t| t.parse::<usize>().ok())
-            .ok_or_else(|| QasmParseError::Syntax {
-                line: line_no,
-                message: format!("bad condition `{cond_text}`"),
-            })?;
-        if !cond_text.contains("== 1") {
-            return Err(QasmParseError::Syntax {
-                line: line_no,
-                message: "only `== 1` conditions are supported".into(),
-            });
-        }
-        (Some(CBitId::new(bit)), rest[close + 1..].trim())
+        (Some(CBitId::new(bit)), body.trim())
     } else {
         (None, stmt)
     };
@@ -208,6 +196,15 @@ fn parse_statement(stmt: &str, line_no: usize) -> Result<LineStmt, QasmParseErro
         Some(c) => gate.with_condition(c),
         None => gate,
     }))
+}
+
+/// The bit index of the condition inside `if ( … )`, which must read
+/// `c[i] == 1` with any whitespace between the tokens.
+fn parse_condition(text: &str) -> Option<usize> {
+    let rest = text.trim().strip_prefix('c')?.trim_start().strip_prefix('[')?;
+    let (index, rest) = rest.split_once(']')?;
+    let value = rest.trim_start().strip_prefix("==")?;
+    (value.trim() == "1").then(|| index.trim().parse().ok())?
 }
 
 /// The sequential splice state machine parsed statements are fed through,
@@ -602,6 +599,24 @@ mod tests {
     }
 
     #[test]
+    fn conditions_parse_with_any_whitespace() {
+        for cond in ["c[0]==1", "c[0] == 1", " c [ 0 ]  ==\t1 ", "c[0]== 1"] {
+            let text = format!("qreg q[4];\ncreg c[1];\nif ({cond}) cz q[1],q[3];\n");
+            let c = from_qasm(&text).unwrap_or_else(|e| panic!("`{cond}`: {e}"));
+            assert_eq!(c.gates()[0], Gate::cz(q(1), q(3)).with_condition(CBitId::new(0)), "{cond}");
+        }
+        for cond in ["c[0] == 10", "c[0] == 0", "c[0] != 1", "c[0] >= 1", "c[0] = 1", "c[0] == 1 1"]
+        {
+            let text = format!("qreg q[4];\ncreg c[1];\nif ({cond}) cz q[1],q[3];\n");
+            let err = from_qasm(&text).unwrap_err();
+            assert!(
+                matches!(&err, QasmParseError::Syntax { line: 3, message } if message.contains(cond)),
+                "`{cond}`: got {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn parses_conditionals_and_reset() {
         let text = "qreg q[2];\ncreg c[2];\nreset q[0];\nif (c[1] == 1) x q[0];\n";
         let c = from_qasm(text).unwrap();
@@ -722,15 +737,19 @@ mod tests {
     #[test]
     fn malformed_gates_are_located_syntax_errors() {
         for (text, line) in [
-            ("qreg q[2];\nrz q[0];\n", 2),               // missing parameter
-            ("qreg q[2];\nrz(abc) q[0];\n", 2),          // non-numeric parameter
-            ("qreg q[2];\nrz(0.5 q[0];\n", 2),           // unterminated params
-            ("qreg q[2];\nu3(0.1, 0.2) q[0];\n", 2),     // wrong param count
-            ("qreg q[2];\ncx q[0];\n", 2),               // wrong arity
-            ("qreg q[2];\nmeasure q[0];\n", 2),          // measure without ->
-            ("qreg q[2];\nif (c[0] == 0) x q[0];\n", 2), // unsupported condition
-            ("qreg q[2];\nif (c[0] == 1 x q[0];\n", 2),  // unterminated if
-            ("qreg q[2];\nh;\n", 2),                     // no operands
+            ("qreg q[2];\nrz q[0];\n", 2),                // missing parameter
+            ("qreg q[2];\nrz(abc) q[0];\n", 2),           // non-numeric parameter
+            ("qreg q[2];\nrz(0.5 q[0];\n", 2),            // unterminated params
+            ("qreg q[2];\nu3(0.1, 0.2) q[0];\n", 2),      // wrong param count
+            ("qreg q[2];\ncx q[0];\n", 2),                // wrong arity
+            ("qreg q[2];\nmeasure q[0];\n", 2),           // measure without ->
+            ("qreg q[2];\nif (c[0] == 0) x q[0];\n", 2),  // unsupported condition
+            ("qreg q[2];\nif (c[0] == 10) x q[0];\n", 2), // unsupported value
+            ("qreg q[2];\nif (c[0] != 1) x q[0];\n", 2),  // unsupported operator
+            ("qreg q[2];\nif (c[0]) x q[0];\n", 2),       // no comparison
+            ("qreg q[2];\nif (c[x] == 1) x q[0];\n", 2),  // bad bit index
+            ("qreg q[2];\nif (c[0] == 1 x q[0];\n", 2),   // unterminated if
+            ("qreg q[2];\nh;\n", 2),                      // no operands
         ] {
             let err = from_qasm(text).unwrap_err();
             assert!(
@@ -813,6 +832,10 @@ mod tests {
             ("non-finite parameter", "rz(inf) q[0];\n"),
             ("oversized qreg", "qreg q[3000000000];\n"),
             ("oversized creg", "creg c[3000000000];\n"),
+            ("spaceless condition", "if (c[0]==1) cz q[1],q[3];\n"),
+            ("condition value 10", "if (c[0] == 10) x q[0];\n"),
+            ("condition value 0", "if (c[0] == 0) x q[0];\n"),
+            ("not-equal condition", "if (c[0] != 1) x q[0];\n"),
         ] {
             let mut text = adversarial_qasm(crate::PAR_THRESHOLD);
             // Inject the fault mid-program, then append a *different*,

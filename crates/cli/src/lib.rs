@@ -240,8 +240,8 @@ impl CompileReport {
         // the structural "passes" array, so profiling consumers (the bench
         // harness, the CI perf gate) can key on pass names directly. The
         // placement optimizer's work counters ride along under
-        // "placement_work" — wall-clock numbers alone can't distinguish a
-        // warm cache hit from a fast cold scan.
+        // "placement_work" — wall-clock numbers alone can't tell how much
+        // of a full rescan the exchange loop skipped.
         let timings = self.args.timings.then(|| {
             (
                 "timings",

@@ -488,10 +488,10 @@ impl Default for PlacementConfig {
 pub struct PlacementWork {
     /// Qubit exchanges the hop-weighted OEE applied.
     pub oee_exchanges: usize,
-    /// Candidate gains OEE computed (cold scans plus delta updates).
+    /// Candidate pairs whose gain OEE's node-pair searches evaluated.
     pub oee_scanned: u64,
-    /// Candidate gains OEE reused from its gain cache instead of
-    /// recomputing — the work the gain cache saved over a full rescan.
+    /// The rest of a full rescan's candidate gains: the work OEE's sorted
+    /// move-gain lists saved (see `dqc_partition::OeeStats::cache_hits`).
     pub oee_cache_hits: u64,
     /// Block swaps the map-placement refinement applied.
     pub place_exchanges: usize,

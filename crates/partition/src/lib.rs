@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 mod distance;
-mod gain_table;
 mod graph;
 mod oee;
 mod place;

@@ -2,32 +2,38 @@
 //!
 //! # Scaling
 //!
-//! The exchange loop is gain-cached: every candidate pair's positive gain
-//! is held in an upper-triangular table (at most `n(n−1)/2 × 8` bytes:
-//! 16.8 MB at 2048 qubits, 67 MB at 4096) whose rows track their own best
-//! entry, so the next exchange is the maximum over row bests. After an
-//! exchange of `(a, b)` only pairs touching `a`, `b`, or one of their
-//! neighbors can change gain, so the loop delta-updates that affected set
-//! (FM-style) instead of rescanning all O(n²) pairs per applied exchange.
-//! Per-node member lists, kept sorted across swaps, let a pure neighbor's
-//! sweep visit only the nodes whose gain shift is non-zero.
+//! Write `mdist[q][C]` for the distance-weighted neighbor mass qubit `q`
+//! would see from node `C`, and `u(q, C) = mdist[q][home(q)] − mdist[q][C]`
+//! for the cut reduction of moving `q` alone to `C`. Exchanging `a` (node
+//! `A`) with `b` (node `B`) then lowers the weighted cut by
+//!
+//! ```text
+//! gain(a, b) = u(a, B) + u(b, A) − 2·w_ab·d(A, B)
+//! ```
+//!
+//! which is separable except for the edge term, ≤ 0 and non-zero only on
+//! graph edges. The loop keeps one sorted list per ordered node pair
+//! `(A, B)` — A's qubits by `u(·, B)` descending — and finds the best
+//! exchange between two nodes with a bounded walk over their two lists
+//! ([`best_exchange`]); only the best of each node pair is kept, and the
+//! next exchange is the best of those. After an exchange only the entries
+//! whose `u` moved are re-keyed — every entry of the swapped pair, and for
+//! a neighbor only the targets its mass shift reaches — and only the node
+//! pairs whose lists changed are searched again. The state is O(n·k): the
+//! `mdist` table and `n·(k−1)` list entries, a few MB at the 16,384-qubit
+//! register cap on 8 nodes.
 //!
 //! The historical full rescan, O(n²·k) per exchange, lives on in this
-//! file's test module as the reference the gain-cached loop must match
-//! exchange for exchange. The OEE golden tests pin the loop's output at
-//! 1024–4096 qubits.
-//!
-//! The cold first-round scan maps the rows of the candidate space through
-//! [`dqc_circuit::par_map`], which fans row chunks across worker threads
-//! from `PAR_THRESHOLD` rows and merges per-row results in input order, so
-//! the winner is the one a row-major scan finds. The 4096-qubit row of the
-//! OEE golden tests pins the threaded scan.
+//! file's test module as the reference this loop must match exchange for
+//! exchange. The OEE golden tests pin the loop's output at 1024–4096
+//! qubits.
 
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 use std::sync::Once;
 
-use dqc_circuit::{par_map, CircuitError, NodeId, Partition, QubitId};
+use dqc_circuit::{CircuitError, NodeId, Partition, QubitId};
 
-use crate::gain_table::GainTable;
 use crate::{InteractionGraph, NodeDistance, UniformDistance};
 
 /// Tuning knobs for the OEE loop.
@@ -53,12 +59,13 @@ impl Default for OeeOptions {
 pub struct OeeStats {
     /// Exchanges actually applied.
     pub exchanges: usize,
-    /// Candidate gains computed (cold scans, rescans, and delta updates).
+    /// Candidate pairs whose gain a node-pair search evaluated.
     pub scanned: u64,
-    /// Candidate gains reused from the cache instead of recomputed — the
-    /// work the gain cache saved relative to a full rescan. `scanned +
-    /// cache_hits` is the full rescan's count: every cross-node pair, once
-    /// for the first pick and once after each applied exchange.
+    /// The rest of a full rescan's work: `(exchanges + 1) × cross pairs −
+    /// scanned`, the candidate gains the bounded searches and the per-node-
+    /// pair bests never had to compute. `scanned + cache_hits` is the full
+    /// rescan's count: every cross-node pair, once for the first pick and
+    /// once after each applied exchange.
     pub cache_hits: u64,
     /// True when the loop stopped at [`OeeOptions::max_exchanges`] while an
     /// improving exchange still existed — the result is under-refined.
@@ -75,26 +82,23 @@ impl OeeStats {
     }
 }
 
-/// Reusable warm-start state for [`oee_refine_cached`]: the per-qubit node
-/// weights and the positive-gain table from the end of the previous
-/// refinement. When the next call presents the same graph, assignment, and
-/// block→node distances, the cold O(n²) scan is skipped entirely — the
-/// refinement loop resumes exactly where it left off (trivially so when the
-/// previous run terminated with no improving exchange left).
+/// Reusable warm-start state for [`oee_refine_cached`]: the `mdist` table,
+/// the sorted move-gain lists and the best exchange of every node pair from
+/// the end of the previous refinement. When the next call presents the
+/// same graph, assignment, and block→node distances, no list is built and
+/// no node pair is searched — the refinement loop resumes exactly where it
+/// left off (trivially so when the previous run terminated with no
+/// improving exchange left).
 ///
 /// Only perfbench's replayed placement driver (`perfbench/src/trace.rs`)
 /// uses it; `autocomm`'s `compile_placed` refines cold every round, since
 /// the warm start never hit on its workloads.
 #[derive(Debug, Default)]
 pub struct OeeCache {
-    valid: bool,
     graph_version: u64,
     assignment: Vec<NodeId>,
     dmat: Vec<i64>,
-    k: usize,
-    node_w: Vec<i64>,
-    mdist: Vec<i64>,
-    gains: GainTable,
+    state: Option<ExchangeState>,
 }
 
 impl OeeCache {
@@ -103,14 +107,23 @@ impl OeeCache {
         OeeCache::default()
     }
 
-    /// True when the cached state matches `(graph, partition, dmat)` and
-    /// the refinement can resume without a cold scan.
-    fn matches(&self, graph: &InteractionGraph, partition: &Partition, dmat: &[i64]) -> bool {
-        self.valid
+    /// The cached state, when it matches `(graph, partition, dmat)` and the
+    /// refinement can resume without building or searching anything.
+    fn take_matching(
+        &mut self,
+        graph: &InteractionGraph,
+        partition: &Partition,
+        dmat: &[i64],
+    ) -> Option<ExchangeState> {
+        let matches = self.state.as_ref().is_some_and(|s| s.k == partition.num_nodes())
             && self.graph_version == graph.version()
-            && self.k == partition.num_nodes()
             && self.dmat == dmat
-            && self.assignment.as_slice() == partition.assignment()
+            && self.assignment.as_slice() == partition.assignment();
+        if matches {
+            self.state.take()
+        } else {
+            None
+        }
     }
 }
 
@@ -119,18 +132,15 @@ impl OeeCache {
 ///
 /// # Determinism
 ///
-/// The result is fully deterministic across runs and platforms: the
-/// exchange loop scans candidate pairs in ascending `(a, b)` qubit order
-/// and only a *strictly larger* gain displaces the running best, so equal
-/// gains always resolve to the lexicographically-first exchange. The
-/// gain-cached mode preserves this exactly — each row of its gain table
-/// keeps its highest gain at the smallest partner `b`, and the pick takes
-/// the highest row best at the smallest row `a`, rescanning any row whose
-/// best was lowered before it could be passed over, so the pick is the
-/// highest gain and, among equal gains, the smallest `(a, b)` pair — and
-/// the parallel cold scan merges per-row results in ascending row order.
-/// Placement baselines recorded from this partitioner are reproducible bit
-/// for bit.
+/// The result is fully deterministic across runs and platforms: every
+/// applied exchange is the candidate pair with the highest gain and, among
+/// equal gains, the smallest `(lo, hi)` qubit pair — the winner of a scan
+/// over candidate pairs in ascending `(a, b)` order in which only a
+/// *strictly larger* gain displaces the running best. Each node-pair search
+/// keeps walking while its bound *equals* the best gain found, so ties
+/// resolve the same way inside a node pair, and the pick across node pairs
+/// applies the same order. Placement baselines recorded from this
+/// partitioner are reproducible bit for bit.
 ///
 /// # Errors
 ///
@@ -157,8 +167,8 @@ pub fn oee_refine(
     options: OeeOptions,
 ) -> Partition {
     // The uniform metric with the identity block→node map reproduces the
-    // historical unweighted objective exactly (same gains, same scan order,
-    // same tie-breaks), so this delegation is bit-identical to the
+    // historical unweighted objective exactly (same gains, same
+    // tie-breaks), so this delegation is bit-identical to the
     // pre-placement OEE.
     let identity: Vec<NodeId> = (0..partition.num_nodes()).map(NodeId::new).collect();
     oee_refine_on(graph, partition, &identity, &UniformDistance, options)
@@ -171,9 +181,8 @@ pub fn oee_refine(
 /// `NetworkTopology`).
 ///
 /// With [`UniformDistance`] and the identity map this is exactly the
-/// historical unweighted OEE. The same determinism guarantee applies:
-/// candidates scan in ascending `(a, b)` order and only strict gain
-/// improvements displace the running best.
+/// historical unweighted OEE. The same determinism guarantee applies: the
+/// highest gain wins, and equal gains resolve to the smallest qubit pair.
 ///
 /// # Panics
 ///
@@ -201,11 +210,11 @@ pub fn oee_refine_on_stats(
 
 /// [`oee_refine_on_stats`] with a warm-start cache: when `cache` still
 /// matches `(graph, partition, node_map, dist)` — a driver re-refining an
-/// unchanged partition under an unchanged map — the cold candidate scan is
-/// skipped and every skipped gain counts as a cache hit. The refined
-/// partition is always identical to the uncached call; only the work
-/// counters differ. Kept for perfbench's replayed placement driver only
-/// (see [`OeeCache`]).
+/// unchanged partition under an unchanged map — the lists are not rebuilt,
+/// no node pair is searched, and every candidate counts as a cache hit.
+/// The refined partition is always identical to the uncached call; only
+/// the work counters differ. Kept for perfbench's replayed placement driver
+/// only (see [`OeeCache`]).
 pub fn oee_refine_cached(
     graph: &InteractionGraph,
     partition: Partition,
@@ -215,37 +224,6 @@ pub fn oee_refine_cached(
     cache: &mut OeeCache,
 ) -> (Partition, OeeStats) {
     refine_impl(graph, partition, node_map, dist, options, Some(cache))
-}
-
-/// Walks a qubit's ascending CSR neighbor row in lockstep with an ascending
-/// sweep of partner indices, so each `weight(x, y)` is an O(1) amortized
-/// pointer advance instead of a hash probe per candidate pair.
-struct WeightWalker<'a> {
-    cols: &'a [u32],
-    weights: &'a [u64],
-    idx: usize,
-}
-
-impl<'a> WeightWalker<'a> {
-    fn new(graph: &'a InteractionGraph, q: QubitId) -> Self {
-        let (cols, weights) = graph.neighbor_row(q);
-        WeightWalker { cols, weights, idx: 0 }
-    }
-
-    /// The weight of the edge to `y`, or 0. `y` must be strictly increasing
-    /// across calls on the same walker.
-    #[inline]
-    fn weight_to(&mut self, y: u32) -> i64 {
-        while self.idx < self.cols.len() && self.cols[self.idx] < y {
-            self.idx += 1;
-        }
-        if self.idx < self.cols.len() && self.cols[self.idx] == y {
-            let w = self.weights[self.idx] as i64;
-            self.idx += 1;
-            return w;
-        }
-        0
-    }
 }
 
 /// Block-to-block distances under the map, flattened (k is small).
@@ -259,125 +237,6 @@ fn build_dmat(node_map: &[NodeId], dist: &impl NodeDistance, k: usize) -> Vec<i6
     dmat
 }
 
-/// `node_w[q*k + node]` = total edge weight between `q` and the qubits of
-/// `node`. Built in O(edges) from the CSR edge list.
-fn build_node_w(graph: &InteractionGraph, partition: &Partition, k: usize) -> Vec<i64> {
-    let mut node_w = vec![0i64; graph.num_qubits() * k];
-    for (a, b, w) in graph.edges() {
-        node_w[a.index() * k + partition.node_of(b).index()] += w as i64;
-        node_w[b.index() * k + partition.node_of(a).index()] += w as i64;
-    }
-    node_w
-}
-
-/// Swaps `(a, b)` in the partition and delta-updates the node-weight rows:
-/// every neighbor of `a` sees a move `na→nb`, every neighbor of `b` sees
-/// `nb→na`. O(degree(a) + degree(b)).
-fn apply_exchange(
-    graph: &InteractionGraph,
-    partition: &mut Partition,
-    node_w: &mut [i64],
-    k: usize,
-    a: u32,
-    b: u32,
-) {
-    let qa = QubitId::new(a as usize);
-    let qb = QubitId::new(b as usize);
-    let na = partition.node_of(qa).index();
-    let nb = partition.node_of(qb).index();
-    partition.swap_qubits(qa, qb);
-    for (u, w) in graph.neighbors(qa) {
-        let row = u.index() * k;
-        node_w[row + na] -= w as i64;
-        node_w[row + nb] += w as i64;
-    }
-    for (u, w) in graph.neighbors(qb) {
-        let row = u.index() * k;
-        node_w[row + nb] -= w as i64;
-        node_w[row + na] += w as i64;
-    }
-}
-
-/// `mdist[q*k + B]` = `Σ_C node_w[q][C] · d(B, C)` — the distance-weighted
-/// neighbor mass `q` would see from node `B`. Exchanging `a` (block `A`)
-/// with `b` (block `B`) lowers the weighted cut by
-///
-/// ```text
-/// gain(a, b) = mdist[a][A] − mdist[a][B] + mdist[b][B] − mdist[b][A]
-///            − 2·w_ab·d(A, B)
-/// ```
-///
-/// where the last term removes the double-counted `(a, b)` edge, whose own
-/// contribution the swap leaves unchanged. Exact i64 arithmetic: four table
-/// loads per gain.
-fn build_mdist(node_w: &[i64], dmat: &[i64], k: usize) -> Vec<i64> {
-    let n = node_w.len() / k.max(1);
-    let mut mdist = vec![0i64; node_w.len()];
-    for q in 0..n {
-        let row = &node_w[q * k..(q + 1) * k];
-        let out = &mut mdist[q * k..(q + 1) * k];
-        for (b, slot) in out.iter_mut().enumerate() {
-            let d = &dmat[b * k..(b + 1) * k];
-            *slot = row.iter().zip(d).map(|(&w, &dist)| w * dist).sum();
-        }
-    }
-    mdist
-}
-
-/// The gain of exchanging `lo` (node `nlo`) with `hi` (node `nhi`) read
-/// from the [`build_mdist`] table.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn mdist_gain(
-    mdist: &[i64],
-    dmat: &[i64],
-    k: usize,
-    lo: usize,
-    hi: usize,
-    nlo: usize,
-    nhi: usize,
-    w: i64,
-) -> i64 {
-    let ml = &mdist[lo * k..(lo + 1) * k];
-    let mh = &mdist[hi * k..(hi + 1) * k];
-    ml[nlo] - ml[nhi] + mh[nhi] - mh[nlo] - 2 * w * dmat[nlo * k + nhi]
-}
-
-/// [`apply_exchange`] plus the matching `mdist` delta: a neighbor whose
-/// node-weight row moved mass `na→nb` sees `mdist[u][B] += w·(d(B,nb) −
-/// d(B,na))` for every B. O((degree(a) + degree(b))·k).
-#[allow(clippy::too_many_arguments)]
-fn apply_exchange_mdist(
-    graph: &InteractionGraph,
-    partition: &mut Partition,
-    node_w: &mut [i64],
-    mdist: &mut [i64],
-    dmat: &[i64],
-    k: usize,
-    a: u32,
-    b: u32,
-) {
-    let qa = QubitId::new(a as usize);
-    let qb = QubitId::new(b as usize);
-    let na = partition.node_of(qa).index();
-    let nb = partition.node_of(qb).index();
-    // d(B, nb) − d(B, na) per B, hoisted out of the neighbor loops.
-    let delta: Vec<i64> = (0..k).map(|bb| dmat[bb * k + nb] - dmat[bb * k + na]).collect();
-    for (u, w) in graph.neighbors(qa) {
-        let row = &mut mdist[u.index() * k..(u.index() + 1) * k];
-        for (slot, &d) in row.iter_mut().zip(&delta) {
-            *slot += w as i64 * d;
-        }
-    }
-    for (u, w) in graph.neighbors(qb) {
-        let row = &mut mdist[u.index() * k..(u.index() + 1) * k];
-        for (slot, &d) in row.iter_mut().zip(&delta) {
-            *slot -= w as i64 * d;
-        }
-    }
-    apply_exchange(graph, partition, node_w, k, a, b);
-}
-
 /// Number of cross-node candidate pairs under the current node sizes
 /// (invariant under exchanges, which preserve per-node loads).
 fn cross_pair_count(partition: &Partition) -> u64 {
@@ -386,7 +245,7 @@ fn cross_pair_count(partition: &Partition) -> u64 {
     for &node in partition.assignment() {
         sizes[node.index()] += 1;
     }
-    n * (n - 1) / 2 - sizes.iter().map(|&s| s * (s - 1) / 2).sum::<u64>()
+    n * (n - 1) / 2 - sizes.iter().map(|&s| s * s.saturating_sub(1) / 2).sum::<u64>()
 }
 
 /// One-time process warning when an exchange loop hits its safety valve.
@@ -408,7 +267,7 @@ fn refine_impl(
     node_map: &[NodeId],
     dist: &impl NodeDistance,
     options: OeeOptions,
-    cache: Option<&mut OeeCache>,
+    mut cache: Option<&mut OeeCache>,
 ) -> (Partition, OeeStats) {
     let n = graph.num_qubits();
     let mut stats = OeeStats::default();
@@ -420,13 +279,36 @@ fn refine_impl(
     assert!(node_map.len() >= k, "node map must cover every block");
 
     let dmat = build_dmat(node_map, dist, k);
+    #[cfg(debug_assertions)]
     let initial_cut = graph.placed_cut_weight(&partition, node_map, dist);
 
-    refine_gain_cached(graph, &mut partition, &dmat, k, options, &mut stats, cache);
+    let warm = cache.as_deref_mut().and_then(|c| c.take_matching(graph, &partition, &dmat));
+    let mut state = warm.unwrap_or_else(|| {
+        ExchangeState::new(graph, partition.assignment(), &dmat, k, &mut stats.scanned)
+    });
+    while let Some((_, a, b)) = state.pick() {
+        if stats.exchanges == options.max_exchanges {
+            stats.saturated = true;
+            break;
+        }
+        state.exchange(graph, &mut partition, &dmat, a, b, &mut stats.scanned);
+        stats.exchanges += 1;
+    }
+    // A full rescan scores every cross pair for the first pick and again
+    // after each applied exchange; whatever this loop did not score counts
+    // as reused.
+    stats.cache_hits = (stats.exchanges as u64 + 1) * cross_pair_count(&partition) - stats.scanned;
 
+    if let Some(cache) = cache {
+        cache.graph_version = graph.version();
+        cache.assignment = partition.assignment().to_vec();
+        cache.dmat = dmat;
+        cache.state = Some(state);
+    }
     if stats.saturated {
         warn_saturated("OEE refinement", options.max_exchanges);
     }
+    #[cfg(debug_assertions)]
     debug_assert!(
         graph.placed_cut_weight(&partition, node_map, dist) <= initial_cut,
         "OEE must never increase the (weighted) cut"
@@ -434,261 +316,343 @@ fn refine_impl(
     (partition, stats)
 }
 
-/// The gain-cached fast path: one cold scan fills the gain table; each
-/// applied exchange then delta-updates only the pairs whose gain can have
-/// changed — those touching the swapped qubits or one of their neighbors.
-#[allow(clippy::too_many_arguments)]
-fn refine_gain_cached(
-    graph: &InteractionGraph,
-    partition: &mut Partition,
-    dmat: &[i64],
-    k: usize,
-    options: OeeOptions,
-    stats: &mut OeeStats,
-    cache: Option<&mut OeeCache>,
-) {
-    let n = graph.num_qubits();
-    let cross_pairs = cross_pair_count(partition);
+/// One move-gain list entry, `(Reverse(u), qubit)`: a list iterates by `u`
+/// descending, then by qubit ascending.
+type MoveKey = (Reverse<i64>, u32);
 
-    let mut cache = cache;
-    let warm_state = cache.as_deref_mut().and_then(|c| {
-        c.matches(graph, partition, dmat).then(|| {
-            (
-                std::mem::take(&mut c.node_w),
-                std::mem::take(&mut c.mdist),
-                std::mem::take(&mut c.gains),
-            )
-        })
-    });
-    let (mut node_w, mut mdist, mut gains) = if let Some(state) = warm_state {
-        // Every candidate gain was reused instead of re-derived.
-        stats.cache_hits += cross_pairs;
-        state
-    } else {
-        let node_w = build_node_w(graph, partition, k);
-        let mdist = build_mdist(&node_w, dmat, k);
-        // A stale cache still lends its table, whose chunk storage is
-        // already faulted in.
-        let mut gains =
-            cache.as_deref_mut().map(|c| std::mem::take(&mut c.gains)).unwrap_or_default();
-        gains.clear(n);
-        let assignment = partition.assignment();
-        // Row `a` of the upper-triangular candidate space covers pairs
-        // `(a, b)` for `b > a`; `par_map` returns rows in ascending order.
-        let rows: Vec<u32> = (0..n as u32).collect();
-        let per_row = par_map(&rows, |&row| {
-            let a = row as usize;
-            let na = assignment[a].index();
-            let mut walker = WeightWalker::new(graph, QubitId::new(a));
-            let mut positives: Vec<(u32, i64)> = Vec::new();
-            let mut scanned = 0u64;
-            for (b, node) in assignment.iter().enumerate().skip(a + 1) {
-                let w_ab = walker.weight_to(b as u32);
-                let nb = node.index();
-                if na == nb {
-                    continue;
-                }
-                let gain = mdist_gain(&mdist, dmat, k, a, b, na, nb, w_ab);
-                scanned += 1;
-                if gain > 0 {
-                    positives.push((b as u32, gain));
-                }
-            }
-            (positives, scanned)
-        });
-        let (positives, scanned): (Vec<_>, Vec<u64>) = per_row.into_iter().unzip();
-        stats.scanned += scanned.iter().sum::<u64>();
-        gains.load(&positives);
-        (node_w, mdist, gains)
-    };
+/// A candidate exchange `(gain, lo, hi)` of qubits `lo < hi`.
+type Pick = (i64, u32, u32);
 
-    // Ascending member list per node, kept in step with every exchange so
-    // the pure-neighbor sweep below visits only the nodes it must.
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); k];
-    for (q, node) in partition.assignment().iter().enumerate() {
-        members[node.index()].push(q as u32);
-    }
-
-    // Per-exchange scratch (reset after each exchange): affected-set
-    // membership marks, the net edge weight of each qubit toward the
-    // swapped pair (`cx[u] = w(u, a) − w(u, b)`), and the per-node gain
-    // shift table.
-    let mut in_affected = vec![false; n];
-    let mut cx = vec![0i64; n];
-    let mut shift = vec![0i64; k];
-
-    while let Some((a, b)) = gains.best() {
-        if stats.exchanges == options.max_exchanges {
-            stats.saturated = true;
-            break;
-        }
-        let qa = QubitId::new(a as usize);
-        let qb = QubitId::new(b as usize);
-        // Pre-swap homes of the exchanged pair, and the per-node distance
-        // delta their neighbors' mdist rows move by.
-        let na = partition.node_of(qa).index();
-        let nb = partition.node_of(qb).index();
-        let delta: Vec<i64> = (0..k).map(|bb| dmat[bb * k + nb] - dmat[bb * k + na]).collect();
-        apply_exchange_mdist(graph, partition, &mut node_w, &mut mdist, dmat, k, a, b);
-        move_member(&mut members[na], a, b);
-        move_member(&mut members[nb], b, a);
-        stats.exchanges += 1;
-
-        // Gains can only have changed for pairs with an endpoint in
-        // S = {a, b} ∪ N(a) ∪ N(b): the swap changes node_of for a and b
-        // and the node-weight rows of their neighbors; every other pair's
-        // gain inputs are untouched.
-        let mut affected: Vec<u32> = Vec::with_capacity(2 + graph.degree(qa) + graph.degree(qb));
-        affected.push(a);
-        affected.push(b);
-        for (u, w) in graph.neighbors(qa) {
-            affected.push(u.index() as u32);
-            cx[u.index()] += w as i64;
-        }
-        for (u, w) in graph.neighbors(qb) {
-            affected.push(u.index() as u32);
-            cx[u.index()] -= w as i64;
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        for &x in &affected {
-            in_affected[x as usize] = true;
-        }
-
-        let assignment = partition.assignment();
-        let mut recomputed = 0u64;
-
-        // Pass 1: pairs inside the affected set — both endpoints' gain
-        // inputs moved, so recompute fully, once per pair from the smaller
-        // endpoint (`affected` is sorted, so a per-x walker sees ascending
-        // partners).
-        for (i, &x) in affected.iter().enumerate() {
-            let xi = x as usize;
-            let nx = assignment[xi].index();
-            let mx = &mdist[xi * k..(xi + 1) * k];
-            let mx_nx = mx[nx];
-            let dx = &dmat[nx * k..(nx + 1) * k];
-            let mut walker = WeightWalker::new(graph, QubitId::new(xi));
-            for &y in &affected[i + 1..] {
-                let w = walker.weight_to(y);
-                let yi = y as usize;
-                let ny = assignment[yi].index();
-                if nx == ny {
-                    gains.set(x, y, 0);
-                    continue;
-                }
-                // The endpoint-symmetric [`mdist_gain`] sum (NodeDistance
-                // guarantees d(A, B) = d(B, A)), so no lo/hi reorder here
-                // or below.
-                let my = &mdist[yi * k..(yi + 1) * k];
-                recomputed += 1;
-                gains.set(x, y, mx_nx - mx[ny] + my[ny] - my[nx] - 2 * w * dx[ny]);
-            }
-        }
-
-        // Pass 2: pairs (x, y) with x affected, y outside the set. For the
-        // swapped qubits themselves the home node changed — recompute the
-        // whole row. For a pure neighbor `x`, only its mdist row moved, by
-        // exactly `cx[x]·delta[B]` per node B, so the gain of (x, y)
-        // shifts by the per-node constant `cx[x]·(delta[nx] − delta[ny])`:
-        // cached candidates update by addition, non-candidates can only
-        // become positive where the shift is positive, and nodes with a
-        // zero shift (most of them under near-uniform metrics) are skipped
-        // outright — all bit-identical to a full recompute, since gains
-        // are linear in the mdist row.
-        for &x in &affected {
-            let xi = x as usize;
-            let nx = assignment[xi].index();
-            let mx = &mdist[xi * k..(xi + 1) * k];
-            let mx_nx = mx[nx];
-            let dx = &dmat[nx * k..(nx + 1) * k];
-            if x == a || x == b {
-                let mut walker = WeightWalker::new(graph, QubitId::new(xi));
-                for y in 0..n as u32 {
-                    let w = walker.weight_to(y);
-                    let yi = y as usize;
-                    if in_affected[yi] {
-                        continue;
-                    }
-                    let ny = assignment[yi].index();
-                    if nx == ny {
-                        gains.set(x, y, 0);
-                        continue;
-                    }
-                    let my = &mdist[yi * k..(yi + 1) * k];
-                    recomputed += 1;
-                    gains.set(x, y, mx_nx - mx[ny] + my[ny] - my[nx] - 2 * w * dx[ny]);
-                }
-                continue;
-            }
-            // `shift[nx] = 0` by construction, which is also correct: a
-            // same-node pair can never be (or have been) a candidate.
-            let c = cx[xi];
-            for (bb, s) in shift.iter_mut().enumerate() {
-                *s = c * (delta[nx] - delta[bb]);
-            }
-            for (ny, (&s, node_members)) in shift.iter().zip(&members).enumerate() {
-                if s == 0 {
-                    continue;
-                }
-                // Each member list ascends, so one walker per node.
-                let mut walker = WeightWalker::new(graph, QubitId::new(xi));
-                for &y in node_members {
-                    let yi = y as usize;
-                    if in_affected[yi] {
-                        continue;
-                    }
-                    recomputed += 1;
-                    if !gains.shift(x, y, s) && s > 0 {
-                        // Previously non-positive; only a positive shift
-                        // can push it across zero.
-                        let w = walker.weight_to(y);
-                        let my = &mdist[yi * k..(yi + 1) * k];
-                        gains.set(x, y, mx_nx - mx[ny] + my[ny] - my[nx] - 2 * w * dx[ny]);
-                    }
-                }
-            }
-        }
-        stats.scanned += recomputed;
-        // Every cross pair outside the affected sweep kept its cached gain.
-        stats.cache_hits += cross_pairs.saturating_sub(recomputed);
-        for &x in &affected {
-            in_affected[x as usize] = false;
-            cx[x as usize] = 0;
-        }
-    }
-
-    if let Some(cache) = cache {
-        cache.valid = true;
-        cache.graph_version = graph.version();
-        cache.assignment = partition.assignment().to_vec();
-        cache.dmat = dmat.to_vec();
-        cache.k = k;
-        cache.node_w = node_w;
-        cache.mdist = mdist;
-        cache.gains = gains;
-    }
+/// True when `pick` displaces `best`: a larger gain, or an equal gain on a
+/// smaller `(lo, hi)` pair.
+fn beats(pick: Pick, best: Option<Pick>) -> bool {
+    best.is_none_or(|(gain, lo, hi)| {
+        pick.0 > gain || (pick.0 == gain && (pick.1, pick.2) < (lo, hi))
+    })
 }
 
-/// Replaces `leaving` with `arriving` in an ascending member list, keeping
-/// it sorted.
-fn move_member(members: &mut Vec<u32>, leaving: u32, arriving: u32) {
-    let at = members.binary_search(&leaving).expect("exchanged qubit is a member of its node");
-    members.remove(at);
-    let at = members.binary_search(&arriving).unwrap_err();
-    members.insert(at, arriving);
+/// The best positive exchange between node `A`, whose qubits `rows` holds
+/// keyed by `u(·, B)`, and node `B`, whose qubits `cols` holds keyed by
+/// `u(·, A)`; `penalty` is `2·d(A, B)`. Counts every evaluated pair into
+/// `scanned`.
+///
+/// A pair's gain never exceeds its bound `ua + ub`, which falls along a row
+/// and down the rows, so the walk stops a row at its first partner that
+/// pays no edge penalty (every later partner is bounded by that gain, and
+/// on a tie has the larger qubit), stops a row once the bound is `≤ 0` or
+/// below the best gain found, and stops the walk once a row's bound with
+/// the top partner is. An *equal* bound keeps walking, so ties resolve to
+/// the smallest `(lo, hi)` pair.
+fn best_exchange(
+    graph: &InteractionGraph,
+    rows: &BTreeSet<MoveKey>,
+    cols: &BTreeSet<MoveKey>,
+    penalty: i64,
+    scanned: &mut u64,
+) -> Option<Pick> {
+    let &(Reverse(top), _) = cols.first()?;
+    let below =
+        |bound: i64, best: Option<Pick>| bound <= 0 || best.is_some_and(|(g, ..)| bound < g);
+    let mut best: Option<Pick> = None;
+    for &(Reverse(ua), a) in rows {
+        if below(ua + top, best) {
+            break;
+        }
+        let (neighbors, weights) = graph.neighbor_row(QubitId::new(a as usize));
+        for &(Reverse(ub), b) in cols {
+            let bound = ua + ub;
+            if below(bound, best) {
+                break;
+            }
+            *scanned += 1;
+            let w = neighbors.binary_search(&b).map_or(0, |i| weights[i] as i64);
+            let gain = bound - w * penalty;
+            let pick = (gain, a.min(b), a.max(b));
+            if gain > 0 && beats(pick, best) {
+                best = Some(pick);
+            }
+            if gain == bound {
+                break;
+            }
+        }
+    }
+    best
+}
+
+/// The exchange loop's state between exchanges: O(n·k) in all.
+#[derive(Debug)]
+struct ExchangeState {
+    k: usize,
+    /// `mdist[q*k + C]` = `Σ_{neighbor v} w(q, v) · d(C, home(v))`.
+    mdist: Vec<i64>,
+    /// `moves[A*k + B]`: A's qubits keyed by `u(·, B)`. Diagonal lists stay
+    /// empty.
+    moves: Vec<BTreeSet<MoveKey>>,
+    /// `best[A*k + B]` for `A < B`: the best positive exchange between the
+    /// two nodes, as [`best_exchange`] found it.
+    best: Vec<Option<Pick>>,
+    /// Per-exchange scratch: each neighbor's net edge weight toward the
+    /// swapped pair, the neighbors touched, and the node pairs to re-search.
+    net: Vec<i64>,
+    touched: Vec<u32>,
+    dirty: Vec<bool>,
+    dirty_pairs: Vec<(usize, usize)>,
+}
+
+impl ExchangeState {
+    /// Builds `mdist` in O(edges·k), every list, and every node pair's best.
+    fn new(
+        graph: &InteractionGraph,
+        home: &[NodeId],
+        dmat: &[i64],
+        k: usize,
+        scanned: &mut u64,
+    ) -> Self {
+        let n = graph.num_qubits();
+        let mut mdist = vec![0i64; n * k];
+        for (a, b, w) in graph.edges() {
+            let (a, b, w) = (a.index(), b.index(), w as i64);
+            let (ha, hb) = (home[a].index(), home[b].index());
+            for c in 0..k {
+                mdist[a * k + c] += w * dmat[c * k + hb];
+                mdist[b * k + c] += w * dmat[c * k + ha];
+            }
+        }
+        let mut entries: Vec<Vec<MoveKey>> = vec![Vec::new(); k * k];
+        for (q, node) in home.iter().enumerate() {
+            let h = node.index();
+            let row = &mdist[q * k..(q + 1) * k];
+            for c in (0..k).filter(|&c| c != h) {
+                entries[h * k + c].push((Reverse(row[h] - row[c]), q as u32));
+            }
+        }
+        let mut state = ExchangeState {
+            k,
+            mdist,
+            moves: entries.into_iter().map(BTreeSet::from_iter).collect(),
+            best: vec![None; k * k],
+            net: vec![0; n],
+            touched: Vec::new(),
+            dirty: vec![false; k * k],
+            dirty_pairs: Vec::new(),
+        };
+        for lo in 0..k {
+            for hi in lo + 1..k {
+                state.search(graph, dmat, lo, hi, scanned);
+            }
+        }
+        state
+    }
+
+    /// The next exchange: the best of the node pairs' bests.
+    fn pick(&self) -> Option<Pick> {
+        self.best
+            .iter()
+            .flatten()
+            .fold(None, |best, &p| if beats(p, best) { Some(p) } else { best })
+    }
+
+    fn search(
+        &mut self,
+        graph: &InteractionGraph,
+        dmat: &[i64],
+        lo: usize,
+        hi: usize,
+        scanned: &mut u64,
+    ) {
+        let k = self.k;
+        self.best[lo * k + hi] = best_exchange(
+            graph,
+            &self.moves[lo * k + hi],
+            &self.moves[hi * k + lo],
+            2 * dmat[lo * k + hi],
+            scanned,
+        );
+    }
+
+    /// `u(q, c)` for `q` at home `h`.
+    fn u(&self, q: usize, h: usize, c: usize) -> i64 {
+        self.mdist[q * self.k + h] - self.mdist[q * self.k + c]
+    }
+
+    /// Marks the node pair `{x, y}` for re-search.
+    fn mark(&mut self, x: usize, y: usize) {
+        let (lo, hi) = (x.min(y), x.max(y));
+        if !self.dirty[lo * self.k + hi] {
+            self.dirty[lo * self.k + hi] = true;
+            self.dirty_pairs.push((lo, hi));
+        }
+    }
+
+    /// Inserts (`add`) or removes every list entry of `q` at home `h`.
+    fn relist(&mut self, q: u32, h: usize, add: bool) {
+        for c in (0..self.k).filter(|&c| c != h) {
+            let key = (Reverse(self.u(q as usize, h, c)), q);
+            let list = &mut self.moves[h * self.k + c];
+            if add {
+                list.insert(key);
+            } else {
+                let removed = list.remove(&key);
+                debug_assert!(removed, "qubit {q} missing from its move list");
+            }
+            self.mark(h, c);
+        }
+    }
+
+    /// Swaps `a` and `b`, re-keys the list entries whose `u` moved, and
+    /// re-searches the node pairs whose lists changed.
+    fn exchange(
+        &mut self,
+        graph: &InteractionGraph,
+        partition: &mut Partition,
+        dmat: &[i64],
+        a: u32,
+        b: u32,
+        scanned: &mut u64,
+    ) {
+        let k = self.k;
+        let (qa, qb) = (QubitId::new(a as usize), QubitId::new(b as usize));
+        let na = partition.node_of(qa).index();
+        let nb = partition.node_of(qb).index();
+        self.relist(a, na, false);
+        self.relist(b, nb, false);
+
+        // A neighbor's mdist row moves by `net·delta[C]`, with `net = w(·, a)
+        // − w(·, b)` and `delta[C] = d(C, nb) − d(C, na)`, so its `u(·, C)`
+        // moves by `net·(delta[home] − delta[C])`.
+        let delta: Vec<i64> = (0..k).map(|c| dmat[c * k + nb] - dmat[c * k + na]).collect();
+        for (sign, q) in [(1, qa), (-1, qb)] {
+            for (v, w) in graph.neighbors(q) {
+                let v = v.index();
+                if self.net[v] == 0 {
+                    self.touched.push(v as u32);
+                }
+                self.net[v] += sign * w as i64;
+            }
+        }
+        let partition_home = partition.assignment();
+        let touched = std::mem::take(&mut self.touched);
+        for &v in &touched {
+            let vi = v as usize;
+            let net = std::mem::take(&mut self.net[vi]);
+            if net == 0 {
+                continue;
+            }
+            if v != a && v != b {
+                let h = partition_home[vi].index();
+                for c in (0..k).filter(|&c| c != h) {
+                    let shift = net * (delta[h] - delta[c]);
+                    if shift == 0 {
+                        continue;
+                    }
+                    let old = self.u(vi, h, c);
+                    let list = &mut self.moves[h * k + c];
+                    let removed = list.remove(&(Reverse(old), v));
+                    debug_assert!(removed, "qubit {v} missing from its move list");
+                    list.insert((Reverse(old + shift), v));
+                    self.mark(h, c);
+                }
+            }
+            for (slot, d) in self.mdist[vi * k..(vi + 1) * k].iter_mut().zip(&delta) {
+                *slot += net * d;
+            }
+        }
+        self.touched = touched;
+        self.touched.clear();
+
+        partition.swap_qubits(qa, qb);
+        self.relist(a, nb, true);
+        self.relist(b, na, true);
+        let dirty_pairs = std::mem::take(&mut self.dirty_pairs);
+        for &(lo, hi) in &dirty_pairs {
+            self.dirty[lo * k + hi] = false;
+            self.search(graph, dmat, lo, hi, scanned);
+        }
+        self.dirty_pairs = dirty_pairs;
+        self.dirty_pairs.clear();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqc_circuit::{unroll_circuit, Circuit, Gate};
+    use dqc_circuit::{par_map, unroll_circuit, Circuit, Gate};
     use dqc_hardware::NetworkTopology;
     use dqc_workloads as wl;
     use proptest::prelude::*;
 
     fn q(i: usize) -> QubitId {
         QubitId::new(i)
+    }
+
+    /// Walks a qubit's ascending CSR neighbor row in lockstep with an ascending
+    /// sweep of partner indices, so each `weight(x, y)` is an O(1) amortized
+    /// pointer advance instead of a hash probe per candidate pair.
+    struct WeightWalker<'a> {
+        cols: &'a [u32],
+        weights: &'a [u64],
+        idx: usize,
+    }
+
+    impl<'a> WeightWalker<'a> {
+        fn new(graph: &'a InteractionGraph, q: QubitId) -> Self {
+            let (cols, weights) = graph.neighbor_row(q);
+            WeightWalker { cols, weights, idx: 0 }
+        }
+
+        /// The weight of the edge to `y`, or 0. `y` must be strictly increasing
+        /// across calls on the same walker.
+        #[inline]
+        fn weight_to(&mut self, y: u32) -> i64 {
+            while self.idx < self.cols.len() && self.cols[self.idx] < y {
+                self.idx += 1;
+            }
+            if self.idx < self.cols.len() && self.cols[self.idx] == y {
+                let w = self.weights[self.idx] as i64;
+                self.idx += 1;
+                return w;
+            }
+            0
+        }
+    }
+
+    /// `node_w[q*k + node]` = total edge weight between `q` and the qubits of
+    /// `node`. Built in O(edges) from the CSR edge list.
+    fn build_node_w(graph: &InteractionGraph, partition: &Partition, k: usize) -> Vec<i64> {
+        let mut node_w = vec![0i64; graph.num_qubits() * k];
+        for (a, b, w) in graph.edges() {
+            node_w[a.index() * k + partition.node_of(b).index()] += w as i64;
+            node_w[b.index() * k + partition.node_of(a).index()] += w as i64;
+        }
+        node_w
+    }
+
+    /// Swaps `(a, b)` in the partition and delta-updates the node-weight rows:
+    /// every neighbor of `a` sees a move `na→nb`, every neighbor of `b` sees
+    /// `nb→na`. O(degree(a) + degree(b)).
+    fn apply_exchange(
+        graph: &InteractionGraph,
+        partition: &mut Partition,
+        node_w: &mut [i64],
+        k: usize,
+        a: u32,
+        b: u32,
+    ) {
+        let qa = QubitId::new(a as usize);
+        let qb = QubitId::new(b as usize);
+        let na = partition.node_of(qa).index();
+        let nb = partition.node_of(qb).index();
+        partition.swap_qubits(qa, qb);
+        for (u, w) in graph.neighbors(qa) {
+            let row = u.index() * k;
+            node_w[row + na] -= w as i64;
+            node_w[row + nb] += w as i64;
+        }
+        for (u, w) in graph.neighbors(qb) {
+            let row = u.index() * k;
+            node_w[row + nb] -= w as i64;
+            node_w[row + na] += w as i64;
+        }
     }
 
     /// The gain of exchanging `a` (block `na`) with `b` (block `nb`): the
@@ -809,7 +773,7 @@ mod tests {
         (partition, stats)
     }
 
-    /// Refines one graph on the gain-cached loop and on the reference, and
+    /// Refines one graph on the exchange loop and on the reference, and
     /// asserts the same partition, exchange count and saturation flag. The
     /// cached loop's scans plus cache hits must also add up to exactly the
     /// reference's scan count.
@@ -1035,10 +999,31 @@ mod tests {
         }
     }
 
-    /// Hub-heavy registers large enough that exchanges lower row bests and
-    /// force dirty-row rescans in the gain table: the cached loop must walk
-    /// the reference's exact exchange sequence at every budget, under every
-    /// standard topology's hop metric and at several node counts.
+    /// Every standard topology's metric and the budgets {0, 1, 17, MAX} on
+    /// one graph and start: the loop must walk the reference's exact
+    /// exchange sequence.
+    fn assert_matches_reference_everywhere(
+        graph: &InteractionGraph,
+        initial: &Partition,
+        what: &str,
+    ) {
+        for topology in topologies(initial.num_nodes()) {
+            for max_exchanges in [0, 1, 17, usize::MAX] {
+                assert_matches_reference(
+                    graph,
+                    initial,
+                    &topology,
+                    OeeOptions { max_exchanges },
+                    &format!("{what} on {} (cap {max_exchanges})", topology.name()),
+                );
+            }
+        }
+    }
+
+    /// Hub-heavy registers large enough that one exchange re-keys many list
+    /// entries: the loop must walk the reference's exact exchange sequence
+    /// at every budget, under every standard topology's hop metric and at
+    /// several node counts.
     #[test]
     fn hub_heavy_gain_cached_matches_full_rescan() {
         let qubits = 512;
@@ -1047,27 +1032,158 @@ mod tests {
         let graph = InteractionGraph::from_circuit(&circuit);
         for nodes in [4, 8, 16] {
             let initial = Partition::block(qubits, nodes).unwrap();
-            for topology in topologies(nodes) {
-                for max_exchanges in [0, 1, 17, usize::MAX] {
-                    assert_matches_reference(
-                        &graph,
-                        &initial,
-                        &topology,
-                        OeeOptions { max_exchanges },
-                        &format!(
-                            "{qubits}-qubit hub-heavy, {nodes} nodes on {} (cap {max_exchanges})",
-                            topology.name()
-                        ),
-                    );
+            let what = format!("{qubits}-qubit hub-heavy, {nodes} nodes");
+            assert_matches_reference_everywhere(&graph, &initial, &what);
+        }
+    }
+
+    /// Dense and tie-heavy graphs: a complete graph with equal weights,
+    /// where every candidate pays the edge penalty and most gains tie;
+    /// unit-weight ring and ladder lattices, where many moves share one
+    /// gain; and the QFT and QAOA interaction graphs at 30 nodes.
+    #[test]
+    fn tie_heavy_and_dense_graphs_match_full_rescan() {
+        let mut complete = InteractionGraph::new(24);
+        for i in 0..24 {
+            for j in i + 1..24 {
+                complete.add_weight(q(i), q(j), 3);
+            }
+        }
+        let block = |n| Partition::block(n, 4).unwrap();
+        assert_matches_reference_everywhere(&complete, &block(24), "complete K24");
+
+        let mut ring = InteractionGraph::new(48);
+        for i in 0..48 {
+            ring.add_weight(q(i), q((i + 1) % 48), 1);
+        }
+        let mut ladder = InteractionGraph::new(48);
+        for i in 0..24 {
+            ladder.add_weight(q(i), q(i + 24), 1);
+            if i + 1 < 24 {
+                ladder.add_weight(q(i), q(i + 1), 1);
+                ladder.add_weight(q(i + 24), q(i + 25), 1);
+            }
+        }
+        // Round-robin starts cut every ring edge, so there is plenty to
+        // exchange.
+        let round_robin = Partition::round_robin(48, 4).unwrap();
+        for (graph, what) in [(&ring, "ring lattice"), (&ladder, "ladder lattice")] {
+            assert_matches_reference_everywhere(graph, &block(48), what);
+            assert_matches_reference_everywhere(
+                graph,
+                &round_robin,
+                &format!("round-robin {what}"),
+            );
+        }
+
+        let qft = InteractionGraph::from_circuit(&unroll_circuit(&wl::qft(60)).unwrap());
+        let thirty = |n| Partition::block(n, 30).unwrap();
+        assert_matches_reference_everywhere(&qft, &thirty(60), "QFT-60-30");
+        let qaoa = InteractionGraph::from_circuit(
+            &unroll_circuit(&wl::qaoa_maxcut(90, 600, 0x0AA)).unwrap(),
+        );
+        assert_matches_reference_everywhere(&qaoa, &thirty(90), "QAOA-90-30");
+    }
+
+    /// The highest positive `ua + ub − w·penalty` over every cross pair,
+    /// ties to the smallest `(lo, hi)`: what [`best_exchange`] must return.
+    fn brute_force_best(
+        graph: &InteractionGraph,
+        rows: &BTreeSet<MoveKey>,
+        cols: &BTreeSet<MoveKey>,
+        penalty: i64,
+    ) -> Option<Pick> {
+        let mut best = None;
+        for &(Reverse(ua), a) in rows {
+            for &(Reverse(ub), b) in cols {
+                let gain = ua + ub - graph.weight(q(a as usize), q(b as usize)) as i64 * penalty;
+                let pick = (gain, a.min(b), a.max(b));
+                if gain > 0 && beats(pick, best) {
+                    best = Some(pick);
                 }
             }
+        }
+        best
+    }
+
+    #[test]
+    fn node_pair_search_matches_brute_force() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let check = |graph: &InteractionGraph,
+                     rows: &[MoveKey],
+                     cols: &[MoveKey],
+                     penalty: i64,
+                     what: &str| {
+            let (rows, cols): (BTreeSet<_>, BTreeSet<_>) =
+                (rows.iter().copied().collect(), cols.iter().copied().collect());
+            let mut scanned = 0;
+            let found = best_exchange(graph, &rows, &cols, penalty, &mut scanned);
+            assert_eq!(found, brute_force_best(graph, &rows, &cols, penalty), "{what}");
+            assert!(scanned <= (rows.len() * cols.len()) as u64, "{what}: scanned {scanned}");
+            found
+        };
+
+        // Hand-picked cases on qubits 0..6, rows {0, 1, 2} and cols {3, 4, 5}.
+        let mut g = InteractionGraph::new(6);
+        g.add_weight(q(0), q(3), 1);
+        g.add_weight(q(1), q(3), 1);
+        let keys = |pairs: &[(i64, u32)]| -> Vec<MoveKey> {
+            pairs.iter().map(|&(u, x)| (Reverse(u), x)).collect()
+        };
+        let rows = keys(&[(2, 0), (2, 1), (1, 2)]);
+        let cols = keys(&[(2, 3), (2, 4), (0, 5)]);
+        assert_eq!(check(&g, &rows, &[], 2, "empty cols"), None);
+        assert_eq!(check(&g, &[], &cols, 2, "empty rows"), None);
+        // The top pair (0, 3) is adjacent; (0, 4) ties the untouched (1, 3).
+        assert_eq!(check(&g, &rows, &cols, 2, "adjacent top pair"), Some((4, 0, 4)));
+        // With no penalty the adjacent top pair wins outright.
+        assert_eq!(check(&g, &rows, &cols, 0, "free top pair"), Some((4, 0, 3)));
+        let negative = keys(&[(-1, 0), (0, 1), (-3, 2)]);
+        assert_eq!(check(&g, &negative, &keys(&[(0, 3), (-2, 4)]), 2, "all gains <= 0"), None);
+        // Equal gains across rows: row 3's top partner is adjacent, so it
+        // settles for (3, 5); row 4 ties it with the smaller pair (1, 4).
+        let tied = keys(&[(1, 3), (1, 4)]);
+        assert_eq!(
+            check(&g, &tied, &keys(&[(1, 1), (1, 5)]), 2, "tie across rows"),
+            Some((2, 1, 4))
+        );
+
+        // Random small instances with narrow gain ranges, so ties and
+        // adjacent top pairs are the norm.
+        for trial in 0..2000 {
+            let n = 2 + next(12) as usize;
+            let mut graph = InteractionGraph::new(n);
+            for a in 0..n {
+                for b in a + 1..n {
+                    if next(3) == 0 {
+                        graph.add_weight(q(a), q(b), 1 + next(3));
+                    }
+                }
+            }
+            let (mut rows, mut cols) = (Vec::new(), Vec::new());
+            for x in 0..n as u32 {
+                let key = (Reverse(next(7) as i64 - 3), x);
+                match next(3) {
+                    0 => rows.push(key),
+                    1 => cols.push(key),
+                    _ => {}
+                }
+            }
+            let penalty = 2 * next(3) as i64;
+            check(&graph, &rows, &cols, penalty, &format!("trial {trial}"));
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Random power-law programs: gain-cached == full rescan under the
+        /// Random power-law programs: exchange loop == full rescan under the
         /// hop-weighted metric on a sparse machine.
         #[test]
         fn random_gain_cached_matches_full_rescan(seed in 0u64..100) {
@@ -1113,7 +1229,7 @@ mod tests {
             &mut cache,
         );
         assert_eq!(second.assignment(), first.assignment());
-        assert_eq!(second_stats.scanned, 0, "warm resume skips the cold scan");
+        assert_eq!(second_stats.scanned, 0, "warm resume searches nothing");
         assert_eq!(second_stats.exchanges, 0);
         assert!(second_stats.cache_hits > 0);
         // And the warm result is identical to an uncached run.
@@ -1149,7 +1265,7 @@ mod tests {
         );
         let fresh = oee_refine_on(&g, other, &identity, &UniformDistance, OeeOptions::default());
         assert_eq!(from_stale.assignment(), fresh.assignment());
-        assert!(stats.scanned > 0, "stale cache forces a cold scan");
+        assert!(stats.scanned > 0, "stale cache forces a cold search");
         let _ = refined;
     }
 

@@ -1,10 +1,11 @@
 //! Golden pin of the OEE partitioner at the 1k–4k-qubit tier: a hash of
-//! the refined assignment plus the gain-cached loop's work counters, and
-//! the placement driver's work counters for one topology-aware compile.
-//! The 1k and 2k expected values were recorded with the ordered-set
-//! candidate store that preceded the dense gain table, the 4k row with the
-//! dense table; they pin both the exchange sequence and the exact number
-//! of gains computed and reused.
+//! the refined assignment plus the exchange loop's work counters, and the
+//! placement driver's work counters for one topology-aware compile. The
+//! assignment hashes and exchange counts were recorded with the exchange
+//! loops that preceded the sorted move-gain lists (an ordered-set
+//! candidate store, then a dense gain table), and still hold; `scanned`
+//! and `cache_hits` count the sorted lists' bounded node-pair searches,
+//! and their sum per row is the full rescan's count, unchanged.
 
 use autocomm_repro::circuit::{NodeId, Partition};
 use autocomm_repro::core::{AutoComm, PlacementConfig, PlacementWork};
@@ -48,27 +49,17 @@ fn oee_pin(qubits: usize, gates: usize, nodes: usize) -> (u64, usize, u64, u64) 
 
 #[test]
 fn oee_partition_1024_qubits_4_nodes() {
-    assert_eq!(oee_pin(1024, 8192, 4), (16_533_121_858_855_756_901, 290, 3_036_010, 111_389_846));
+    assert_eq!(oee_pin(1024, 8192, 4), (16_533_121_858_855_756_901, 290, 6_221, 114_419_635));
 }
 
 #[test]
 fn oee_partition_2048_qubits_8_nodes() {
-    assert_eq!(
-        oee_pin(2048, 16_384, 8),
-        (6_952_764_658_115_446_229, 706, 13_062_283, 1_284_288_373)
-    );
+    assert_eq!(oee_pin(2048, 16_384, 8), (6_952_764_658_115_446_229, 706, 30_608, 1_297_320_048));
 }
 
-/// 4096 rows reach the parallel cold scan (`PAR_THRESHOLD` rows fan across
-/// worker threads), so this row pins the threaded scan's merge. Its values
-/// were recorded from a build whose sequential scan agreed with the
-/// parallel one on this input.
 #[test]
 fn oee_partition_4096_qubits_8_nodes() {
-    assert_eq!(
-        oee_pin(4096, 32_768, 8),
-        (6_566_268_594_327_800_517, 1353, 51_664_487, 9_886_738_841)
-    );
+    assert_eq!(oee_pin(4096, 32_768, 8), (6_566_268_594_327_800_517, 1353, 102_652, 9_938_300_676));
 }
 
 /// `autocomm compile --placement topo --topology ring --nodes 8` on a
@@ -88,8 +79,8 @@ fn topo_ring_placement_work_1024_qubits() {
         .unwrap();
     let expected = PlacementWork {
         oee_exchanges: 193,
-        oee_scanned: 2_968_630,
-        oee_cache_hits: 86_946_762,
+        oee_scanned: 4_397,
+        oee_cache_hits: 89_910_995,
         place_exchanges: 4,
         rounds_skipped: 0,
         saturated: false,

@@ -164,3 +164,164 @@ fn conditioned_remote_gates_compile_exactly() {
         }
     }
 }
+
+/// One gate of kind `kind` (of [`GATE_KINDS`], every kind the IR models
+/// beside measure, reset and barrier), on distinct qubits drawn from
+/// `pick`, with angles from `angle`. `mcx` needs four distinct qubits.
+fn gate_of_kind(
+    kind: usize,
+    pick: &mut impl FnMut() -> autocomm_repro::circuit::QubitId,
+    angle: f64,
+) -> autocomm_repro::circuit::Gate {
+    use autocomm_repro::circuit::Gate;
+    let arity = match kind {
+        0..=13 => 1,
+        14..=19 => 2,
+        20 => 3,
+        _ => 4,
+    };
+    let mut qs = Vec::with_capacity(arity);
+    while qs.len() < arity {
+        let q = pick();
+        if !qs.contains(&q) {
+            qs.push(q);
+        }
+    }
+    match kind {
+        0 => Gate::h(qs[0]),
+        1 => Gate::x(qs[0]),
+        2 => Gate::y(qs[0]),
+        3 => Gate::z(qs[0]),
+        4 => Gate::s(qs[0]),
+        5 => Gate::sdg(qs[0]),
+        6 => Gate::t(qs[0]),
+        7 => Gate::tdg(qs[0]),
+        8 => Gate::sx(qs[0]),
+        9 => Gate::rx(angle, qs[0]),
+        10 => Gate::ry(angle, qs[0]),
+        11 => Gate::rz(angle, qs[0]),
+        12 => Gate::phase(angle, qs[0]),
+        13 => Gate::u3(angle, 0.5 * angle, 0.25, qs[0]),
+        14 => Gate::cx(qs[0], qs[1]),
+        15 => Gate::cz(qs[0], qs[1]),
+        16 => Gate::swap(qs[0], qs[1]),
+        17 => Gate::crz(angle, qs[0], qs[1]),
+        18 => Gate::cp(angle, qs[0], qs[1]),
+        19 => Gate::rzz(angle, qs[0], qs[1]),
+        20 => Gate::ccx(qs[0], qs[1], qs[2]),
+        _ => Gate::mcx(&qs[..3], qs[3]),
+    }
+}
+
+/// Number of kinds [`gate_of_kind`] draws from.
+const GATE_KINDS: usize = 22;
+
+/// A seeded random program over 5 qubits with two mid-circuit
+/// measurements of basis-state qubits: qubit 0 is prepared in
+/// `|bits[0]⟩` and measured into `c[0]` after a first random layer, qubit
+/// 3 in `|bits[1]⟩` into `c[1]` after a second. Until its measurement a
+/// basis qubit is left alone, so every outcome is fixed. The two later
+/// layers hold every gate kind once between them, conditioned on a
+/// measured bit and shuffled among unconditioned gates of random kinds.
+fn classically_controlled_program(seed: u64, bits: [bool; 2]) -> autocomm_repro::circuit::Circuit {
+    use autocomm_repro::circuit::{CBitId, Circuit, Gate, QubitId};
+    let mut rng = SplitMix64::new(seed);
+    let mut c = Circuit::with_cbits(5, 2);
+    let basis = [QubitId::new(0), QubitId::new(3)];
+    for (&q, &bit) in basis.iter().zip(&bits) {
+        if bit {
+            c.push(Gate::x(q)).unwrap();
+        }
+    }
+    for layer in 0..3 {
+        // Qubits still awaiting their measurement stay out of this layer.
+        let free: Vec<QubitId> =
+            (0..5).map(QubitId::new).filter(|q| !basis[layer.min(2)..].contains(q)).collect();
+        let mut pick_rng = rng.fork();
+        let mut pick = || free[pick_rng.next_below(free.len() as u64) as usize];
+        let plain_kinds = if free.len() < 4 { GATE_KINDS - 1 } else { GATE_KINDS } as u64;
+        // Layer 1 conditions the even kinds on `c[0]`, layer 2 the odd
+        // kinds on either bit.
+        let mut kinds: Vec<Option<usize>> = (0..GATE_KINDS)
+            .filter(|kind| layer > 0 && kind % 2 == layer - 1)
+            .map(Some)
+            .chain((0..6).map(|_| None))
+            .collect();
+        // Fisher–Yates, so conditioned kinds land between plain gates.
+        for i in (1..kinds.len()).rev() {
+            kinds.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        for kind in kinds {
+            let angle = 0.2 + 2.5 * rng.next_f64();
+            let gate = match kind {
+                Some(kind) => gate_of_kind(kind, &mut pick, angle)
+                    .with_condition(CBitId::new(rng.next_below(layer as u64) as usize)),
+                // Three free qubits leave `mcx`, the last kind, out.
+                None => gate_of_kind(rng.next_below(plain_kinds) as usize, &mut pick, angle),
+            };
+            c.push(gate).unwrap();
+        }
+        if layer < 2 {
+            c.push(Gate::measure(basis[layer], CBitId::new(layer))).unwrap();
+        }
+    }
+    c
+}
+
+/// Classical control end to end: seeded random programs with mid-circuit
+/// measurements of basis-state qubits and conditioned gates of every kind,
+/// under both values of each condition bit, all five topologies, and
+/// hybrid and Cat-only assignment, reach fidelity 1 against the *input*
+/// circuit through `lower_assigned_on`.
+#[test]
+fn classically_controlled_programs_compile_exactly() {
+    use autocomm_repro::core::{lower_assigned_on, Ablation, AutoComm, AutoCommOptions};
+    use autocomm_repro::hardware::{HardwareSpec, NetworkTopology};
+
+    // Nodes of 2, 1, 1 and 1 qubits keep the lowered register at 13 qubits
+    // (two comm qubits per node) while every topology has a multi-hop pair.
+    let nodes = 4;
+    let home = [0, 0, 1, 2, 3].map(autocomm_repro::circuit::NodeId::new);
+    let partition = Partition::from_assignment(home.to_vec(), nodes).unwrap();
+    let topologies = [
+        NetworkTopology::all_to_all(nodes),
+        NetworkTopology::linear(nodes).unwrap(),
+        NetworkTopology::ring(nodes).unwrap(),
+        NetworkTopology::star(nodes).unwrap(),
+        NetworkTopology::grid(2, 2).unwrap(),
+    ];
+    let final_state = |circuit: &autocomm_repro::circuit::Circuit| {
+        let mut state = StateVector::zero_state(circuit.num_qubits()).unwrap();
+        state.run(circuit, &mut SplitMix64::new(5)).unwrap();
+        state
+    };
+    for seed in 0..2u64 {
+        for bits in [[false, true], [true, false]] {
+            let c = classically_controlled_program(seed, bits);
+            let expected = final_state(&c);
+            for topology in &topologies {
+                let hw = HardwareSpec::for_partition(&partition)
+                    .with_topology(topology.clone())
+                    .unwrap();
+                for cat_only in [false, true] {
+                    let options = if cat_only {
+                        AutoCommOptions::default().with_ablation(Ablation::CatOnly)
+                    } else {
+                        AutoCommOptions::default()
+                    };
+                    let what = format!(
+                        "seed {seed}, bits {bits:?}, {}, cat_only {cat_only}",
+                        topology.name()
+                    );
+                    let r =
+                        AutoComm::with_options(options).compile_on(&c, &partition, &hw).unwrap();
+                    let physical = lower_assigned_on(&r.assigned, &r.placement, hw.topology())
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let state = final_state(&physical.circuit);
+                    let f = state.subset_fidelity(&expected, &physical.logical_qubits()).unwrap();
+                    assert!((f - 1.0).abs() < 1e-8, "{what}: fidelity {f}");
+                }
+            }
+        }
+    }
+}

@@ -11,7 +11,7 @@
 //!   placement) report saturation when they clip the loop and stay silent
 //!   when they don't.
 //!
-//! The gain-cached OEE loop is checked against its full-rescan reference
+//! The OEE exchange loop is checked against its full-rescan reference
 //! in the test module of `crates/partition/src/oee.rs`, where that
 //! reference lives.
 
