@@ -123,6 +123,17 @@ enum WireTag {
     Block,
 }
 
+impl WireTag {
+    fn class(self) -> WireClass {
+        match self {
+            WireTag::Z => WireClass::ZDiag,
+            WireTag::X => WireClass::XDiag,
+            WireTag::Opaque => WireClass::Opaque,
+            WireTag::Block => WireClass::Block,
+        }
+    }
+}
+
 fn wire_tag(gate: &Gate, q: QubitId) -> WireTag {
     if matches!(gate.kind(), GateKind::Barrier | GateKind::Reset) {
         return WireTag::Block;
@@ -340,12 +351,13 @@ impl GateTable {
     /// The precomputed commutation class of `id`'s action on `qubit`, or
     /// `None` when the gate does not act on that wire.
     pub fn wire_class_on(&self, id: GateId, qubit: usize) -> Option<WireClass> {
-        self.wires_of(id).iter().find(|w| w.qubit as usize == qubit).map(|w| match w.tag {
-            WireTag::Z => WireClass::ZDiag,
-            WireTag::X => WireClass::XDiag,
-            WireTag::Opaque => WireClass::Opaque,
-            WireTag::Block => WireClass::Block,
-        })
+        self.wires_of(id).iter().find(|w| w.qubit as usize == qubit).map(|w| w.tag.class())
+    }
+
+    /// Each operand qubit of `id` with the gate's commutation class on it,
+    /// in operand order, read straight from the precomputed wire records.
+    pub fn wire_classes(&self, id: GateId) -> impl Iterator<Item = (usize, WireClass)> + '_ {
+        self.wires_of(id).iter().map(|w| (w.qubit as usize, w.tag.class()))
     }
 
     /// The classical bit written by `id` if it is a measurement.

@@ -556,4 +556,27 @@ mod tests {
         }
         assert!(job(None).hardware().is_ok(), "all-to-all works with one comm qubit");
     }
+
+    /// A teleported state fills a one-qubit node's only communication slot,
+    /// so TP can neither send it on nor back: under that budget every block
+    /// must ride Cat-Comm, on the identity compile and on placement rounds.
+    #[test]
+    fn one_comm_qubit_compiles_with_cat_only() {
+        use dqc_workloads::{generate, BenchConfig, Workload};
+        for config in [
+            BenchConfig::new(Workload::Rca, 100, 10),
+            BenchConfig::new(Workload::Mctr, 100, 10),
+            BenchConfig::new(Workload::Uccsd, 8, 4),
+        ] {
+            let circuit = generate(&config);
+            for strategy in [PartitionStrategy::Oee, PartitionStrategy::Topo] {
+                let job =
+                    Job { nodes: config.num_nodes, comm_qubits: 1, strategy, ..Job::default() };
+                let compiled = run_job(&circuit, &job)
+                    .unwrap_or_else(|e| panic!("{config} {}: {e}", strategy.name()));
+                let tp = compiled.result.metrics.tp_comms;
+                assert_eq!(tp, 0, "{config} {} kept TP blocks", strategy.name());
+            }
+        }
+    }
 }

@@ -93,7 +93,9 @@ USAGE:
 OPTIONS:
     --nodes <N>          number of hardware nodes (required), at most 256
     --comm-qubits <K>    communication qubits per node, at most 1024
-                         [default: 2]
+                         [default: 2]. With one, every block takes
+                         Cat-Comm: a teleported state would fill the
+                         node's only slot
     --topology <T>       interconnect topology: all-to-all, linear, ring,
                          star, grid, grid:RxC, or a topology file path
                          [default: all-to-all]. Sparse topologies route

@@ -28,9 +28,9 @@
 //!   candidate cannot move before either summary is consulted. The filter
 //!   holds at most two entries per wire, whatever the stream length.
 //!
-//! The walk is touch-driven: its cost follows the items that share a wire
-//! with the open block or its deferred window, not the distance between
-//! two occurrences.
+//! The walk's cost follows the items that may fail to commute with the
+//! open block or its deferred window, not the distance between two
+//! occurrences.
 //!
 //! * **Hoist in place.** A hoisted item stays where it is. When the walk
 //!   stops, the block slot and the deferred items it still has to cross
@@ -40,20 +40,33 @@
 //!   (hoisted, block, deferred, rest), for pointer surgery proportional to
 //!   the block and its window instead of to the hoists.
 //! * **Skipped segments.** The list is overlaid with contiguous segments
-//!   of `SEGMENT_LEN` items. Each keeps a superset summary of its items:
-//!   the folded union of their wires (qubits, then classical bits; exact
-//!   on registers of at most 64 wires, one bit per wire) and the largest
-//!   slot index ever placed in it. At a segment head the walk passes the
-//!   whole segment when it shares no wire with the block or its deferred
-//!   window and its largest slot index is at most the pair's last
-//!   occurrence. That is exactly when the item-by-item walk would hoist
-//!   every item of the segment without stopping: an item sharing no wire
-//!   with the window commutes with all of it, is no occurrence (those act
-//!   on the pair's qubit), is never absorbed or deferred, and cannot trip
-//!   the `last_slot` stop. Unlinks keep segment boundaries valid;
-//!   relocated and re-inserted items fold their wires and index into the
-//!   receiving segment. Summaries only grow, so a stale bit costs an extra
-//!   visit, never a wrong skip.
+//!   of `SEGMENT_LEN` items. Each keeps a superset summary of its items'
+//!   wires (qubits, then classical bits; exact on registers of at most 64
+//!   wires, one bit per wire) as three folded bitsets: `wires`, the wires
+//!   some item touches; `not_z`, those where some item is not Z-diagonal;
+//!   and `not_x`, those where some item is not X-diagonal. Opaque and
+//!   barrier/reset actions set both class bits, and so does a classical
+//!   bit. A segment also keeps the largest slot index ever placed in it
+//!   and the generation of the last pair with a live occurrence in it. The
+//!   open window (block body and deferred items) keeps the same three
+//!   bitsets. At a segment head the walk passes the whole segment when its
+//!   largest slot index is at most the pair's last occurrence, it holds no
+//!   live occurrence of the pair, and every bit in both `wires` sets is
+//!   Z-diagonal in both or X-diagonal in both:
+//!   `wires_s & wires_w & (not_z_s | not_z_w) & (not_x_s | not_x_w) == 0`
+//!   word by word. Then every item of the segment commutes with every
+//!   window member (on each shared wire both act Z-diagonally, or both
+//!   X-diagonally, and they share no classical bit), so the item-by-item
+//!   walk would hoist each one without stopping: it is no live occurrence,
+//!   it is hoisted before absorption or deferral is considered, and it
+//!   cannot trip the `last_slot` stop. Items sharing no wire with the
+//!   window pass trivially, so this subsumes a disjoint-wire skip.
+//!   `process_pair` stamps each live occurrence's segment when the pair
+//!   starts; an occurrence never changes segment while its own pair runs
+//!   (it is joined or seals the walk). Unlinks keep segment boundaries
+//!   valid; relocated and re-inserted items fold their classes and index
+//!   into the receiving segment. Summaries only grow, so a stale bit costs
+//!   an extra visit, never a wrong skip.
 //! * **The `last_slot` stop.** A walk also ends at the first item whose
 //!   slot index exceeds `last_slot`, the stream position of the pair's last
 //!   live occurrence. The check compares arena slot indices, as if list
@@ -80,7 +93,9 @@
 
 use std::sync::Arc;
 
-use dqc_circuit::{Circuit, CommSummary, Gate, GateId, GateTable, NodeId, Partition, QubitId};
+use dqc_circuit::{
+    Circuit, CommSummary, Gate, GateId, GateTable, NodeId, Partition, QubitId, WireClass,
+};
 
 use crate::{CommBlock, CommIr};
 
@@ -213,8 +228,9 @@ pub struct AggregateStats {
     /// absorbed, deferred, or sealed on).
     pub visited: usize,
     /// Items the merge walks passed inside skipped list segments: segments
-    /// sharing no wire with the open block or its deferred window, each of
-    /// whose items would have been hoisted without a stop.
+    /// holding no live occurrence whose items all commute with the open
+    /// block and its deferred window by their wire classes, each of which
+    /// would have been hoisted without a stop.
     pub skipped: usize,
 }
 
@@ -306,17 +322,18 @@ pub fn aggregate_no_commute_ir(ir: Arc<CommIr>) -> AggregatedProgram {
 // gate table or the side block store), so the merge walk reads a cache-
 // friendly array instead of a vector of full items. The segment overlay
 // (see the module docs) lives beside the list: a segment index per slot,
-// read only at segment heads, and one `Segment` record per segment.
+// read only at segment heads and occurrence stamps, and one `Segment`
+// record per segment.
 // ---------------------------------------------------------------------------
 
 /// List items per segment at build time.
 const SEGMENT_LEN: usize = 64;
 
-/// Cap on the wire-summary width in `u64` words. Summaries are sized from
-/// the register width (QASM input caps each register at
+/// Cap on the class-summary width in words. Summaries are sized from the
+/// register width (QASM input caps each register at
 /// [`dqc_circuit::MAX_REGISTER_WIDTH`]). Wire `w` lands on bit
 /// `w mod (64 · words)`, so summaries are exact up to 4,096 wires and a
-/// superset beyond, and the overlay costs at most eight bytes per item.
+/// superset beyond, and the overlay costs at most 24 bytes per item.
 const MAX_SUMMARY_WORDS: usize = 64;
 
 /// One arena slot: dead, a local gate id, or an index into the block store.
@@ -336,37 +353,83 @@ struct Segment {
     len: u32,
     /// Largest slot index ever placed in the run.
     max_slot: u32,
-    /// The folded wire summary on registers of at most 64 wires (wider
-    /// registers keep theirs in [`Arena::wide_wires`]).
-    wires: u64,
+    /// The occurrence-set generation of the last pair with a live
+    /// occurrence in the run (see [`Workspace::occ_gen`]).
+    occ_gen: u32,
+    /// The class summary on registers of at most 64 wires (wider registers
+    /// keep theirs in [`Arena::wide`]).
+    summary: ClassWord,
 }
 
-/// ORs the wires of gate `id` into a folded `summary` of `summary.len()`
-/// words. Classical bit `c` is wire `base + c` for `cbits = Some(base)`;
-/// `None` means the register has no classical bits. A one-word summary
-/// reuses the table's precomputed qubit mask.
-#[inline(always)]
-fn fold_wires(summary: &mut [u64], table: &GateTable, cbits: Option<usize>, id: GateId) {
-    match (summary, cbits) {
-        ([word], None) => *word |= table.wire_mask(id),
-        (summary, cbits) => fold_wires_wide(summary, table, cbits, id),
+/// One word of a folded class summary of a gate set: bit `w mod 64` of
+/// each field stands for wire `w` (qubits, then classical bits).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct ClassWord {
+    /// Wires some member touches.
+    wires: u64,
+    /// Wires where some member is not Z-diagonal.
+    not_z: u64,
+    /// Wires where some member is not X-diagonal.
+    not_x: u64,
+}
+
+impl ClassWord {
+    /// Records a member of class `class` on bit `bit`. Opaque and Block
+    /// classes set both class bits, and so does a classical bit (folded as
+    /// [`WireClass::Block`]): it commutes with no member touching it.
+    #[inline(always)]
+    fn add(&mut self, bit: usize, class: WireClass) {
+        let b = 1u64 << bit;
+        self.wires |= b;
+        if class != WireClass::ZDiag {
+            self.not_z |= b;
+        }
+        if class != WireClass::XDiag {
+            self.not_x |= b;
+        }
+    }
+
+    fn union(&mut self, other: &ClassWord) {
+        self.wires |= other.wires;
+        self.not_z |= other.not_z;
+        self.not_x |= other.not_x;
+    }
+
+    /// Whether some bit both sets touch may hold a pair of members that do
+    /// not commute: a wire on which the members are neither all Z-diagonal
+    /// nor all X-diagonal. `false` proves every member of one set commutes
+    /// with every member of the other.
+    #[inline(always)]
+    fn may_conflict(&self, other: &ClassWord) -> bool {
+        self.wires & other.wires & (self.not_z | other.not_z) & (self.not_x | other.not_x) != 0
     }
 }
 
-/// [`fold_wires`] for multi-word summaries or registers with classical bits.
-fn fold_wires_wide(summary: &mut [u64], table: &GateTable, cbits: Option<usize>, id: GateId) {
-    let bits = 64 * summary.len();
-    if let [word] = summary {
-        *word |= table.wire_mask(id);
-    } else {
-        for q in table.qubit_indices(id) {
-            summary[q % bits / 64] |= 1 << (q % 64);
+/// Records a member of class `class` on wire `w` in a folded `summary` of
+/// `summary.len()` words.
+#[inline(always)]
+fn fold_wire(summary: &mut [ClassWord], w: usize, class: WireClass) {
+    match summary {
+        [word] => word.add(w % 64, class),
+        words => {
+            let bit = w % (64 * words.len());
+            words[bit / 64].add(bit % 64, class);
         }
+    }
+}
+
+/// Folds the wires and classes of gate `id` into `summary`. Classical bit
+/// `c` is wire `base + c` for `cbits = Some(base)`; `None` means the
+/// register has no classical bits.
+#[inline(always)]
+fn fold_gate(summary: &mut [ClassWord], table: &GateTable, cbits: Option<usize>, id: GateId) {
+    for (q, class) in table.wire_classes(id) {
+        fold_wire(summary, q, class);
     }
     if let Some(base) = cbits {
         if table.touches_classical(id) {
-            for w in table.classical_bits(id).map(|c| base + c) {
-                summary[w % bits / 64] |= 1 << (w % 64);
+            for c in table.classical_bits(id) {
+                fold_wire(summary, base + c, WireClass::Block);
             }
         }
     }
@@ -387,12 +450,12 @@ struct Arena {
     /// Segment of each slot.
     seg_of: Vec<u32>,
     segs: Vec<Segment>,
-    /// `words` folded wire-summary words per segment when `words > 1`.
-    wide_wires: Vec<u64>,
+    /// `words` class-summary words per segment when `words > 1`.
+    wide: Vec<ClassWord>,
     /// Summary width: one word iff the register has at most 64 wires,
     /// where the fold is exact.
     words: usize,
-    /// Classical bit wires (see [`fold_wires`]).
+    /// Classical bit wires (see [`fold_gate`]).
     cbits: Option<usize>,
 }
 
@@ -424,11 +487,12 @@ impl Arena {
                     last: last as u32,
                     len: (last - first + 1) as u32,
                     max_slot: last as u32,
-                    wires: 0,
+                    occ_gen: 0,
+                    summary: ClassWord::default(),
                 }
             })
             .collect::<Vec<_>>();
-        let wide_wires = vec![0u64; if words > 1 { segs.len() * words } else { 0 }];
+        let wide = vec![ClassWord::default(); if words > 1 { segs.len() * words } else { 0 }];
         let mut arena = Arena {
             slots,
             blocks: Vec::new(),
@@ -437,7 +501,7 @@ impl Arena {
             head: sentinel,
             seg_of,
             segs,
-            wide_wires,
+            wide,
             words,
             cbits: classical_base(ir),
         };
@@ -445,7 +509,7 @@ impl Arena {
             let cbits = arena.cbits;
             let summary = arena.seg_summary_mut(s);
             for &id in ids {
-                fold_wires(summary, ir.table(), cbits, id);
+                fold_gate(summary, ir.table(), cbits, id);
             }
         }
         arena
@@ -455,18 +519,18 @@ impl Arena {
         self.head as usize
     }
 
-    /// The folded wire summary of segment `s`.
-    fn seg_summary(&self, s: usize) -> &[u64] {
+    /// The class summary of segment `s`.
+    fn seg_summary(&self, s: usize) -> &[ClassWord] {
         match self.words {
-            1 => std::slice::from_ref(&self.segs[s].wires),
-            w => &self.wide_wires[s * w..(s + 1) * w],
+            1 => std::slice::from_ref(&self.segs[s].summary),
+            w => &self.wide[s * w..(s + 1) * w],
         }
     }
 
-    fn seg_summary_mut(&mut self, s: usize) -> &mut [u64] {
+    fn seg_summary_mut(&mut self, s: usize) -> &mut [ClassWord] {
         match self.words {
-            1 => std::slice::from_mut(&mut self.segs[s].wires),
-            w => &mut self.wide_wires[s * w..(s + 1) * w],
+            1 => std::slice::from_mut(&mut self.segs[s].summary),
+            w => &mut self.wide[s * w..(s + 1) * w],
         }
     }
 
@@ -496,7 +560,7 @@ impl Arena {
 
     /// Moves `run` (live slots in list order, each with its segment) to
     /// just before the live slot `before`, into `before`'s segment, and
-    /// returns that segment. The caller folds the run's wires into it.
+    /// returns that segment. The caller folds the run's classes into it.
     fn move_run_before(&mut self, run: &[(u32, u32)], before: usize) -> u32 {
         let b = self.seg_of[before];
         let mut max_slot = 0;
@@ -519,10 +583,10 @@ impl Arena {
         b
     }
 
-    /// ORs a folded wire summary into segment `s`'s.
-    fn fold_into(&mut self, s: u32, wires: &[u64]) {
-        for (word, w) in self.seg_summary_mut(s as usize).iter_mut().zip(wires) {
-            *word |= w;
+    /// ORs a class summary into segment `s`'s.
+    fn fold_into(&mut self, s: u32, summary: &[ClassWord]) {
+        for (word, w) in self.seg_summary_mut(s as usize).iter_mut().zip(summary) {
+            word.union(w);
         }
     }
 
@@ -546,7 +610,7 @@ impl Arena {
         seg.max_slot = idx as u32;
         if let Slot::Local(id) = slot {
             let cbits = self.cbits;
-            fold_wires(self.seg_summary_mut(s), table, cbits, id);
+            fold_gate(self.seg_summary_mut(s), table, cbits, id);
         }
         idx
     }
@@ -581,29 +645,24 @@ impl Arena {
 }
 
 /// Reused per-block scratch state: the two commutation summaries, the
-/// folded wire masks, and the streaming conflict filter.
+/// window's folded masks, and the streaming conflict filter.
 struct Workspace {
     /// Summary of the open block's body.
     block: CommSummary,
     /// Summary of every gate in the deferred window.
     deferred: CommSummary,
     /// Folded qubit mask of block-body and deferred gates (see
-    /// [`GateTable::wire_mask`]; only ever conservative). On registers of
-    /// at most 64 wires it also carries the classical bits and is then the
-    /// exact wire set of the window, compared against one-word segment
-    /// summaries.
+    /// [`GateTable::wire_mask`]; only ever conservative).
     touched_mask: u64,
-    /// The window's wires folded like the segment summaries, on registers
-    /// wider than 64 wires (empty otherwise: `touched_mask` is exact).
-    window: Vec<u64>,
+    /// Class summary of block-body and deferred gates, folded like the
+    /// segment summaries.
+    window: Vec<ClassWord>,
     /// The open block's slot, then its deferred slots in list order, each
     /// with its segment: what the walk carries past hoisted items.
     carried: Vec<(u32, u32)>,
     /// Walk counters reported by [`aggregate_ir_with_stats`].
     visited: usize,
     skipped: usize,
-    /// Classical bit wires (see [`fold_wires`]).
-    cbits: Option<usize>,
     /// Generation-stamped occurrence set of the pair being processed.
     occ_pos: Vec<u32>,
     /// Occurrence-set generation (bumped per pair, not per block).
@@ -635,11 +694,10 @@ impl Workspace {
             block: CommSummary::new(ir.num_qubits(), ir.num_cbits()),
             deferred: CommSummary::new(ir.num_qubits(), ir.num_cbits()),
             touched_mask: 0,
-            window: if words > 1 { vec![0; words] } else { Vec::new() },
+            window: vec![ClassWord::default(); words],
             carried: Vec::new(),
             visited: 0,
             skipped: 0,
-            cbits: classical_base(ir),
             occ_pos: vec![0; ir.len()],
             occ_gen: 0,
             gen: 0,
@@ -666,9 +724,11 @@ impl Workspace {
     fn open_block(&mut self) {
         self.gen += 1;
         self.touched_mask = 0;
-        // Guarded: even an empty `fill` costs a `memset` call per block.
-        if !self.window.is_empty() {
-            self.window.fill(0);
+        // A one-word window resets in place: `fill` would cost a `memset`
+        // call per block.
+        match self.window.as_mut_slice() {
+            [word] => *word = ClassWord::default(),
+            words => words.fill(ClassWord::default()),
         }
         self.carried.clear();
         self.block.clear();
@@ -686,57 +746,32 @@ impl Workspace {
         fresh
     }
 
-    /// Adds the wires of `id` to the window masks.
-    fn note_wires(&mut self, table: &GateTable, id: GateId) {
-        self.touched_mask |= table.wire_mask(id);
-        if !self.window.is_empty() {
-            fold_wires(&mut self.window, table, self.cbits, id);
-        } else if self.cbits.is_some() {
-            fold_wires(std::slice::from_mut(&mut self.touched_mask), table, self.cbits, id);
-        }
-    }
-
-    /// The window's wires, folded like the segment summaries.
-    fn window_summary(&self) -> &[u64] {
-        if self.window.is_empty() {
-            std::slice::from_ref(&self.touched_mask)
-        } else {
-            &self.window
-        }
-    }
-
-    /// Whether the window may share a wire with a segment of folded wire
-    /// summary `summary` (exact on registers of at most 64 wires).
+    /// Whether a gate of a segment with class summary `summary` may fail
+    /// to commute with some window member (see [`ClassWord::may_conflict`]).
     #[inline]
-    fn sees(&self, summary: &[u64]) -> bool {
-        match summary {
-            [word] => word & self.touched_mask != 0,
-            words => words.iter().zip(&self.window).any(|(a, b)| a & b != 0),
-        }
+    fn may_conflict(&self, summary: &[ClassWord]) -> bool {
+        summary.iter().zip(&self.window).any(|(s, w)| s.may_conflict(w))
     }
 
-    fn add_to_block(&mut self, table: &GateTable, id: GateId) {
-        self.block.add(table, id);
-        self.note_wires(table, id);
-        for w in table.qubit_indices(id) {
-            self.tracked += Self::stamp_wires(&mut self.block_wire, self.gen, w, id);
+    /// Adds gate `id` to the open block's body, or to its deferred window
+    /// when `deferred`: its commutation summary, the window's masks, and
+    /// the streaming filter, all from one pass over its wire records.
+    fn add_member(&mut self, table: &GateTable, id: GateId, deferred: bool) {
+        let (summary, map) = if deferred {
+            (&mut self.deferred, &mut self.defer_wire)
+        } else {
+            (&mut self.block, &mut self.block_wire)
+        };
+        summary.add(table, id);
+        self.touched_mask |= table.wire_mask(id);
+        for (w, class) in table.wire_classes(id) {
+            self.tracked += Self::stamp_wires(map, self.gen, w, id);
+            fold_wire(&mut self.window, w, class);
         }
         for bit in table.classical_bits(id) {
-            self.tracked +=
-                Self::stamp_wires(&mut self.block_wire, self.gen, self.cbit_base + bit, id);
-        }
-        self.peak_tracked = self.peak_tracked.max(self.tracked);
-    }
-
-    fn add_to_deferred(&mut self, table: &GateTable, id: GateId) {
-        self.deferred.add(table, id);
-        self.note_wires(table, id);
-        for w in table.qubit_indices(id) {
-            self.tracked += Self::stamp_wires(&mut self.defer_wire, self.gen, w, id);
-        }
-        for bit in table.classical_bits(id) {
-            self.tracked +=
-                Self::stamp_wires(&mut self.defer_wire, self.gen, self.cbit_base + bit, id);
+            let w = self.cbit_base + bit;
+            self.tracked += Self::stamp_wires(map, self.gen, w, id);
+            fold_wire(&mut self.window, w, WireClass::Block);
         }
         self.peak_tracked = self.peak_tracked.max(self.tracked);
     }
@@ -814,8 +849,14 @@ fn process_pair(
     }
     let last_slot = *live.last().expect("non-empty");
     // Occurrence membership by position (generation-stamped, reused across
-    // pairs — the old per-pair hash set).
+    // pairs — the old per-pair hash set), and the segments holding one: a
+    // skip must not pass an occurrence the walk would join. Occurrences
+    // never change segment while their pair runs (they are joined or seal
+    // the walk), so the stamps stay sound.
     ws.set_occurrences(&live);
+    for &s in &live {
+        arena.segs[arena.seg_of[s] as usize].occ_gen = ws.occ_gen;
+    }
 
     let mut idx = 0usize;
     while idx < live.len() {
@@ -834,7 +875,7 @@ fn process_pair(
         arena.blocks.push(block);
         arena.slots[start] = Slot::Block(bi as u32);
         ws.open_block();
-        ws.add_to_block(table, first_id);
+        ws.add_member(table, first_id, false);
 
         // Hoisted items stay where they are and deferred items stay after
         // the block slot. When the walk stops, the block and the deferred
@@ -861,12 +902,14 @@ fn process_pair(
 
         while cur != sentinel && remaining > 0 && cur <= last_slot {
             if at_head {
-                // A segment whose items all precede the stop index and share
-                // no wire with the window would be hoisted item by item
-                // without a stop: pass it whole.
+                // A segment whose items all precede the stop index, hold no
+                // live occurrence, and commute with the whole window would
+                // be hoisted item by item without a stop: pass it whole.
                 seg = arena.seg_of[cur];
                 let head = arena.segs[seg as usize];
-                if head.max_slot as usize <= last_slot && !ws.sees(arena.seg_summary(seg as usize))
+                if head.max_slot as usize <= last_slot
+                    && head.occ_gen != ws.occ_gen
+                    && !ws.may_conflict(arena.seg_summary(seg as usize))
                 {
                     skipped += head.len as usize;
                     split = Some(ws.carried.len());
@@ -902,7 +945,7 @@ fn process_pair(
                 // block); all of them must commute with this gate.
                 if ws.deferred.commutes_with(table, id) {
                     arena.unlink(cur, seg);
-                    ws.add_to_block(table, id);
+                    ws.add_member(table, id, false);
                     arena.blocks[bi].push(id, table);
                 } else {
                     // Seal here and restart a fresh block at this occurrence.
@@ -934,7 +977,7 @@ fn process_pair(
                     if absorbable {
                         let Slot::Local(id) = slot else { unreachable!() };
                         arena.unlink(cur, seg);
-                        ws.add_to_block(table, id);
+                        ws.add_member(table, id, false);
                         arena.blocks[bi].push(id, table);
                     } else {
                         // `carried` holds the block slot, then the deferred
@@ -944,7 +987,7 @@ fn process_pair(
                         }
                         for k in 0..arena.ids_at(cur).len() {
                             let gid = arena.ids_at(cur)[k];
-                            ws.add_to_deferred(table, gid);
+                            ws.add_member(table, gid, true);
                         }
                         ws.carried.push((cur as u32, seg));
                     }
@@ -963,7 +1006,7 @@ fn process_pair(
             }
             None => ws.carried[0].1,
         };
-        arena.fold_into(block_seg, ws.window_summary());
+        arena.fold_into(block_seg, &ws.window);
 
         // Seal: trim trailing interior gates back out as local items.
         let trimmed = arena.blocks[bi].trim_trailing_locals(table);
@@ -1164,8 +1207,8 @@ mod tests {
     impl Arena {
         /// Asserts the segment overlay's invariants against the list: every
         /// segment is one contiguous run from `first` to `last` of `len`
-        /// live slots, and its summary covers every member's wires and
-        /// index.
+        /// live slots, and its summary covers every member's wires, their
+        /// classes, and its index.
         fn assert_segments_valid(&self, table: &GateTable) {
             let sentinel = self.sentinel();
             let mut order = Vec::new();
@@ -1184,15 +1227,17 @@ mod tests {
                 assert_eq!(seg.first as usize, run[0], "segment {s} first");
                 assert_eq!(seg.last as usize, run[run.len() - 1], "segment {s} last");
                 assert_eq!(seg.len as usize, run.len(), "segment {s} len");
-                let mut wires = vec![0u64; self.words];
+                let mut members = vec![ClassWord::default(); self.words];
                 for &i in run {
                     assert!(i <= seg.max_slot as usize, "segment {s} max_slot misses {i}");
                     for &id in self.ids_at(i) {
-                        fold_wires(&mut wires, table, self.cbits, id);
+                        fold_gate(&mut members, table, self.cbits, id);
                     }
                 }
-                for (w, summary) in wires.iter().zip(self.seg_summary(s)) {
-                    assert_eq!(w & !summary, 0, "segment {s} summary misses a wire");
+                for (m, summary) in members.iter().zip(self.seg_summary(s)) {
+                    assert_eq!(m.wires & !summary.wires, 0, "segment {s} summary misses a wire");
+                    assert_eq!(m.not_z & !summary.not_z, 0, "segment {s} misses a non-Z class");
+                    assert_eq!(m.not_x & !summary.not_x, 0, "segment {s} misses a non-X class");
                 }
             }
         }
@@ -1243,14 +1288,14 @@ mod tests {
         let (c, p) = dqc_workloads::random_distributed_circuit(70, 5, 200, 1);
         let ir = CommIr::build_shared(&c, &p);
         let mut arena = Arena::from_ir(&ir);
-        // As the walk does, the caller folds the moved items' wires in.
+        // As the walk does, the caller folds the moved items' classes in.
         let move_run = |arena: &mut Arena, run: &[(u32, u32)], before: usize| {
-            let mut wires = vec![0u64; arena.words];
+            let mut moved = vec![ClassWord::default(); arena.words];
             for &(i, _) in run {
-                fold_wires(&mut wires, ir.table(), arena.cbits, ir.stream()[i as usize]);
+                fold_gate(&mut moved, ir.table(), arena.cbits, ir.stream()[i as usize]);
             }
             let b = arena.move_run_before(run, before);
-            arena.fold_into(b, &wires);
+            arena.fold_into(b, &moved);
             arena.assert_segments_valid(ir.table());
         };
         // Move a run from the third segment to the head of the first (a
@@ -1280,6 +1325,90 @@ mod tests {
         );
         let (_, again) = aggregate_ir_with_stats(ir, AggregateOptions::default());
         assert_eq!(stats, again, "walk counters must be deterministic");
+        // Skips pass exactly the items the item-by-item walk would hoist,
+        // so every skip rule walks the same items: the disjoint-wire skip
+        // recorded this total (345,144 visited, 475,051 skipped).
+        assert_eq!(stats.visited + stats.skipped, 820_195);
+    }
+
+    /// The skip test is sound: two gate sets whose class summaries show no
+    /// conflict commute member by member, whatever the classes and
+    /// classical bits involved; and it sees through shared wires.
+    #[test]
+    fn class_summaries_pass_only_commuting_sets() {
+        let b = |i| CBitId::new(i);
+        let zoo = [
+            Gate::h(q(0)),
+            Gate::t(q(0)),
+            Gate::rz(0.5, q(1)),
+            Gate::rx(0.5, q(1)),
+            Gate::x(q(2)),
+            Gate::cx(q(0), q(1)),
+            Gate::cx(q(1), q(0)),
+            Gate::cx(q(0), q(2)),
+            Gate::cz(q(1), q(2)),
+            Gate::swap(q(0), q(2)),
+            Gate::ccx(q(0), q(1), q(2)),
+            Gate::barrier(&[q(1)]),
+            Gate::reset(q(2)),
+            Gate::measure(q(0), b(0)),
+            Gate::x(q(1)).with_condition(b(0)),
+            Gate::rz(0.5, q(2)).with_condition(b(1)),
+        ];
+        let mut table = GateTable::new();
+        let ids: Vec<GateId> = zoo.iter().map(|g| table.intern(g)).collect();
+        let summary = |set: &[GateId]| {
+            let mut word = [ClassWord::default()];
+            for &id in set {
+                fold_gate(&mut word, &table, Some(3), id);
+            }
+            word[0]
+        };
+        let mut passed_shared = 0;
+        for &a in &ids {
+            for (&b0, &b1) in ids.iter().zip(ids.iter().cycle().skip(5)) {
+                for set in [&[b0][..], &[b0, b1]] {
+                    let (x, y) = (summary(&[a]), summary(set));
+                    if !x.may_conflict(&y) {
+                        assert!(set.iter().all(|&m| table.commutes_ids(a, m)), "{a} vs {set:?}");
+                        passed_shared += usize::from(x.wires & y.wires != 0);
+                    }
+                }
+            }
+        }
+        assert!(passed_shared > 0, "the test never sees a commuting shared wire");
+    }
+
+    /// A segment whose gates share the burst qubit with the window, but
+    /// only as Z-diagonal controls, is passed whole; a segment of the same
+    /// gates that holds a live occurrence is walked, so the occurrence
+    /// joins the block.
+    #[test]
+    fn commuting_segments_are_skipped_but_occurrences_are_walked() {
+        let p = Partition::block(4, 2).unwrap();
+        let mut c = Circuit::new(4);
+        // Four segments of 64: the block opens at 0, the pair's remaining
+        // occurrences end segments 1 and 3, and the rest is `cx q0,q1`,
+        // which commutes with the block (Z on q0, no other shared wire).
+        for i in 0..256 {
+            c.push(match i {
+                0 => Gate::cx(q(0), q(2)),
+                127 => Gate::cx(q(0), q(3)),
+                255 => Gate::cx(q(0), q(2)),
+                _ => Gate::cx(q(0), q(1)),
+            })
+            .unwrap();
+        }
+        let ir = CommIr::build_shared(&c, &p);
+        assert_eq!(ir.ranked_pairs()[0].0, (q(0), NodeId::new(1)));
+        let (agg, stats) = aggregate_ir_with_stats(ir, AggregateOptions::default());
+        // Segment 0 after the block start, segment 1 (stamped: it holds the
+        // occurrence at 127) and segment 3 are walked; segment 2 is passed.
+        assert_eq!((stats.visited, stats.skipped), (63 + 64 + 64, 64));
+        let blocks: Vec<_> = agg.blocks().collect();
+        assert_eq!(blocks.len(), 1);
+        assert_eq!(blocks[0].remote_gate_count(), 3);
+        assert_eq!(agg.items().len(), 256 - 2);
     }
 
     /// Pins the `last_slot` stop (see the module docs): a walk ends on a

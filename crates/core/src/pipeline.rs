@@ -15,10 +15,10 @@ use dqc_partition::{oee_refine_on_stats, place_blocks_stats, OeeOptions, PlaceOp
 
 use crate::pass::{schedule_metric, timed, PassReport};
 use crate::{
-    aggregate_ir, aggregate_no_commute_ir, assign_cat_only_on, assign_incremental, assign_on,
-    comm_weighted_graph, orient_symmetric_gates, schedule, AggregateOptions, AggregatedProgram,
-    AssignedProgram, CommIr, CommMetrics, CompileError, Placement, ScheduleOptions,
-    ScheduleSummary, Scheme,
+    aggregate_ir_with_stats, aggregate_no_commute_ir, assign_cat_only_on, assign_incremental,
+    assign_on, comm_weighted_graph, orient_symmetric_gates, schedule, AggregateOptions,
+    AggregatedProgram, AssignedProgram, CommIr, CommMetrics, CompileError, Placement,
+    ScheduleOptions, ScheduleSummary, Scheme,
 };
 
 /// Compiler configuration; the defaults reproduce full AutoComm, and each
@@ -32,6 +32,9 @@ pub struct AutoCommOptions {
     /// pair gets the Cat-friendly control side before unrolling.
     pub orient_symmetric: bool,
     /// Use the hybrid Cat/TP assignment (off = Fig. 17b's “Cat-Comm only”).
+    /// Machines with one communication qubit per node always get Cat-Comm
+    /// only: a teleported state fills the node's only slot, so TP could
+    /// neither send it on nor back.
     pub hybrid_assignment: bool,
     /// Aggregation tuning.
     pub aggregate: AggregateOptions,
@@ -171,6 +174,12 @@ impl AutoComm {
         &self.options
     }
 
+    /// Whether blocks may take TP-Comm on `hw` (see
+    /// [`AutoCommOptions::hybrid_assignment`]).
+    fn hybrid_on(&self, hw: &HardwareSpec) -> bool {
+        self.options.hybrid_assignment && hw.comm_qubits_per_node() > 1
+    }
+
     /// Compiles `circuit` for the machine implied by `partition` (one node
     /// per partition class, two communication qubits each).
     ///
@@ -271,23 +280,32 @@ impl AutoComm {
             || CommIr::build_shared(&unrolled, partition),
             |ir| Some(format!("{} gates ({} unique)", ir.len(), ir.unique_gates())),
         );
-        let aggregated = timed(
+        let (aggregated, _) = timed(
             &mut passes,
             "aggregate",
             || {
                 if options.commutation_aggregation {
-                    aggregate_ir(Arc::clone(&ir), options.aggregate)
+                    let (a, stats) = aggregate_ir_with_stats(Arc::clone(&ir), options.aggregate);
+                    (a, Some(stats))
                 } else {
-                    aggregate_no_commute_ir(Arc::clone(&ir))
+                    (aggregate_no_commute_ir(Arc::clone(&ir)), None)
                 }
             },
-            |a| Some(format!("{} blocks", a.block_count())),
+            |(a, walk)| {
+                let blocks = a.block_count();
+                Some(match walk {
+                    Some(w) => {
+                        format!("{blocks} blocks, {} visited, {} skipped", w.visited, w.skipped)
+                    }
+                    None => format!("{blocks} blocks"),
+                })
+            },
         );
         let assigned = timed(
             &mut passes,
             "assign",
             || {
-                if options.hybrid_assignment {
+                if self.hybrid_on(hw) {
                     assign_on(&aggregated, placement, topology)
                 } else {
                     assign_cat_only_on(&aggregated, placement, topology)
@@ -392,7 +410,7 @@ impl AutoComm {
                     &best.placement,
                     &candidate,
                     topology,
-                    self.options.hybrid_assignment,
+                    self.hybrid_on(hw),
                 );
                 let metrics = CommMetrics::of(&assigned);
                 if metrics.total_epr_cost >= best.metrics.total_epr_cost {
@@ -651,7 +669,9 @@ mod tests {
     fn compile_reports_every_pass_in_order() {
         let c = dqc_workloads::qft(6);
         let p = Partition::block(6, 2).unwrap();
-        let hybrid = || qft6_prefix("5 blocks", "2 cat / 3 tp blocks", "8 comms (6 tp)");
+        let hybrid = || {
+            qft6_prefix("5 blocks, 159 visited, 0 skipped", "2 cat / 3 tp blocks", "8 comms (6 tp)")
+        };
         let with_schedule = |mut prefix: Vec<_>, schedule| {
             prefix.push(("schedule", Some(schedule)));
             prefix
@@ -668,7 +688,11 @@ mod tests {
             (
                 vec![Ablation::CatOnly],
                 with_schedule(
-                    qft6_prefix("5 blocks", "5 cat / 0 tp blocks", "12 comms (0 tp)"),
+                    qft6_prefix(
+                        "5 blocks, 159 visited, 0 skipped",
+                        "5 cat / 0 tp blocks",
+                        "12 comms (0 tp)",
+                    ),
                     "makespan 199.6, 12 epr",
                 ),
             ),
@@ -694,7 +718,11 @@ mod tests {
         assert_eq!(
             reports(&r),
             with_schedule(
-                qft6_prefix("7 blocks", "5 cat / 2 tp blocks", "9 comms (4 tp)"),
+                qft6_prefix(
+                    "7 blocks, 170 visited, 0 skipped",
+                    "5 cat / 2 tp blocks",
+                    "9 comms (4 tp)"
+                ),
                 "makespan 180.3, 14 epr, prefetch:4 buffering (8/9 hits)",
             )
         );
@@ -716,7 +744,7 @@ mod tests {
                 ("orient", None),
                 ("unroll", Some("201 gates")),
                 ("comm-ir", Some("201 gates (141 unique)")),
-                ("aggregate", Some("11 blocks")),
+                ("aggregate", Some("11 blocks, 652 visited, 0 skipped")),
                 ("assign", Some("8 cat / 3 tp blocks")),
                 ("metrics", Some("14 comms (6 tp)")),
                 ("schedule", Some("makespan 251.8, 17 epr")),
@@ -733,7 +761,7 @@ mod tests {
                 ("orient", None),
                 ("unroll", Some("9 gates")),
                 ("comm-ir", Some("9 gates (3 unique)")),
-                ("aggregate", Some("0 blocks")),
+                ("aggregate", Some("0 blocks, 0 visited, 0 skipped")),
                 ("assign", Some("0 cat / 0 tp blocks")),
                 ("metrics", Some("0 comms (0 tp)")),
                 ("schedule", Some("makespan 4.4, 0 epr")),
