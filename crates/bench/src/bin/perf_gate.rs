@@ -7,9 +7,12 @@
 //!
 //! Every section runs at one fixed size and asserts on every run:
 //!
+//! * **Service codec** — a 1 MiB escaped-ASCII `compile` request and a
+//!   1 MiB two-byte UTF-8 one each decode and re-encode through
+//!   [`Json`] within 50 ms, so a quadratic string codec fails the gate.
 //! * **Front end** — a 10k-gate diagonal-heavy circuit (long commuting
-//!   runs) aggregates with the streaming filter inside its `O(wires)`
-//!   tracked-entry bound; 100k gates of generated QASM parse back through
+//!   runs) aggregates with its block and window summaries inside their
+//!   `O(wires)` tracked-entry bound; 100k gates of generated QASM parse back through
 //!   the chunked [`from_qasm`] to the generating circuit, and unroll
 //!   through the fanned [`unroll_circuit`]; unrolled `qft(128)` aggregates
 //!   over an 8-node block partition (more than 64 wires, so the walk's
@@ -44,6 +47,7 @@ use autocomm::{
     BufferPolicy, CommIr, CommMetrics, Placement, PlacementConfig, ScheduleOptions,
 };
 use dqc_circuit::{from_qasm, to_qasm, unroll_circuit, Circuit, Gate, NodeId, Partition, QubitId};
+use dqc_cli::json::Json;
 use dqc_hardware::{HardwareSpec, NetworkTopology};
 use dqc_partition::{oee_refine_on_stats, InteractionGraph, OeeOptions, UniformDistance};
 use dqc_workloads::{large_sparse_circuit, qft, random_distributed_circuit};
@@ -112,7 +116,7 @@ fn frontend() -> Vec<String> {
     eprintln!("aggregation ({} gates): streaming {streaming_ms:.1} ms", circuit.len());
     assert!(
         stats.peak_tracked_entries <= stats.tracked_entry_bound,
-        "streaming filter tracked {} entries, bound {}",
+        "aggregation summaries tracked {} entries, bound {}",
         stats.peak_tracked_entries,
         stats.tracked_entry_bound
     );
@@ -180,6 +184,35 @@ fn frontend() -> Vec<String> {
         format!("\"parse\": {{\"gates\": {}, \"round_trips\": true}}", parse_circuit.len()),
         format!("\"fanned_rails\": {{\"unrolled_gates\": {}}}", unrolled.len()),
     ]
+}
+
+/// The compile service's JSON codec: a 1 MiB `compile` request whose QASM
+/// is escaped ASCII, and one whose QASM is two-byte UTF-8, each decode and
+/// re-encode byte-identically within a fixed budget, so a codec that is
+/// quadratic in the string length fails here. Asserts only: timings go to
+/// stderr and nothing to stdout.
+fn codec() {
+    const BUDGET_MS: f64 = 50.0;
+    const PAYLOAD: usize = 1 << 20;
+    let (circuit, _) = random_distributed_circuit(32, 4, 20_000, 3);
+    let mut ascii = to_qasm(&circuit).repeat(4);
+    ascii.truncate(PAYLOAD);
+    for (name, qasm) in [("escaped ASCII", ascii), ("multi-byte", "é".repeat(PAYLOAD / 2))] {
+        assert_eq!(qasm.len(), PAYLOAD, "{name} payload size");
+        let request = Json::object([("op", Json::string("compile")), ("qasm", Json::string(qasm))]);
+        let (encode_ms, text) = timed(3, || request.to_string());
+        let (decode_ms, parsed) = timed(3, || Json::parse(&text).expect("rendered request"));
+        assert_eq!(parsed, request, "{name} request drifted through the codec");
+        eprintln!(
+            "codec ({name}, {} KiB line): decode {decode_ms:.2} ms, encode {encode_ms:.2} ms",
+            text.len() >> 10
+        );
+        assert!(
+            decode_ms < BUDGET_MS && encode_ms < BUDGET_MS,
+            "{name} codec over its {BUDGET_MS} ms budget: decode {decode_ms:.1} ms, \
+             encode {encode_ms:.1} ms"
+        );
+    }
 }
 
 /// Cross-node qubit pairs under `partition`: the candidates one full gain
@@ -456,6 +489,7 @@ fn ir_scale() -> Vec<String> {
 fn main() {
     let t = Instant::now();
     // Cheapest sections first, so a regression there fails fast.
+    codec();
     let mut fields = frontend();
     fields.extend(placement());
     fields.extend(ir_scale());

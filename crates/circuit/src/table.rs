@@ -44,8 +44,8 @@ impl std::fmt::Display for GateId {
 }
 
 /// Minimal FNV-1a hasher for the interning index — the keys are already
-/// well-mixed 64-bit content hashes, and the offline container has no
-/// external fast-hash crates.
+/// well-mixed 64-bit content hashes (finalized by [`fmix64`]), and the
+/// workspace takes no external fast-hash crates.
 #[derive(Default)]
 struct FnvHasher(u64);
 
@@ -86,7 +86,18 @@ fn content_hash(gate: &Gate) -> u64 {
     }
     h.write_u64(bit_code(gate.cbit()));
     h.write_u64(bit_code(gate.condition()));
-    h.finish()
+    fmix64(h.finish())
+}
+
+/// MurmurHash3's 64-bit finalizer. FNV's multiply only carries low bits
+/// upward, so without it gates differing only in high bits (the exponent
+/// of `π/2^k` angles) would share the low bits the hash map buckets by.
+fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 fn bit_code(bit: Option<crate::CBitId>) -> u64 {
@@ -498,6 +509,9 @@ pub struct CommSummary {
     wires: Vec<WireEntry>,
     cbit_gen: Vec<u32>,
     len: usize,
+    /// Distinct qubit wires plus classical bits touched since the last
+    /// clear.
+    wire_count: usize,
 }
 
 impl CommSummary {
@@ -509,6 +523,7 @@ impl CommSummary {
             wires: vec![WireEntry { gen: 0, state: WireState::Conflict }; num_qubits],
             cbit_gen: vec![0; num_cbits],
             len: 0,
+            wire_count: 0,
         }
     }
 
@@ -516,6 +531,7 @@ impl CommSummary {
     pub fn clear(&mut self) {
         self.gen += 1;
         self.len = 0;
+        self.wire_count = 0;
     }
 
     /// Number of gates inserted since the last [`CommSummary::clear`].
@@ -526,6 +542,12 @@ impl CommSummary {
     /// Whether no gate has been inserted since the last clear.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Distinct qubit wires plus distinct classical bits that the gates
+    /// inserted since the last clear touch: the summary's live entries.
+    pub fn wire_count(&self) -> usize {
+        self.wire_count
     }
 
     /// Inserts gate `id` into the set.
@@ -545,6 +567,7 @@ impl CommSummary {
             let entry = &mut self.wires[qi];
             if entry.gen != self.gen {
                 *entry = WireEntry { gen: self.gen, state: incoming };
+                self.wire_count += 1;
             } else if entry.state != incoming || incoming == WireState::Conflict {
                 entry.state = WireState::Conflict;
             }
@@ -554,7 +577,10 @@ impl CommSummary {
             if ci >= self.cbit_gen.len() {
                 self.cbit_gen.resize(ci + 1, 0);
             }
-            self.cbit_gen[ci] = self.gen;
+            if self.cbit_gen[ci] != self.gen {
+                self.cbit_gen[ci] = self.gen;
+                self.wire_count += 1;
+            }
         }
     }
 
@@ -688,7 +714,21 @@ mod tests {
         assert!(!s.commutes_with(&table, zid));
         s.clear();
         assert!(s.is_empty());
+        assert_eq!(s.wire_count(), 0);
         assert!(s.commutes_with(&table, zid));
+    }
+
+    #[test]
+    fn wire_count_counts_distinct_wires_and_bits() {
+        let mut table = GateTable::new();
+        let gates = [
+            Gate::cx(q(0), q(1)),
+            Gate::h(q(1)),
+            Gate::measure(q(0), CBitId::new(3)),
+            Gate::x(q(2)).with_condition(CBitId::new(3)),
+        ];
+        let s = summary_of(&gates, &mut table);
+        assert_eq!(s.wire_count(), 4, "qubits 0, 1, 2 and classical bit 3");
     }
 
     #[test]
@@ -702,6 +742,26 @@ mod tests {
         let neg = table.intern(&Gate::rz(-0.0, q(1)));
         let pos = table.intern(&Gate::rz(0.0, q(1)));
         assert_eq!(neg, pos, "-0.0 and 0.0 parameters intern identically");
+    }
+
+    /// `rz(π/2^k)` angles differ only in exponent bits; the interning
+    /// index must still spread them over the low bits its buckets use.
+    #[test]
+    fn content_hashes_spread_over_the_index_low_bits() {
+        const LOW: u32 = 18;
+        let mut buckets = std::collections::HashSet::new();
+        let mut gates = 0usize;
+        for k in 0..64 {
+            let angle = std::f64::consts::PI / 2f64.powi(k);
+            for qubit in 0..300 {
+                let mut index_hash = FnvHasher::default();
+                index_hash.write_u64(content_hash(&Gate::rz(angle, q(qubit))));
+                buckets.insert(index_hash.finish() & ((1 << LOW) - 1));
+                gates += 1;
+            }
+        }
+        // A uniform hash fills ≈ 18,500 of the 2^18 positions.
+        assert!(buckets.len() * 10 > gates * 9, "{} positions for {gates} gates", buckets.len());
     }
 
     #[test]

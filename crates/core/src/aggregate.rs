@@ -21,12 +21,10 @@
 //! * "does this item commute with the whole block (and the deferred
 //!   window)?" is answered by two incremental [`CommSummary`]s in
 //!   `O(operands)` instead of an `O(block · deferred)` rescan, with
-//!   answers *identical* to the pairwise [`dqc_circuit::commutes`] oracle;
-//! * a streaming per-wire filter supplies an `O(operands)` negative
-//!   filter: the newest block or deferred member on a wire the candidate
-//!   touches, if it does not commute with the candidate, proves the
-//!   candidate cannot move before either summary is consulted. The filter
-//!   holds at most two entries per wire, whatever the stream length.
+//!   answers *identical* to the pairwise [`dqc_circuit::commutes`] oracle.
+//!   The deferred summary is asked first: an item it rejects can be
+//!   neither hoisted nor absorbed. The two summaries hold at most two
+//!   entries per wire, whatever the stream length.
 //!
 //! The walk's cost follows the items that may fail to commute with the
 //! open block or its deferred window, not the distance between two
@@ -217,8 +215,8 @@ impl Default for AggregateOptions {
 /// baseline and asserts the bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AggregateStats {
-    /// Peak live entries in the streaming conflict filter (newest block /
-    /// deferred member per wire, generation-stamped).
+    /// Peak live wire entries of the block and deferred-window summaries
+    /// together (distinct qubit wires and classical bits each holds).
     pub peak_tracked_entries: usize,
     /// Hard bound on `peak_tracked_entries`: two entries (block + deferred)
     /// per qubit wire and per classical bit — `O(wires)`, independent of
@@ -644,8 +642,8 @@ impl Arena {
     }
 }
 
-/// Reused per-block scratch state: the two commutation summaries, the
-/// window's folded masks, and the streaming conflict filter.
+/// Reused per-block scratch state: the two commutation summaries and the
+/// window's folded masks.
 struct Workspace {
     /// Summary of the open block's body.
     block: CommSummary,
@@ -667,29 +665,17 @@ struct Workspace {
     occ_pos: Vec<u32>,
     /// Occurrence-set generation (bumped per pair, not per block).
     occ_gen: u32,
-    gen: u32,
-    /// Streaming filter state: newest block member touching each qubit wire
-    /// (then each classical bit), generation-stamped. A candidate conflicts
-    /// with the open block iff it fails to commute with *some* member on a
-    /// shared wire — and the newest one is already a sound witness, because
-    /// any hit short-circuits exactly what [`CommSummary::commutes_with`]
-    /// would answer. Total live entries are bounded by two per wire,
-    /// `O(wires)`, whatever the stream length.
-    block_wire: Vec<(u32, Option<GateId>)>,
-    /// Newest deferred member per qubit wire / classical bit.
-    defer_wire: Vec<(u32, Option<GateId>)>,
-    /// Live entries stamped with the current generation, and the peak
-    /// across the whole run (deterministic; reported by
+    /// Peak across the whole run of the live wire entries the two
+    /// summaries hold: at most two per qubit wire and classical bit,
+    /// `O(wires)`, whatever the stream length (deterministic; reported by
     /// [`aggregate_ir_with_stats`]).
-    tracked: usize,
     peak_tracked: usize,
-    /// Classical bits live at `cbit_base + bit` in the wire maps.
+    /// Classical bits fold into the window at `cbit_base + bit`.
     cbit_base: usize,
 }
 
 impl Workspace {
     fn new(ir: &CommIr, words: usize) -> Self {
-        let wires = ir.num_qubits() + ir.num_cbits();
         Workspace {
             block: CommSummary::new(ir.num_qubits(), ir.num_cbits()),
             deferred: CommSummary::new(ir.num_qubits(), ir.num_cbits()),
@@ -700,10 +686,6 @@ impl Workspace {
             skipped: 0,
             occ_pos: vec![0; ir.len()],
             occ_gen: 0,
-            gen: 0,
-            block_wire: vec![(0, None); wires],
-            defer_wire: vec![(0, None); wires],
-            tracked: 0,
             peak_tracked: 0,
             cbit_base: ir.num_qubits(),
         }
@@ -722,7 +704,6 @@ impl Workspace {
     }
 
     fn open_block(&mut self) {
-        self.gen += 1;
         self.touched_mask = 0;
         // A one-word window resets in place: `fill` would cost a `memset`
         // call per block.
@@ -733,17 +714,6 @@ impl Workspace {
         self.carried.clear();
         self.block.clear();
         self.deferred.clear();
-        // The wire maps invalidate by generation; only the live count
-        // resets (stale entries are overwritten lazily on the next stamp).
-        self.tracked = 0;
-    }
-
-    /// Stamps `id` as the newest member of the current generation on every
-    /// wire it touches (streaming filter bookkeeping).
-    fn stamp_wires(map: &mut [(u32, Option<GateId>)], gen: u32, w: usize, id: GateId) -> usize {
-        let fresh = usize::from(map[w].0 != gen);
-        map[w] = (gen, Some(id));
-        fresh
     }
 
     /// Whether a gate of a segment with class summary `summary` may fail
@@ -754,61 +724,19 @@ impl Workspace {
     }
 
     /// Adds gate `id` to the open block's body, or to its deferred window
-    /// when `deferred`: its commutation summary, the window's masks, and
-    /// the streaming filter, all from one pass over its wire records.
+    /// when `deferred`: its commutation summary and the window's masks.
     fn add_member(&mut self, table: &GateTable, id: GateId, deferred: bool) {
-        let (summary, map) = if deferred {
-            (&mut self.deferred, &mut self.defer_wire)
-        } else {
-            (&mut self.block, &mut self.block_wire)
-        };
+        let summary = if deferred { &mut self.deferred } else { &mut self.block };
         summary.add(table, id);
         self.touched_mask |= table.wire_mask(id);
         for (w, class) in table.wire_classes(id) {
-            self.tracked += Self::stamp_wires(map, self.gen, w, id);
             fold_wire(&mut self.window, w, class);
         }
         for bit in table.classical_bits(id) {
-            let w = self.cbit_base + bit;
-            self.tracked += Self::stamp_wires(map, self.gen, w, id);
-            fold_wire(&mut self.window, w, WireClass::Block);
+            fold_wire(&mut self.window, self.cbit_base + bit, WireClass::Block);
         }
-        self.peak_tracked = self.peak_tracked.max(self.tracked);
-    }
-
-    /// The negative conflict filter: whether a current block (resp.
-    /// deferred) member provably does not commute with the candidate.
-    /// Probes the newest member on each wire the candidate touches —
-    /// `O(operands)` lookups against `O(wires)` state. A `true`
-    /// short-circuits exactly what the [`CommSummary::commutes_with`]
-    /// checks downstream would answer, so the filter changes no decision.
-    fn conflicts(&self, table: &GateTable, ids: &[GateId]) -> (bool, bool) {
-        let mut in_block = false;
-        let mut in_defer = false;
-        for &id in ids {
-            for w in
-                table.qubit_indices(id).chain(table.classical_bits(id).map(|b| self.cbit_base + b))
-            {
-                if !in_block {
-                    if let (g, Some(member)) = self.block_wire[w] {
-                        if g == self.gen && !table.commutes_ids(member, id) {
-                            in_block = true;
-                        }
-                    }
-                }
-                if !in_defer {
-                    if let (g, Some(member)) = self.defer_wire[w] {
-                        if g == self.gen && !table.commutes_ids(member, id) {
-                            in_defer = true;
-                        }
-                    }
-                }
-            }
-            if in_block && in_defer {
-                break;
-            }
-        }
-        (in_block, in_defer)
+        let tracked = self.block.wire_count() + self.deferred.wire_count();
+        self.peak_tracked = self.peak_tracked.max(tracked);
     }
 }
 
@@ -952,25 +880,22 @@ fn process_pair(
                     break;
                 }
             } else if slot != Slot::Dead {
-                // Negative conflict filter: a proven non-commuting block or
-                // deferred member means the item cannot be hoisted (and,
-                // for deferred conflicts, cannot be absorbed either).
-                let (edge_block, edge_defer) = ws.conflicts(table, arena.ids_at(cur));
-                let can_hoist = !edge_block
-                    && !edge_defer
-                    && arena.ids_at(cur).iter().all(|&gid| {
-                        ws.block.commutes_with(table, gid) && ws.deferred.commutes_with(table, gid)
-                    });
+                // The deferred summary first: an item that fails to commute
+                // with a deferred member can be neither hoisted past nor
+                // absorbed into the block (the block would then cross it).
+                let ids = arena.ids_at(cur);
+                let clears_deferred = ids.iter().all(|&gid| ws.deferred.commutes_with(table, gid));
+                let can_hoist =
+                    clears_deferred && ids.iter().all(|&gid| ws.block.commutes_with(table, gid));
                 if can_hoist {
                     split = Some(ws.carried.len());
                 } else {
                     let absorbable = match slot {
                         Slot::Local(id) => {
-                            !edge_defer
+                            clears_deferred
                                 && table.is_unitary(id)
                                 && table.condition_bit(id).is_none()
                                 && on_pair(id)
-                                && ws.deferred.commutes_with(table, id)
                         }
                         _ => false,
                     };

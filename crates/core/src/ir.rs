@@ -10,9 +10,9 @@
 //!   aggregation preprocessing ranks pairs by (paper §4.2), computed in a
 //!   single sweep.
 //!
-//! The IR holds no conflict graph: aggregation streams its conflict checks
-//! through per-wire member maps, answered by [`GateTable::commutes_ids`]
-//! and the table's per-gate summaries.
+//! The IR holds no conflict graph: aggregation answers its conflict checks
+//! with two [`dqc_circuit::CommSummary`]s built from the table's per-gate
+//! wire records.
 //!
 //! [`AggregatedProgram`](crate::AggregatedProgram) and
 //! [`AssignedProgram`](crate::AssignedProgram) share the `CommIr` by
