@@ -223,6 +223,8 @@ pub fn compile(args: CompileArgs) -> Result<CompileReport, CliError> {
         duration: parse_start.elapsed(),
         metric: Some(format!("{} gates from {} bytes of QASM", circuit.len(), text.len())),
     };
+    // The circuit is all the compile reads from here on.
+    drop(text);
     let Compiled { stats, partition, hardware, placement, mut result } =
         run_job(&circuit, &args.job)?;
     // The pipeline only sees the parsed circuit; the front-end parse time

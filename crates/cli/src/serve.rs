@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -588,6 +588,8 @@ fn handle_connection(state: Arc<ServiceState>, stream: TcpStream) {
     // A short read timeout lets idle connections notice shutdown without
     // a dedicated waker per connection.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    // Each response leaves in one write; Nagle would only hold it back.
+    let _ = stream.set_nodelay(true);
     let Ok(reader) = stream.try_clone() else {
         return;
     };
@@ -600,28 +602,28 @@ fn handle_connection(state: Arc<ServiceState>, stream: TcpStream) {
         match (&mut reader).take(budget).read_line(&mut line) {
             Ok(0) => break, // client closed
             Ok(_) if line.len() > MAX_REQUEST_BYTES && !line.ends_with('\n') => {
-                let response = error_response(&format!(
+                let mut response = error_response(&format!(
                     "request line exceeds the limit of {MAX_REQUEST_BYTES} bytes"
                 ));
-                let _ = writer
-                    .write_all(response.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush());
+                response.push('\n');
+                let _ = writer.write_all(response.as_bytes());
                 break;
             }
             Ok(_) => {
-                let (response, close) = if line.trim().is_empty() {
+                let (mut response, close) = if line.trim().is_empty() {
                     (String::new(), false)
                 } else {
                     handle_line(&state, line.trim_end())
                 };
                 line.clear();
-                if !response.is_empty()
-                    && (writer.write_all(response.as_bytes()).is_err()
-                        || writer.write_all(b"\n").is_err()
-                        || writer.flush().is_err())
-                {
-                    break;
+                if !response.is_empty() {
+                    // The newline rides in the same write: a separate
+                    // one-byte write would wait on the client's delayed ACK
+                    // on a reused connection.
+                    response.push('\n');
+                    if writer.write_all(response.as_bytes()).is_err() {
+                        break;
+                    }
                 }
                 if close {
                     // The acceptor blocks in `accept`; a self-connect to
@@ -797,13 +799,16 @@ impl SubmitArgs {
 /// [`CliError::Compile`] on connection failures or a closed socket.
 pub fn roundtrip(addr: &str, request: &str) -> Result<String, CliError> {
     let err = |e: std::fmt::Arguments<'_>| CliError::Compile(format!("service at {addr}: {e}"));
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| err(format_args!("cannot connect: {e}")))?;
-    stream
+    let stream = TcpStream::connect(addr).map_err(|e| err(format_args!("cannot connect: {e}")))?;
+    let _ = stream.set_nodelay(true);
+    // The request and its newline leave in one write.
+    let mut writer = BufWriter::with_capacity(request.len() + 1, &stream);
+    writer
         .write_all(request.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
+        .and_then(|()| writer.write_all(b"\n"))
+        .and_then(|()| writer.flush())
         .map_err(|e| err(format_args!("send failed: {e}")))?;
+    drop(writer);
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     match reader.read_line(&mut line) {

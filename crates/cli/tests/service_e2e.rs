@@ -283,6 +283,30 @@ fn over_long_request_lines_are_refused_and_the_daemon_stays_up() {
     assert!(ok.contains("\"status\":\"ok\""), "{ok}");
 }
 
+/// A reused connection answers each request without waiting on the
+/// client's delayed ACK (about 40 ms when a response and its newline left
+/// in two writes with Nagle on).
+#[test]
+fn requests_on_one_connection_answer_promptly() {
+    use std::io::{BufRead, BufReader, Write};
+    let daemon = Daemon::start("keepalive");
+    let mut stream = std::net::TcpStream::connect(&daemon.addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
+    let mut request = compile_request(&[]);
+    request.push('\n');
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    for i in 0..20 {
+        let started = Instant::now();
+        stream.write_all(request.as_bytes()).expect("send");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("response");
+        let elapsed = started.elapsed();
+        assert!(response.contains("\"status\":\"ok\""), "{response}");
+        assert!(elapsed < Duration::from_millis(10), "request {i} took {elapsed:?}");
+    }
+}
+
 #[test]
 fn error_responses_carry_short_messages_without_usage_text() {
     let daemon = Daemon::start("short-errors");

@@ -97,23 +97,37 @@ use dqc_circuit::{
 
 use crate::{CommBlock, CommIr};
 
-/// One element of an aggregated program: a local gate or a burst block.
-/// Local gates are ids into the program's [`CommIr`] table.
-#[derive(Clone, Debug, PartialEq)]
+/// One element of an aggregated program, eight bytes: a local gate (an id
+/// into the program's [`CommIr`] table) or a burst block (an index into
+/// the program's block store, see [`AggregatedProgram::block`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Item {
     /// A gate executed locally on one node (or a hoisted single-qubit gate).
     Local(GateId),
-    /// A burst-communication block.
-    Block(CommBlock),
+    /// A burst-communication block. Blocks are numbered in execution
+    /// order: the `k`-th block item of a program is `Block(k)`.
+    Block(u32),
+}
+
+const _: () = assert!(std::mem::size_of::<Item>() <= 8);
+
+/// The item list and the block store it points into, shared behind one
+/// `Arc` by every clone of the program and by its assignments.
+#[derive(Debug)]
+struct Body {
+    items: Vec<Item>,
+    blocks: Vec<CommBlock>,
 }
 
 /// The output of the aggregation pass: an ordered item list whose
 /// flattening is commutation-equivalent to the input circuit, indexed into
-/// the compile's shared [`CommIr`].
+/// the compile's shared [`CommIr`]. Cloning the program, and assigning it
+/// ([`crate::AssignedProgram`]), shares the items and blocks instead of
+/// copying them.
 #[derive(Clone, Debug)]
 pub struct AggregatedProgram {
     ir: Arc<CommIr>,
-    items: Vec<Item>,
+    body: Arc<Body>,
 }
 
 impl PartialEq for AggregatedProgram {
@@ -121,10 +135,11 @@ impl PartialEq for AggregatedProgram {
         // Item lists are table-relative; compare through resolution.
         self.num_qubits() == other.num_qubits()
             && self.ir.num_cbits() == other.ir.num_cbits()
-            && self.items.len() == other.items.len()
-            && self.items.iter().zip(&other.items).all(|(a, b)| match (a, b) {
-                (Item::Local(x), Item::Local(y)) => self.gate(*x) == other.gate(*y),
+            && self.items().len() == other.items().len()
+            && self.items().iter().zip(other.items()).all(|(a, b)| match (*a, *b) {
+                (Item::Local(x), Item::Local(y)) => self.gate(x) == other.gate(y),
                 (Item::Block(x), Item::Block(y)) => {
+                    let (x, y) = (self.block(x), other.block(y));
                     x.qubit() == y.qubit()
                         && x.node() == y.node()
                         && x.ids().len() == y.ids().len()
@@ -138,11 +153,25 @@ impl PartialEq for AggregatedProgram {
 }
 
 impl AggregatedProgram {
-    /// Assembles a program from parts (crate-internal; used by passes and
+    /// Assembles a program from its items and the block store they index
+    /// (blocks numbered in execution order).
+    fn new(ir: Arc<CommIr>, items: Vec<Item>, blocks: Vec<CommBlock>) -> Self {
+        debug_assert!(items
+            .iter()
+            .filter_map(|i| match i {
+                Item::Block(k) => Some(*k as usize),
+                Item::Local(_) => None,
+            })
+            .eq(0..blocks.len()));
+        AggregatedProgram { ir, body: Arc::new(Body { items, blocks }) }
+    }
+
+    /// A program of the given blocks alone, in order (crate-internal; for
     /// tests that build programs directly).
     #[cfg(test)]
-    pub(crate) fn from_parts(ir: Arc<CommIr>, items: Vec<Item>) -> Self {
-        AggregatedProgram { ir, items }
+    pub(crate) fn from_blocks(ir: Arc<CommIr>, blocks: Vec<CommBlock>) -> Self {
+        let items = (0..blocks.len() as u32).map(Item::Block).collect();
+        Self::new(ir, items, blocks)
     }
 
     /// The shared indexed IR this program resolves against.
@@ -157,20 +186,26 @@ impl AggregatedProgram {
 
     /// The items in execution order.
     pub fn items(&self) -> &[Item] {
-        &self.items
+        &self.body.items
+    }
+
+    /// Resolves the block of an [`Item::Block`] index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`AggregatedProgram::block_count`].
+    pub fn block(&self, index: u32) -> &CommBlock {
+        &self.body.blocks[index as usize]
     }
 
     /// Iterates over the burst blocks in execution order.
-    pub fn blocks(&self) -> impl Iterator<Item = &CommBlock> {
-        self.items.iter().filter_map(|i| match i {
-            Item::Block(b) => Some(b),
-            Item::Local(_) => None,
-        })
+    pub fn blocks(&self) -> std::slice::Iter<'_, CommBlock> {
+        self.body.blocks.iter()
     }
 
     /// Number of burst blocks.
     pub fn block_count(&self) -> usize {
-        self.blocks().count()
+        self.body.blocks.len()
     }
 
     /// Register width of the underlying program.
@@ -182,11 +217,11 @@ impl AggregatedProgram {
     /// the form used for equivalence checking against the input.
     pub fn to_circuit(&self) -> Circuit {
         let mut c = Circuit::with_cbits(self.num_qubits(), self.ir.num_cbits());
-        for item in &self.items {
+        for &item in self.items() {
             match item {
-                Item::Local(id) => c.push(self.gate(*id).clone()).expect("registers preserved"),
-                Item::Block(b) => {
-                    for g in b.gates(self.ir.table()) {
+                Item::Local(id) => c.push(self.gate(id).clone()).expect("registers preserved"),
+                Item::Block(k) => {
+                    for g in self.block(k).gates(self.ir.table()) {
                         c.push(g.clone()).expect("registers preserved");
                     }
                 }
@@ -272,19 +307,8 @@ pub fn aggregate_ir_with_stats(
         visited: ws.visited,
         skipped: ws.skipped,
     };
-    let mut items = arena.into_items();
-    // A conditioned remote gate joins no burst (`is_pair_gate`), but it
-    // still needs its communication: give it a block of its own.
-    for item in &mut items {
-        if let Item::Local(id) = *item {
-            if ir.table().condition_bit(id).is_some() {
-                if let Some(b) = one_gate_block(&ir, id) {
-                    *item = Item::Block(b);
-                }
-            }
-        }
-    }
-    (AggregatedProgram { items, ir }, stats)
+    let (items, blocks) = arena.into_program(&ir);
+    (AggregatedProgram::new(ir, items, blocks), stats)
 }
 
 /// A block holding only gate `id` when it is a remote two-qubit unitary,
@@ -306,12 +330,20 @@ pub fn aggregate_no_commute(circuit: &Circuit, partition: &Partition) -> Aggrega
 
 /// [`aggregate_no_commute`] over a prebuilt [`CommIr`].
 pub fn aggregate_no_commute_ir(ir: Arc<CommIr>) -> AggregatedProgram {
+    let mut blocks = Vec::new();
     let items = ir
         .stream()
         .iter()
-        .map(|&id| one_gate_block(&ir, id).map_or(Item::Local(id), Item::Block))
+        .map(|&id| match one_gate_block(&ir, id) {
+            Some(b) => {
+                let k = u32::try_from(blocks.len()).expect("block indices fit in u32");
+                blocks.push(b);
+                Item::Block(k)
+            }
+            None => Item::Local(id),
+        })
         .collect();
-    AggregatedProgram { items, ir }
+    AggregatedProgram::new(ir, items, blocks)
 }
 
 // ---------------------------------------------------------------------------
@@ -461,21 +493,32 @@ impl Arena {
     fn from_ir(ir: &CommIr) -> Self {
         let n = ir.len();
         let sentinel = n as u32; // the sentinel owns slot `n` (kept dead)
-        let mut next = vec![0u32; n + 1];
-        let mut prev = vec![0u32; n + 1];
+
+        // Sealing re-inserts trimmed gates in fresh slots past the stream:
+        // 0–30% of the stream on the smoke suite and on random circuits.
+        // Reserving half the stream up front keeps the four per-slot
+        // arrays from doubling mid-walk, whose copies leave holes that
+        // later compiles in the same process cannot fill.
+        let slot_capacity = n + 1 + n / 2;
+        let mut next = Vec::with_capacity(slot_capacity);
+        next.resize(n + 1, 0u32);
+        let mut prev = Vec::with_capacity(slot_capacity);
+        prev.resize(n + 1, 0u32);
         for i in 0..=n {
             next[i] = if i == n { 0 } else { i as u32 + 1 };
             prev[i] = if i == 0 { sentinel } else { i as u32 - 1 };
         }
         next[n] = if n == 0 { sentinel } else { 0 };
         prev[0] = sentinel;
-        let mut slots: Vec<Slot> = ir.stream().iter().map(|&id| Slot::Local(id)).collect();
+        let mut slots = Vec::with_capacity(slot_capacity);
+        slots.extend(ir.stream().iter().map(|&id| Slot::Local(id)));
         slots.push(Slot::Dead); // sentinel slot, so new slots never collide
 
         // The sentinel closes the last segment, whose `max_slot` (≥ n)
         // then exceeds every stream position: it is never skipped.
         let words = (ir.num_qubits() + ir.num_cbits()).div_ceil(64).clamp(1, MAX_SUMMARY_WORDS);
-        let seg_of = (0..=n).map(|i| (i / SEGMENT_LEN) as u32).collect();
+        let mut seg_of = Vec::with_capacity(slot_capacity);
+        seg_of.extend((0..=n).map(|i| (i / SEGMENT_LEN) as u32));
         let segs = (0..=n)
             .step_by(SEGMENT_LEN)
             .map(|first| {
@@ -493,7 +536,12 @@ impl Arena {
         let wide = vec![ClassWord::default(); if words > 1 { segs.len() * words } else { 0 }];
         let mut arena = Arena {
             slots,
-            blocks: Vec::new(),
+            // Every block holds a remote gate no other block holds, and
+            // each remote gate counts toward two ranked pairs: half their
+            // total bounds the block count.
+            blocks: Vec::with_capacity(
+                ir.ranked_pairs().iter().map(|&(_, count)| count).sum::<usize>() / 2,
+            ),
             next,
             prev,
             head: sentinel,
@@ -623,22 +671,58 @@ impl Arena {
         }
     }
 
-    fn into_items(self) -> Vec<Item> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        let sentinel = self.sentinel();
-        let mut blocks: Vec<Option<CommBlock>> = self.blocks.into_iter().map(Some).collect();
-        let mut cur = self.next[sentinel] as usize;
+    /// Unthreads the list into the program's items and block store, both
+    /// in execution order. Blocks are renumbered in the order they appear
+    /// and the store is permuted to match in place. A conditioned remote
+    /// gate joins no burst (`is_pair_gate`), but it still needs its
+    /// communication: it becomes a block of its own.
+    fn into_program(self, ir: &CommIr) -> (Vec<Item>, Vec<CommBlock>) {
+        let Arena { slots, mut blocks, next, prev, head, seg_of, segs, wide, .. } = self;
+        // Every segment counts its live slots, the sentinel's included.
+        let live = segs.iter().map(|s| s.len as usize).sum::<usize>() - 1;
+        drop((prev, seg_of, segs, wide));
+        let mut items = Vec::with_capacity(live);
+        // `rank[b]`: the execution-order number of store block `b`.
+        let mut rank = vec![0u32; blocks.len()];
+        let sentinel = head as usize;
+        let mut numbered = 0u32;
+        let mut cur = next[sentinel] as usize;
         while cur != sentinel {
-            match self.slots[cur] {
-                Slot::Local(id) => out.push(Item::Local(id)),
-                Slot::Block(bi) => {
-                    out.push(Item::Block(blocks[bi as usize].take().expect("block used once")));
+            match slots[cur] {
+                Slot::Block(b) => {
+                    rank[b as usize] = numbered;
+                    items.push(Item::Block(numbered));
+                    numbered += 1;
+                }
+                Slot::Local(id) => {
+                    match ir.table().condition_bit(id).and_then(|_| one_gate_block(ir, id)) {
+                        Some(b) => {
+                            rank.push(numbered);
+                            blocks.push(b);
+                            items.push(Item::Block(numbered));
+                            numbered += 1;
+                        }
+                        None => items.push(Item::Local(id)),
+                    }
                 }
                 Slot::Dead => {}
             }
-            cur = self.next[cur] as usize;
+            cur = next[cur] as usize;
         }
-        out
+        debug_assert_eq!(items.len(), live);
+        // Each block's slot is linked exactly once, so `rank` is a
+        // permutation (a missing block would make the walk below spin).
+        assert_eq!(numbered as usize, blocks.len(), "every block is in the list once");
+        // Cycle-walk the permutation: each swap puts one block in place.
+        for i in 0..blocks.len() {
+            while rank[i] as usize != i {
+                let r = rank[i] as usize;
+                blocks.swap(i, r);
+                rank.swap(i, r);
+            }
+        }
+        blocks.shrink_to_fit();
+        (items, blocks)
     }
 }
 
@@ -1363,7 +1447,10 @@ mod tests {
             .iter()
             .map(|item| match item {
                 Item::Local(id) => agg.gate(*id).to_string(),
-                Item::Block(b) => format!("{}:{}", b.qubit(), b.remote_gate_count()),
+                Item::Block(k) => {
+                    let b = agg.block(*k);
+                    format!("{}:{}", b.qubit(), b.remote_gate_count())
+                }
             })
             .collect();
         assert_eq!(shape, ["q0:1", "q1:1", "h q2", "cx q1,q0", "q0:1", "q1:1"]);

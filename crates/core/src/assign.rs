@@ -62,11 +62,13 @@ pub enum Scheme {
     Tp,
 }
 
-/// A burst block with its assigned scheme and communication cost.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AssignedBlock {
+/// A burst block with its assigned scheme and communication cost: a view
+/// of one block of an [`AssignedProgram`], borrowing the block from the
+/// aggregated program's store.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AssignedBlock<'a> {
     /// The block.
-    pub block: CommBlock,
+    pub block: &'a CommBlock,
     /// Chosen scheme.
     pub scheme: Scheme,
     /// Remote communications (end-to-end) this block is charged for in the
@@ -83,80 +85,77 @@ pub struct AssignedBlock {
     pub epr_cost: usize,
 }
 
-/// An aggregated program with every block assigned a scheme, sharing the
-/// compile's [`CommIr`].
-#[derive(Clone, Debug)]
-pub struct AssignedProgram {
-    ir: Arc<CommIr>,
-    items: Vec<AssignedItem>,
+/// The assignment of one block, as [`AssignedProgram`] stores it: the
+/// fields of [`AssignedBlock`] without the block, in 16 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Decision {
+    pub(crate) scheme: Scheme,
+    pub(crate) comms: u32,
+    pub(crate) segments: u32,
+    pub(crate) epr_cost: u32,
 }
 
-/// One element of an assigned program.
+const _: () = assert!(std::mem::size_of::<Decision>() <= 16);
+
+/// An aggregated program with every block assigned a scheme. It shares
+/// the aggregated program's items and blocks (and the compile's
+/// [`CommIr`]) and adds one 16-byte decision per block.
 #[derive(Clone, Debug, PartialEq)]
-pub enum AssignedItem {
-    /// A local gate (an id into the program's table).
-    Local(GateId),
-    /// An assigned burst block.
-    Block(AssignedBlock),
-}
-
-impl PartialEq for AssignedProgram {
-    fn eq(&self, other: &Self) -> bool {
-        self.num_qubits() == other.num_qubits()
-            && self.num_cbits() == other.num_cbits()
-            && self.items.len() == other.items.len()
-            && self.items.iter().zip(&other.items).all(|(a, b)| match (a, b) {
-                (AssignedItem::Local(x), AssignedItem::Local(y)) => self.gate(*x) == other.gate(*y),
-                (AssignedItem::Block(x), AssignedItem::Block(y)) => {
-                    x.scheme == y.scheme
-                        && x.comms == y.comms
-                        && x.segments == y.segments
-                        && x.epr_cost == y.epr_cost
-                        && x.block.qubit() == y.block.qubit()
-                        && x.block.node() == y.block.node()
-                        && x.block.ids().len() == y.block.ids().len()
-                        && x.block
-                            .gates(self.ir.table())
-                            .zip(y.block.gates(other.ir.table()))
-                            .all(|(g, h)| g == h)
-                }
-                _ => false,
-            })
-    }
+pub struct AssignedProgram {
+    program: AggregatedProgram,
+    /// One per block of `program`, in the same order.
+    decisions: Vec<Decision>,
 }
 
 impl AssignedProgram {
     /// The shared indexed IR this program resolves against.
     pub fn ir(&self) -> &Arc<CommIr> {
-        &self.ir
+        self.program.ir()
     }
 
     /// Resolves a gate id through the program's table.
     pub fn gate(&self, id: GateId) -> &Gate {
-        self.ir.gate(id)
+        self.program.gate(id)
     }
 
-    /// Items in execution order.
-    pub fn items(&self) -> &[AssignedItem] {
-        &self.items
+    /// Items in execution order (shared with the aggregated program).
+    pub fn items(&self) -> &[Item] {
+        self.program.items()
+    }
+
+    /// The assigned block of an [`Item::Block`] index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the program's block count.
+    pub fn block(&self, index: u32) -> AssignedBlock<'_> {
+        view(self.program.block(index), self.decisions[index as usize])
     }
 
     /// Iterates over assigned blocks in execution order.
-    pub fn blocks(&self) -> impl Iterator<Item = &AssignedBlock> {
-        self.items.iter().filter_map(|i| match i {
-            AssignedItem::Block(b) => Some(b),
-            AssignedItem::Local(_) => None,
-        })
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = AssignedBlock<'_>> {
+        self.program.blocks().zip(&self.decisions).map(|(b, &d)| view(b, d))
     }
 
     /// Register width.
     pub fn num_qubits(&self) -> usize {
-        self.ir.num_qubits()
+        self.program.num_qubits()
     }
 
     /// Classical register width.
     pub fn num_cbits(&self) -> usize {
-        self.ir.num_cbits()
+        self.program.ir().num_cbits()
+    }
+}
+
+/// Joins a block with its decision.
+fn view(block: &CommBlock, d: Decision) -> AssignedBlock<'_> {
+    AssignedBlock {
+        block,
+        scheme: d.scheme,
+        comms: d.comms as usize,
+        segments: d.segments as usize,
+        epr_cost: d.epr_cost as usize,
     }
 }
 
@@ -329,7 +328,7 @@ fn block_hops(block: &CommBlock, routing: Option<(&Placement, &NetworkTopology)>
 /// Scheme decision for one block at a known hop distance — the pure
 /// per-block kernel both the full assignment fan-out and the incremental
 /// re-assignment share.
-fn assign_block(table: &GateTable, b: &CommBlock, hops: usize, hybrid: bool) -> AssignedBlock {
+fn assign_block(table: &GateTable, b: &CommBlock, hops: usize, hybrid: bool) -> Decision {
     let (segments, orientation, opaque) = cat_cost(table, b);
     let (scheme, comms) = if opaque {
         // No cat call can carry the gate; TP carries anything.
@@ -349,7 +348,15 @@ fn assign_block(table: &GateTable, b: &CommBlock, hops: usize, hybrid: bool) -> 
         // ties go to TP at hop distance 1 (paper block ③).
         (Scheme::Tp, 2)
     };
-    AssignedBlock { block: b.clone(), scheme, comms, segments, epr_cost: comms * hops }
+    // A block's segments are bounded by its gate count, which gate ids
+    // bound by `u32`.
+    let count = |n: usize| u32::try_from(n).expect("a block's cost fits in u32");
+    Decision {
+        scheme,
+        comms: count(comms),
+        segments: count(segments),
+        epr_cost: count(comms * hops),
+    }
 }
 
 fn assign_with(
@@ -358,16 +365,13 @@ fn assign_with(
     routing: Option<(&Placement, &NetworkTopology)>,
 ) -> AssignedProgram {
     let table = program.ir().table();
-    // Per-item work is independent; fan out on scoped threads with a
+    // Per-block work is independent; fan out on scoped threads with a
     // deterministic in-order merge (par_map), so the parallel result is
     // bit-identical to the sequential one.
-    let items = par_map(program.items(), |item| match item {
-        Item::Local(id) => AssignedItem::Local(*id),
-        Item::Block(b) => {
-            AssignedItem::Block(assign_block(table, b, block_hops(b, routing), hybrid))
-        }
+    let decisions = par_map(program.blocks().as_slice(), |b| {
+        assign_block(table, b, block_hops(b, routing), hybrid)
     });
-    AssignedProgram { ir: Arc::clone(program.ir()), items }
+    AssignedProgram { program: program.clone(), decisions }
 }
 
 /// Re-derives a scheme assignment after a placement change (`hybrid` as in
@@ -375,8 +379,8 @@ fn assign_with(
 /// block whose **physical endpoints did not move**: a block's segmentation
 /// depends only on its body, and its scheme/cost only on the routed hop
 /// distance between its two physical endpoints, so an unmoved block's
-/// previous [`AssignedBlock`] is bit-identical to a fresh recompute. Only
-/// blocks with a moved endpoint are segmented again.
+/// previous decision is bit-identical to a fresh recompute and is copied.
+/// Only blocks with a moved endpoint are segmented again.
 ///
 /// This is the incremental-recompilation kernel of
 /// [`crate::AutoComm::compile_placed`]: a refinement round that moves two
@@ -402,22 +406,15 @@ pub fn assign_incremental(
         "incremental re-assignment requires an unchanged logical partition"
     );
     let table = prev.ir().table();
-    let items = par_map(prev.items(), |item| match item {
-        AssignedItem::Local(id) => AssignedItem::Local(*id),
-        AssignedItem::Block(ab) => {
-            let home = ab.block.home(placement.partition());
-            let node = ab.block.node();
-            let moved = prev_placement.physical_of(home) != placement.physical_of(home)
-                || prev_placement.physical_of(node) != placement.physical_of(node);
-            if moved {
-                let hops = block_hops(&ab.block, Some((placement, topology)));
-                AssignedItem::Block(assign_block(table, &ab.block, hops, hybrid))
-            } else {
-                AssignedItem::Block(ab.clone())
-            }
-        }
+    let fresh = par_map(prev.program.blocks().as_slice(), |b| {
+        let home = b.home(placement.partition());
+        let node = b.node();
+        let moved = prev_placement.physical_of(home) != placement.physical_of(home)
+            || prev_placement.physical_of(node) != placement.physical_of(node);
+        moved.then(|| assign_block(table, b, block_hops(b, Some((placement, topology))), hybrid))
     });
-    AssignedProgram { ir: Arc::clone(prev.ir()), items }
+    let decisions = fresh.into_iter().zip(&prev.decisions).map(|(f, &d)| f.unwrap_or(d)).collect();
+    AssignedProgram { program: prev.program.clone(), decisions }
 }
 
 #[cfg(test)]
@@ -445,12 +442,11 @@ mod tests {
         (ir, b)
     }
 
-    fn assigned_single(gates: Vec<Gate>, hybrid: bool) -> AssignedBlock {
+    fn assigned_single(gates: Vec<Gate>, hybrid: bool) -> Decision {
         let (ir, block) = ir_and_block(gates);
-        let program = AggregatedProgram::from_parts(ir, vec![Item::Block(block)]);
+        let program = AggregatedProgram::from_blocks(ir, vec![block]);
         let assigned = if hybrid { assign(&program) } else { assign_cat_only(&program) };
-        let block = assigned.blocks().next().unwrap().clone();
-        block
+        assigned.decisions[0]
     }
 
     #[test]
@@ -553,7 +549,7 @@ mod tests {
 
     /// Builds a block between q0 (node 0) and node 2 of a 3-node machine
     /// and assigns it against `topology`.
-    fn assigned_distance_two(gates: Vec<Gate>, topology: &NetworkTopology) -> AssignedBlock {
+    fn assigned_distance_two(gates: Vec<Gate>, topology: &NetworkTopology) -> Decision {
         let p = Partition::block(6, 3).unwrap();
         let mut c = Circuit::new(6);
         for g in &gates {
@@ -565,8 +561,8 @@ mod tests {
             let id = ir.stream()[pos];
             b.push(id, ir.table());
         }
-        let program = AggregatedProgram::from_parts(ir, vec![Item::Block(b)]);
-        assign_on(&program, &Placement::identity(&p), topology).blocks().next().unwrap().clone()
+        let program = AggregatedProgram::from_blocks(ir, vec![b]);
+        assign_on(&program, &Placement::identity(&p), topology).decisions[0]
     }
 
     #[test]
@@ -582,7 +578,7 @@ mod tests {
         let mut b = CommBlock::new(q(0), NodeId::new(2));
         let id = ir.stream()[0];
         b.push(id, ir.table());
-        let program = AggregatedProgram::from_parts(ir, vec![Item::Block(b)]);
+        let program = AggregatedProgram::from_blocks(ir, vec![b]);
         let identity = assign_on(&program, &Placement::identity(&p), &linear);
         assert_eq!(identity.blocks().next().unwrap().epr_cost, 2);
         let swapped =
@@ -615,14 +611,17 @@ mod tests {
         let full = assign_on(&agg, &after, &topology);
         let incremental = assign_incremental(&prev, &before, &after, &topology, true);
         assert_eq!(incremental, full);
-        // A no-op re-placement reuses every block.
+        // A no-op re-placement copies every decision and shares the blocks.
         let unmoved = assign_incremental(&prev, &before, &before, &topology, true);
-        assert_eq!(unmoved, prev);
+        assert_eq!(unmoved.decisions, prev.decisions);
+        assert!(std::ptr::eq(unmoved.block(0).block, agg.block(0)));
         // Cat-only assignments take the same incremental path.
         let prev_cat = assign_cat_only_on(&agg, &before, &topology);
         let full_cat = assign_cat_only_on(&agg, &after, &topology);
         let inc_cat = assign_incremental(&prev_cat, &before, &after, &topology, false);
         assert_eq!(inc_cat, full_cat);
+        let unmoved_cat = assign_incremental(&prev_cat, &before, &before, &topology, false);
+        assert_eq!(unmoved_cat.decisions, prev_cat.decisions);
     }
 
     /// Randomized agreement: incremental == full across random circuits and

@@ -86,7 +86,7 @@ pub use artifact::{
 };
 pub use assign::{
     assign, assign_cat_only, assign_cat_only_on, assign_incremental, assign_on, AssignedBlock,
-    AssignedItem, AssignedProgram, CatOrientation, Scheme,
+    AssignedProgram, CatOrientation, Scheme,
 };
 pub use block::CommBlock;
 pub use dqc_circuit::PAR_THRESHOLD;

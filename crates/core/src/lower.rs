@@ -6,13 +6,13 @@
 //! circuit. Target-form Cat blocks are H-conjugated into control form here
 //! (paper Fig. 10a).
 
-use dqc_circuit::{Gate, GateTable, NodeId, QubitId};
+use dqc_circuit::{Gate, NodeId, QubitId};
 use dqc_hardware::NetworkTopology;
 use dqc_protocols::{PhysicalProgram, ProtocolExpander};
 
 use crate::assign::{cat_pieces, Piece};
 use crate::par::par_map;
-use crate::{AssignedItem, AssignedProgram, CatOrientation, CompileError, Placement, Scheme};
+use crate::{AssignedProgram, CatOrientation, CompileError, Item, Placement, Scheme};
 
 /// One planned call into the stateful [`ProtocolExpander`] — the
 /// communication-primitive form of a compiled program. Planning an item is
@@ -114,20 +114,21 @@ pub fn lower_assigned_on(
 /// out across threads on large programs with a deterministic in-order
 /// merge.
 pub fn lower_plan(program: &AssignedProgram, placement: &Placement) -> Vec<CommOp> {
-    let table = program.ir().table();
     let plans: Vec<Vec<CommOp>> =
-        par_map(program.items(), |item| plan_item(table, placement, item));
+        par_map(program.items(), |&item| plan_item(program, placement, item));
     plans.into_iter().flatten().collect()
 }
 
 /// Plans the expander calls for one assigned item (the pure half of
 /// lowering): a Cat block's call pieces become Cat calls and its local
 /// pieces local gates.
-fn plan_item(table: &GateTable, placement: &Placement, item: &AssignedItem) -> Vec<CommOp> {
+fn plan_item(program: &AssignedProgram, placement: &Placement, item: Item) -> Vec<CommOp> {
+    let table = program.ir().table();
     let mut steps = Vec::new();
     match item {
-        AssignedItem::Local(id) => steps.push(CommOp::Local(table.gate(*id).clone())),
-        AssignedItem::Block(b) => {
+        Item::Local(id) => steps.push(CommOp::Local(table.gate(id).clone())),
+        Item::Block(k) => {
+            let b = program.block(k);
             let (q, node) = (b.block.qubit(), placement.physical_of(b.block.node()));
             match b.scheme {
                 Scheme::Tp => {
@@ -135,7 +136,7 @@ fn plan_item(table: &GateTable, placement: &Placement, item: &AssignedItem) -> V
                     steps.push(CommOp::Tp { q, node, body });
                 }
                 Scheme::Cat(_) => {
-                    for (piece, ids) in cat_pieces(table, &b.block) {
+                    for (piece, ids) in cat_pieces(table, b.block) {
                         let gates = ids.iter().map(|&id| table.gate(id));
                         match piece {
                             Piece::Local => steps.extend(gates.cloned().map(CommOp::Local)),

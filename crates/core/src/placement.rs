@@ -158,7 +158,8 @@ pub fn comm_weighted_graph(program: &AggregatedProgram) -> InteractionGraph {
                     }
                 }
             }
-            Item::Block(block) => {
+            Item::Block(k) => {
+                let block = program.block(*k);
                 let q = block.qubit();
                 stamp += 1;
                 for &id in block.ids() {

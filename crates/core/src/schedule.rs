@@ -53,7 +53,7 @@ use dqc_hardware::{
 
 use crate::assign::{cat_pieces, Piece};
 use crate::metrics::BufferingReport;
-use crate::{AssignedItem, AssignedProgram, CommBlock, Placement, Scheme};
+use crate::{AssignedProgram, CommBlock, Item, Placement, Scheme};
 
 /// Scheduler feature toggles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,56 +219,61 @@ fn schedule_run(
     let items = program.items();
     let mut i = 0usize;
     while i < items.len() {
-        match &items[i] {
-            AssignedItem::Local(id) => {
-                sched.schedule_local(&[*id]);
+        match items[i] {
+            Item::Local(id) => {
+                sched.schedule_local(&[id]);
                 i += 1;
             }
-            AssignedItem::Block(b) => match b.scheme {
-                Scheme::Cat(_) => {
-                    // One communication per call; local pieces need none.
-                    for (piece, ids) in cat_pieces(table, &b.block) {
-                        match piece {
-                            Piece::Call(_) => {
-                                sched.schedule_cat_call(b.block.qubit(), b.block.node(), ids);
+            Item::Block(k) => {
+                let b = program.block(k);
+                match b.scheme {
+                    Scheme::Cat(_) => {
+                        // One communication per call; local pieces need none.
+                        for (piece, ids) in cat_pieces(table, b.block) {
+                            match piece {
+                                Piece::Call(_) => {
+                                    sched.schedule_cat_call(b.block.qubit(), b.block.node(), ids);
+                                }
+                                Piece::Local => sched.schedule_local(ids),
                             }
-                            Piece::Local => sched.schedule_local(ids),
                         }
+                        i += 1;
                     }
-                    i += 1;
-                }
-                Scheme::Tp => {
-                    // Gather a fusion chain of consecutive TP blocks on the
-                    // same burst qubit. Local gates not touching the qubit
-                    // may interleave (scheduled in place); single-qubit
-                    // unitaries *on* the qubit ride the chain and execute on
-                    // the teleported state at whichever node holds it.
-                    let q = b.block.qubit();
-                    let chain_end = if sched.options.burst_aware {
-                        find_chain_end(table, items, i, q)
-                    } else {
-                        i + 1
-                    };
-                    let mut chain: Vec<ChainStep<'_>> = Vec::new();
-                    for item in &items[i..chain_end] {
-                        match item {
-                            AssignedItem::Block(tb) if tb.scheme == Scheme::Tp => {
-                                chain.push(ChainStep::Block(&tb.block));
+                    Scheme::Tp => {
+                        // Gather a fusion chain of consecutive TP blocks on
+                        // the same burst qubit. Local gates not touching the
+                        // qubit may interleave (scheduled in place);
+                        // single-qubit unitaries *on* the qubit ride the
+                        // chain and execute on the teleported state at
+                        // whichever node holds it.
+                        let q = b.block.qubit();
+                        let chain_end = if sched.options.burst_aware {
+                            find_chain_end(program, i, q)
+                        } else {
+                            i + 1
+                        };
+                        let mut chain: Vec<ChainStep<'_>> = Vec::new();
+                        for &item in &items[i..chain_end] {
+                            match item {
+                                Item::Block(k) => {
+                                    let tb = program.block(k);
+                                    debug_assert_eq!(tb.scheme, Scheme::Tp, "chain scan");
+                                    chain.push(ChainStep::Block(tb.block));
+                                }
+                                Item::Local(id) if table.gate(id).acts_on(q) => {
+                                    chain.push(ChainStep::OnState(table.gate(id)));
+                                }
+                                Item::Local(id) => {
+                                    // Interleaved local gate: schedule in place.
+                                    sched.rm.timeline_mut().schedule_gate(table.gate(id));
+                                }
                             }
-                            AssignedItem::Local(id) if table.gate(*id).acts_on(q) => {
-                                chain.push(ChainStep::OnState(table.gate(*id)));
-                            }
-                            AssignedItem::Local(id) => {
-                                // Interleaved local gate: schedule in place.
-                                sched.rm.timeline_mut().schedule_gate(table.gate(*id));
-                            }
-                            AssignedItem::Block(_) => unreachable!("chain scan"),
                         }
+                        sched.schedule_tp_chain(&chain);
+                        i = chain_end;
                     }
-                    sched.schedule_tp_chain(&chain);
-                    i = chain_end;
                 }
-            },
+            }
         }
     }
     sched.finish()
@@ -289,15 +294,15 @@ fn comm_requests(
     topology: &NetworkTopology,
     options: ScheduleOptions,
 ) -> Vec<(NodeId, NodeId)> {
-    let table = program.ir().table();
     let items = program.items();
     let mut requests = Vec::new();
     let mut i = 0usize;
     while i < items.len() {
-        let AssignedItem::Block(b) = &items[i] else {
+        let Item::Block(k) = items[i] else {
             i += 1;
             continue;
         };
+        let b = program.block(k);
         let home = placement.physical_node_of(b.block.qubit());
         if let Scheme::Cat(_) = b.scheme {
             let node = placement.physical_of(b.block.node());
@@ -305,15 +310,12 @@ fn comm_requests(
             i += 1;
             continue;
         }
-        let chain_end = if options.burst_aware {
-            find_chain_end(table, items, i, b.block.qubit())
-        } else {
-            i + 1
-        };
+        let chain_end =
+            if options.burst_aware { find_chain_end(program, i, b.block.qubit()) } else { i + 1 };
         let mut cursor = home;
-        for item in &items[i..chain_end] {
-            if let AssignedItem::Block(tb) = item {
-                let node = placement.physical_of(tb.block.node());
+        for &item in &items[i..chain_end] {
+            if let Item::Block(k) = item {
+                let node = placement.physical_of(program.block(k).block.node());
                 requests.extend(tp_legs(topology, cursor, node, home));
                 cursor = node;
             }
@@ -353,17 +355,22 @@ fn tp_legs(
 /// Extends `[start..end)` over consecutive TP blocks with burst qubit `q`,
 /// allowing interleaved local gates that do not touch `q` and single-qubit
 /// unitaries on `q` itself (they execute on the teleported state).
-fn find_chain_end(table: &GateTable, items: &[AssignedItem], start: usize, q: QubitId) -> usize {
+fn find_chain_end(program: &AssignedProgram, start: usize, q: QubitId) -> usize {
+    let items = program.items();
     let mut end = start + 1;
     let mut probe = end;
     while probe < items.len() {
-        match &items[probe] {
-            AssignedItem::Block(b) if b.scheme == Scheme::Tp && b.block.qubit() == q => {
+        match items[probe] {
+            Item::Block(k) => {
+                let b = program.block(k);
+                if b.scheme != Scheme::Tp || b.block.qubit() != q {
+                    break;
+                }
                 probe += 1;
                 end = probe;
             }
-            AssignedItem::Local(id) => {
-                let g = table.gate(*id);
+            Item::Local(id) => {
+                let g = program.gate(id);
                 if g.acts_on(q)
                     && !(g.num_qubits() == 1 && g.kind().is_unitary() && g.condition().is_none())
                 {
@@ -371,7 +378,6 @@ fn find_chain_end(table: &GateTable, items: &[AssignedItem], start: usize, q: Qu
                 }
                 probe += 1;
             }
-            AssignedItem::Block(_) => break,
         }
     }
     end

@@ -3,8 +3,8 @@
 //! lowering, and metric bookkeeping.
 
 use autocomm::{
-    aggregate, assign, lower_assigned, schedule, AggregateOptions, AssignedItem, CommMetrics,
-    Placement, ScheduleOptions, Scheme,
+    aggregate, assign, lower_assigned, schedule, AggregateOptions, CommMetrics, Item, Placement,
+    ScheduleOptions, Scheme,
 };
 use dqc_circuit::{Circuit, Gate, Partition, QubitId};
 use dqc_hardware::{validate_events, HardwareSpec};
@@ -122,8 +122,8 @@ fn assigned_items_preserve_program_order_of_locals() {
         .items()
         .iter()
         .map(|i| match i {
-            AssignedItem::Local(id) => program.gate(*id).kind().name().to_string(),
-            AssignedItem::Block(_) => "block".to_string(),
+            Item::Local(id) => program.gate(*id).kind().name().to_string(),
+            Item::Block(_) => "block".to_string(),
         })
         .collect();
     // The t on q1 commutes with everything and may be hoisted before the

@@ -7,8 +7,8 @@
 //! Run with `cargo run --example arithmetic_pipeline`.
 
 use autocomm::{
-    aggregate, assign, schedule, AggregateOptions, AssignedItem, CommMetrics, Item, Placement,
-    ScheduleOptions, Scheme,
+    aggregate, assign, schedule, AggregateOptions, CommMetrics, Item, Placement, ScheduleOptions,
+    Scheme,
 };
 use dqc_circuit::{Circuit, Gate, NodeId, Partition, QubitId};
 use dqc_hardware::HardwareSpec;
@@ -45,10 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let aggregated = aggregate(&circuit, &partition, AggregateOptions::default());
     println!("\nafter aggregation ({} blocks):", aggregated.block_count());
     let table = aggregated.ir().table();
-    for (i, item) in aggregated.items().iter().enumerate() {
+    for (i, &item) in aggregated.items().iter().enumerate() {
         match item {
-            Item::Local(id) => println!("  {i:>2}: {}", aggregated.gate(*id)),
-            Item::Block(b) => {
+            Item::Local(id) => println!("  {i:>2}: {}", aggregated.gate(id)),
+            Item::Block(k) => {
+                let b = aggregated.block(k);
                 println!("  {i:>2}: {b}");
                 for g in b.gates(table) {
                     println!("        | {g}");
@@ -60,14 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Pass 2: communication assignment (paper §4.3, Fig. 11a).
     let assigned = assign(&aggregated);
     println!("\nafter assignment:");
-    for item in assigned.items() {
-        if let AssignedItem::Block(b) = item {
-            let scheme = match b.scheme {
-                Scheme::Cat(o) => format!("Cat-Comm ({o:?})"),
-                Scheme::Tp => "TP-Comm".to_string(),
-            };
-            println!("  {}  →  {scheme}, {} comm(s), {} segment(s)", b.block, b.comms, b.segments);
-        }
+    for b in assigned.blocks() {
+        let scheme = match b.scheme {
+            Scheme::Cat(o) => format!("Cat-Comm ({o:?})"),
+            Scheme::Tp => "TP-Comm".to_string(),
+        };
+        println!("  {}  →  {scheme}, {} comm(s), {} segment(s)", b.block, b.comms, b.segments);
     }
     let metrics = CommMetrics::of(&assigned);
     println!(

@@ -35,7 +35,8 @@ fn item_hash(program: &AggregatedProgram) -> u64 {
     for item in program.items() {
         match item {
             Item::Local(id) => feed(&format!("L {};", program.gate(*id))),
-            Item::Block(b) => {
+            Item::Block(k) => {
+                let b = program.block(*k);
                 feed(&format!("B {} {}:", b.qubit().index(), b.node().index()));
                 for g in b.gates(program.ir().table()) {
                     feed(&format!("{g};"));

@@ -16,7 +16,9 @@
 //!   below `PAR_THRESHOLD`, so it runs on one thread and its counts repeat
 //!   exactly; CI diffs them against `tools/allocprobe/baseline.json`.
 //! - **stderr**: 300,000 gates, seed 1, the benchmark's own size. It forks
-//!   worker threads, so its counts move a little with the core count.
+//!   worker threads, so its counts move a little with the core count. The
+//!   probe exits with status 1 when this compile's `run_job` heap peak
+//!   exceeds [`RUN_JOB_PEAK_BOUND`].
 //!
 //! An allocation is one `alloc`, `alloc_zeroed` or `realloc` call. Heap
 //! bytes are the sizes callers requested, not what the system allocator
@@ -36,6 +38,11 @@ use dqc_cli::{resolve_topology, run_job, Job};
 use dqc_hardware::{BufferPolicy, HardwareSpec};
 use dqc_partition::{oee_partition, InteractionGraph};
 use dqc_workloads::random_circuit;
+
+/// The most requested heap the 300,000-gate compile may hold at once in
+/// `run_job` (175 MiB). It peaks in aggregation, with the input, unrolled
+/// circuit and `CommIr` alive.
+const RUN_JOB_PEAK_BOUND: usize = 175 << 20;
 
 /// Allocation calls so far (statistics only: `Relaxed` publishes nothing).
 static CALLS: AtomicUsize = AtomicUsize::new(0);
@@ -229,4 +236,13 @@ fn main() {
         );
     }
     eprintln!("{:<16} {:>12} {:>12.1}", "run_job", allocations, mb(peak));
+    if peak > RUN_JOB_PEAK_BOUND {
+        let mib = |bytes: usize| bytes as f64 / f64::from(1 << 20);
+        eprintln!(
+            "run_job heap peak {:.1} MiB exceeds the {:.0} MiB bound",
+            mib(peak),
+            mib(RUN_JOB_PEAK_BOUND)
+        );
+        std::process::exit(1);
+    }
 }
