@@ -1,4 +1,4 @@
-//! Baseline DQC compilers and AutoComm ablations.
+//! Baseline DQC compilers.
 //!
 //! The paper evaluates AutoComm against:
 //!
@@ -9,10 +9,12 @@
 //! * **GP-TP** ([`compile_gp_tp`]) — the graph-partition-style compiler of
 //!   Baker et al. with TP-Comm qubit relocation: every remote gate is made
 //!   local by teleport-swapping one operand into the peer node (two EPR
-//!   pairs per relocation), Fig. 16's comparator;
-//! * **single-knob ablations** ([`ablation`]) — aggregation without
-//!   commutation, Cat-Comm-only assignment, and plain-greedy scheduling,
-//!   reproducing Fig. 17(a)–(c).
+//!   pairs per relocation), Fig. 16's comparator.
+//!
+//! The single-knob ablations of Fig. 17(a)–(c) (aggregation without
+//! commutation, Cat-Comm-only assignment, plain-greedy scheduling) are not
+//! separate compilers: they are `autocomm::AutoComm::with_ablations`
+//! configurations of the one compile.
 //!
 //! ```
 //! use dqc_baselines::compile_ferrari;
@@ -34,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablation;
 mod ferrari;
 mod gp_tp;
 mod result;

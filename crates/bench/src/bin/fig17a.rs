@@ -1,8 +1,7 @@
 //! Regenerates paper Fig. 17(a): the aggregation ablation — communication
 //! cost without commutation rules divided by the full pass, on QFT and BV.
 
-use autocomm::AutoComm;
-use dqc_baselines::ablation::compile_no_commute;
+use autocomm::{Ablation, AutoComm};
 use dqc_bench::{oee_mapping, paper, print_table, quick_requested};
 use dqc_workloads::{generate, BenchConfig, Workload};
 
@@ -19,7 +18,9 @@ fn main() {
             let circuit = generate(&config);
             let partition = oee_mapping(&circuit, n);
             let full = AutoComm::new().compile(&circuit, &partition).unwrap();
-            let ablated = compile_no_commute(&circuit, &partition).unwrap();
+            let ablated = AutoComm::with_ablations(&[Ablation::NoCommute])
+                .compile(&circuit, &partition)
+                .unwrap();
             let ratio = ablated.metrics.total_comms as f64 / full.metrics.total_comms.max(1) as f64;
             let published =
                 paper::FIG17A.iter().find(|(w, _)| *w == workload.name()).map(|(_, v)| v[i.min(2)]);

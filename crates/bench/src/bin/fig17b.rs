@@ -1,8 +1,7 @@
 //! Regenerates paper Fig. 17(b): the assignment ablation — Cat-Comm-only
 //! communication cost divided by the hybrid scheme, on RCA and QFT.
 
-use autocomm::AutoComm;
-use dqc_baselines::ablation::compile_cat_only;
+use autocomm::{Ablation, AutoComm};
 use dqc_bench::{oee_mapping, paper, print_table, quick_requested};
 use dqc_workloads::{generate, BenchConfig, Workload};
 
@@ -19,7 +18,9 @@ fn main() {
             let circuit = generate(&config);
             let partition = oee_mapping(&circuit, n);
             let full = AutoComm::new().compile(&circuit, &partition).unwrap();
-            let ablated = compile_cat_only(&circuit, &partition).unwrap();
+            let ablated = AutoComm::with_ablations(&[Ablation::CatOnly])
+                .compile(&circuit, &partition)
+                .unwrap();
             let ratio = ablated.metrics.total_comms as f64 / full.metrics.total_comms.max(1) as f64;
             let published =
                 paper::FIG17B.iter().find(|(w, _)| *w == workload.name()).map(|(_, v)| v[i.min(2)]);

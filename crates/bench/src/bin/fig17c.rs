@@ -1,8 +1,7 @@
 //! Regenerates paper Fig. 17(c): the scheduling ablation — plain greedy
 //! latency divided by burst-greedy latency, on MCTR and QFT.
 
-use autocomm::AutoComm;
-use dqc_baselines::ablation::compile_plain_greedy;
+use autocomm::{Ablation, AutoComm};
 use dqc_bench::{oee_mapping, paper, print_table, quick_requested};
 use dqc_workloads::{generate, BenchConfig, Workload};
 
@@ -19,7 +18,9 @@ fn main() {
             let circuit = generate(&config);
             let partition = oee_mapping(&circuit, n);
             let full = AutoComm::new().compile(&circuit, &partition).unwrap();
-            let ablated = compile_plain_greedy(&circuit, &partition).unwrap();
+            let ablated = AutoComm::with_ablations(&[Ablation::PlainGreedy])
+                .compile(&circuit, &partition)
+                .unwrap();
             let ratio = ablated.schedule.makespan / full.schedule.makespan.max(1e-9);
             let published =
                 paper::FIG17C.iter().find(|(w, _)| *w == workload.name()).map(|(_, v)| v[i.min(2)]);

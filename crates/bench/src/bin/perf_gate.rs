@@ -1,9 +1,8 @@
 //! Performance regression gate: the deterministic, asserting evidence for
 //! the front end, the placement stage, and 100k–1M-gate compiles and
 //! schedules. CI diffs this binary's stdout against
-//! `crates/bench/baselines/perf_gate.json`; the recorded wall-clock
-//! measurements of the IR scaling work live in
-//! `crates/bench/baselines/ir_1m_baseline.json`.
+//! `crates/bench/baselines/perf_gate.json`; wall-clock timings go to
+//! stderr.
 //!
 //! Every section runs at one fixed size and asserts on every run:
 //!

@@ -592,21 +592,52 @@ mod tests {
         assert!(r.metrics.improvement_factor() >= 1.0);
     }
 
-    #[test]
-    fn ablations_are_ordered_sensibly() {
+    /// The full compile of `qft(10)` on two blocks, then the single-knob
+    /// ablations of paper Fig. 17(a)–(c): no-commute, cat-only and
+    /// plain-greedy.
+    fn qft10_ablations() -> (CompileResult, [CompileResult; 3]) {
         let c = dqc_workloads::qft(10);
         let p = Partition::block(10, 2).unwrap();
         let full = AutoComm::new().compile(&c, &p).unwrap();
-        let no_commute = AutoComm::with_ablations(&[Ablation::NoCommute]).compile(&c, &p).unwrap();
-        let cat_only = AutoComm::with_ablations(&[Ablation::CatOnly]).compile(&c, &p).unwrap();
-        let plain_sched =
-            AutoComm::with_ablations(&[Ablation::PlainGreedy]).compile(&c, &p).unwrap();
+        let ablated = [Ablation::NoCommute, Ablation::CatOnly, Ablation::PlainGreedy]
+            .map(|a| AutoComm::with_ablations(&[a]).compile(&c, &p).unwrap());
+        (full, ablated)
+    }
 
-        assert!(no_commute.metrics.total_comms >= full.metrics.total_comms);
-        assert!(cat_only.metrics.total_comms >= full.metrics.total_comms);
-        assert!(plain_sched.schedule.makespan >= full.schedule.makespan);
+    #[test]
+    fn ablations_degrade_strictly() {
+        let (full, ablated) = qft10_ablations();
+        let [no_commute, cat_only, plain_sched] = &ablated;
+        assert!(no_commute.metrics.total_comms > full.metrics.total_comms);
+        assert!(cat_only.metrics.total_comms > full.metrics.total_comms);
+        assert!(plain_sched.schedule.makespan > full.schedule.makespan);
+        // The scheduling knob leaves the comm counts alone.
+        assert_eq!(plain_sched.metrics, full.metrics);
         // QFT is TP-heavy under the hybrid assignment (paper Table 3).
         assert!(full.metrics.tp_comms > 0);
+    }
+
+    #[test]
+    fn ablations_share_the_ir() {
+        // None of these knobs rewrites the circuit, so every ablation
+        // compiles over the same `CommIr` contents: the Fig. 17 deltas are
+        // pass behavior, not IR differences.
+        let (full, ablated) = qft10_ablations();
+        for r in &ablated {
+            assert_eq!(r.ir.len(), full.ir.len());
+            assert_eq!(r.ir.unique_gates(), full.ir.unique_gates());
+            assert!((0..r.ir.len()).all(|i| r.ir.gate_at(i) == full.ir.gate_at(i)));
+            assert_eq!(r.ir.ranked_pairs(), full.ir.ranked_pairs());
+        }
+    }
+
+    #[test]
+    fn no_commute_comms_equal_remote_cx() {
+        // Singleton blocks: Tot Comm = # REM CX (the sparse baseline).
+        let c = dqc_workloads::bv(12);
+        let p = Partition::block(12, 3).unwrap();
+        let r = AutoComm::with_ablations(&[Ablation::NoCommute]).compile(&c, &p).unwrap();
+        assert_eq!(r.metrics.total_comms, r.metrics.total_rem_cx);
     }
 
     #[test]

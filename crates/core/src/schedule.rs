@@ -33,27 +33,28 @@
 //! scheduler prescans its walk of the DAG-ordered item list into a comm
 //! *request sequence* (the lookahead frontier), a
 //! [`dqc_hardware::ResourceManager`] issues generation events for upcoming
-//! requests during local-computation slack (depositing heralded pairs into
-//! per-node [`dqc_hardware::EprBuffer`]s), and each burst pops its matching
-//! buffered pair — or blocks until one matures, falling back to on-demand
-//! generation when buffers are full or capacity-constrained. Because
-//! buffered generation occupies end-node slots only from herald to
-//! consumption (not for the whole generation window), pair preparation
-//! pipelines deeper than the comm-qubit budget on contended nodes.
+//! requests during local-computation slack (each heralded pair counts
+//! against both endpoints' buffers, bounded by the comm-qubit budget), and
+//! each burst takes the pair generated for its request — or blocks until it
+//! matures, falling back to on-demand generation when buffers are full or
+//! capacity-constrained. Because buffered generation occupies end-node
+//! slots only from herald to consumption (not for the whole generation
+//! window), pair preparation pipelines deeper than the comm-qubit budget on
+//! contended nodes.
 //!
 //! Buffered schedules are guarded by a strict-improvement rail: when the
 //! buffered makespan does not beat the on-demand one, the legacy schedule
 //! is returned (with [`BufferingReport::fell_back`] set), so `Prefetch`
 //! and `Greedy` never lose to `OnDemand`.
 
-use dqc_circuit::{CommSummary, Gate, GateId, GateTable, NodeId, QubitId};
+use dqc_circuit::{CommSummary, GateId, GateTable, NodeId, QubitId};
 use dqc_hardware::{
     BufferPolicy, HardwareSpec, NetworkTopology, ResourceManager, Timeline, TimelineEvent,
 };
 
 use crate::assign::{cat_pieces, Piece};
 use crate::metrics::BufferingReport;
-use crate::{AssignedProgram, CommBlock, Item, Placement, Scheme};
+use crate::{AssignedProgram, Item, Placement, Scheme};
 
 /// Scheduler feature toggles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -211,6 +212,7 @@ fn schedule_run(
         options,
         open_group: None,
         group_summary: CommSummary::new(program.num_qubits(), program.num_cbits()),
+        partners: Vec::new(),
         cat_blocks: 0,
         tp_blocks: 0,
         fusion_savings: 0,
@@ -240,36 +242,13 @@ fn schedule_run(
                         i += 1;
                     }
                     Scheme::Tp => {
-                        // Gather a fusion chain of consecutive TP blocks on
-                        // the same burst qubit. Local gates not touching the
-                        // qubit may interleave (scheduled in place);
-                        // single-qubit unitaries *on* the qubit ride the
-                        // chain and execute on the teleported state at
-                        // whichever node holds it.
                         let q = b.block.qubit();
                         let chain_end = if sched.options.burst_aware {
                             find_chain_end(program, i, q)
                         } else {
                             i + 1
                         };
-                        let mut chain: Vec<ChainStep<'_>> = Vec::new();
-                        for &item in &items[i..chain_end] {
-                            match item {
-                                Item::Block(k) => {
-                                    let tb = program.block(k);
-                                    debug_assert_eq!(tb.scheme, Scheme::Tp, "chain scan");
-                                    chain.push(ChainStep::Block(tb.block));
-                                }
-                                Item::Local(id) if table.gate(id).acts_on(q) => {
-                                    chain.push(ChainStep::OnState(table.gate(id)));
-                                }
-                                Item::Local(id) => {
-                                    // Interleaved local gate: schedule in place.
-                                    sched.rm.timeline_mut().schedule_gate(table.gate(id));
-                                }
-                            }
-                        }
-                        sched.schedule_tp_chain(&chain);
+                        sched.schedule_tp_chain(program, q, &items[i..chain_end]);
                         i = chain_end;
                     }
                 }
@@ -383,14 +362,6 @@ fn find_chain_end(program: &AssignedProgram, start: usize, q: QubitId) -> usize 
     end
 }
 
-/// One step of a TP fusion chain.
-enum ChainStep<'a> {
-    /// A TP block executed at its remote node.
-    Block(&'a CommBlock),
-    /// A single-qubit gate applied to the teleported state wherever it is.
-    OnState(&'a Gate),
-}
-
 /// A set of overlapping commutable Cat blocks sharing one burst qubit
 /// (paper Fig. 12). Member bodies live in the scheduler's reused
 /// [`CommSummary`], so joiner checks are `O(operands)` per gate instead of
@@ -411,6 +382,9 @@ struct Scheduler<'a> {
     open_group: Option<CatGroup>,
     /// Summary of every member body of the open group.
     group_summary: CommSummary,
+    /// Operands of the body gate being placed, other than the burst qubit
+    /// (reused across gates so the walk does not allocate).
+    partners: Vec<QubitId>,
     cat_blocks: usize,
     tp_blocks: usize,
     fusion_savings: usize,
@@ -486,7 +460,7 @@ impl Scheduler<'_> {
         // their own operand wires.
         let mut comm_cursor = ent_end;
         let mut body_end = ent_end;
-        let mut partners = Vec::new();
+        let partners = &mut self.partners;
         for gate in ids.iter().map(|&id| self.table.gate(id)) {
             if gate.acts_on(q) {
                 partners.clear();
@@ -495,7 +469,7 @@ impl Scheduler<'_> {
                     partners.iter().map(|&x| tl.qubit_free_at(x)).fold(comm_cursor, f64::max);
                 let end = start + lat.gate(gate);
                 if !partners.is_empty() {
-                    tl.occupy_qubits("cat-body", &partners, start, end);
+                    tl.occupy_qubits("cat-body", partners, start, end);
                 }
                 comm_cursor = end;
                 body_end = body_end.max(end);
@@ -528,23 +502,31 @@ impl Scheduler<'_> {
         }
     }
 
-    /// Schedules a chain of TP blocks with the same burst qubit as one
-    /// teleport cycle `home → N₁ → … → N_m → home` (a single block is the
-    /// degenerate cycle `home → N → home`, the paper's 2-EPR accounting).
-    fn schedule_tp_chain(&mut self, chain: &[ChainStep<'_>]) {
-        let blocks: Vec<&CommBlock> = chain
-            .iter()
-            .filter_map(|s| match s {
-                ChainStep::Block(b) => Some(*b),
-                ChainStep::OnState(_) => None,
-            })
-            .collect();
-        assert!(!blocks.is_empty(), "chains contain at least one block");
-        self.tp_blocks += blocks.len();
-        if blocks.len() > 1 {
-            self.fusion_savings += blocks.len() - 1;
+    /// Schedules a chain of TP blocks with burst qubit `q` as one teleport
+    /// cycle `home → N₁ → … → N_m → home` (a single block is the degenerate
+    /// cycle `home → N → home`, the paper's 2-EPR accounting). `chain` is
+    /// the item run [`find_chain_end`] grouped: local gates not touching `q`
+    /// run in place ahead of the cycle, and single-qubit unitaries *on* `q`
+    /// ride it, executing on the teleported state wherever it is.
+    fn schedule_tp_chain(&mut self, program: &AssignedProgram, q: QubitId, chain: &[Item]) {
+        let mut blocks = 0;
+        for &item in chain {
+            match item {
+                Item::Block(k) => {
+                    debug_assert_eq!(program.block(k).scheme, Scheme::Tp, "chain scan");
+                    blocks += 1;
+                }
+                Item::Local(id) => {
+                    let g = self.table.gate(id);
+                    if !g.acts_on(q) {
+                        self.rm.timeline_mut().schedule_gate(g);
+                    }
+                }
+            }
         }
-        let q = blocks[0].qubit();
+        assert!(blocks > 0, "chains contain at least one block");
+        self.tp_blocks += blocks;
+        self.fusion_savings += blocks - 1;
         self.close_group_if_conflicts(&[q]);
         let home = self.placement.physical_node_of(q);
         let lat = *self.rm.timeline().latency();
@@ -576,12 +558,15 @@ impl Scheduler<'_> {
             t_end
         };
 
-        for step in chain {
-            let block = match step {
-                ChainStep::Block(b) => *b,
-                ChainStep::OnState(g) => {
-                    // Applied to the state on whichever node holds it.
-                    state_time += lat.gate(g);
+        for &item in chain {
+            let block = match item {
+                Item::Block(k) => program.block(k).block,
+                Item::Local(id) => {
+                    let g = self.table.gate(id);
+                    if g.acts_on(q) {
+                        // Applied to the state on whichever node holds it.
+                        state_time += lat.gate(g);
+                    }
                     continue;
                 }
             };
@@ -597,7 +582,7 @@ impl Scheduler<'_> {
             // Body on `node`, with the comm qubit (holding q) serializing.
             let mut comm_cursor = state_time;
             let tl = self.rm.timeline_mut();
-            let mut partners = Vec::new();
+            let partners = &mut self.partners;
             for gate in block.gates(self.table) {
                 if gate.acts_on(q) {
                     partners.clear();
@@ -606,7 +591,7 @@ impl Scheduler<'_> {
                         partners.iter().map(|&x| tl.qubit_free_at(x)).fold(comm_cursor, f64::max);
                     let end = start + lat.gate(gate);
                     if !partners.is_empty() {
-                        tl.occupy_qubits("tp-body", &partners, start, end);
+                        tl.occupy_qubits("tp-body", partners, start, end);
                     }
                     comm_cursor = end;
                 } else {
@@ -949,32 +934,53 @@ mod tests {
         dqc_hardware::validate_events(&s.events.expect("recording enabled"), &hw).unwrap();
     }
 
-    /// A whole prefetch:4 schedule on a chain, where claims route through
-    /// relays: the recorded log validates against the hardware, and its
-    /// length and digest match the log recorded before event bookkeeping
-    /// stopped allocating when recording is off.
-    #[test]
-    fn buffered_event_log_is_pinned() {
+    /// Schedules QFT-8 over a 4-node chain (2 comm qubits per node) under
+    /// `policy`, with recording on: the summary and its validated log's
+    /// `(length, swaps, FNV-1a digest of each event's Debug form)`.
+    fn pinned_chain_run(policy: BufferPolicy) -> (ScheduleSummary, (usize, usize, u64)) {
         let p = Partition::block(8, 4).unwrap();
         let c = dqc_circuit::unroll_circuit(&dqc_workloads::qft(8)).unwrap();
         let program = assign(&aggregate(&c, &p, AggregateOptions::default()));
         let hw = linear_hw(&p);
-        let opts = ScheduleOptions { record_events: true, ..buffered(4) };
-        let s = schedule(&program, &Placement::identity(&p), &hw, opts);
-        let events = s.events.expect("recording enabled");
+        let opts = ScheduleOptions { record_events: true, ..ScheduleOptions::default() };
+        let mut s = schedule(&program, &Placement::identity(&p), &hw, opts.with_buffer(policy));
+        let events = s.events.take().expect("recording enabled");
         dqc_hardware::validate_events(&events, &hw).unwrap();
-        // FNV-1a over each event's `Debug` form: label, times, qubits and
-        // slots, in order.
         let digest = events.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, e| {
             format!("{e:?}")
                 .bytes()
                 .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
         });
         let swaps = events.iter().filter(|e| e.label == "swap").count();
-        assert!(!s.buffering.fell_back, "the buffered engine's own log is the one pinned");
-        assert_eq!(s.buffering.prefetch_hits, 20);
-        assert_eq!((events.len(), swaps), (249, 9));
-        assert_eq!(digest, 0xa1b5_694a_2f8d_b341);
+        (s, (events.len(), swaps, digest))
+    }
+
+    /// Whole buffered schedules on a chain, where claims route through
+    /// relays: the recorded logs validate against the hardware, and their
+    /// lengths, digests and buffer statistics (hits, misses, mean pair age,
+    /// per-node occupancy histogram) match the runs recorded when each
+    /// buffered pair still sat in a per-endpoint FIFO as well. Both runs
+    /// stall generation on buffer headroom (a node holding two pairs).
+    #[test]
+    fn buffered_event_log_is_pinned() {
+        let (s, log) = pinned_chain_run(BufferPolicy::Prefetch { depth: 4 });
+        let b = &s.buffering;
+        assert!(!b.fell_back, "the buffered engine's own log is the one pinned");
+        assert_eq!((b.prefetch_hits, b.prefetch_misses), (20, 1), "{b:?}");
+        assert_eq!(log, (249, 9, 0xa1b5_694a_2f8d_b341), "{log:x?}");
+        assert_eq!(b.occupancy_hist, [15, 40, 25], "{b:?}");
+        // 32.645 CX units.
+        assert_eq!(b.mean_pair_age.to_bits(), 0x4040_528f_5c28_f5c3, "{}", b.mean_pair_age);
+
+        // Unbounded lookahead stalls on headroom at the same requests: two
+        // comm qubits per node bind before a depth of four does.
+        let (greedy, greedy_log) = pinned_chain_run(BufferPolicy::Greedy);
+        assert_eq!(greedy.buffering.policy, BufferPolicy::Greedy);
+        assert_eq!(greedy_log, log);
+        assert_eq!(
+            greedy.buffering,
+            BufferingReport { policy: BufferPolicy::Greedy, ..s.buffering }
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Event-driven EPR buffering: per-node pair buffers and the resource
-//! manager that separates *generation* events from *consumption* events.
+//! Event-driven EPR buffering: the resource manager that separates
+//! *generation* events from *consumption* events and counts each node's
+//! buffered pairs.
 //!
 //! The legacy scheduler materializes every EPR pair through one monolithic
 //! [`crate::Timeline::claim_comm`] call at the moment a burst consumes it:
@@ -9,13 +10,12 @@
 //! CollComm (arXiv:2208.06724), this module treats the communication
 //! qubits of each node as an **EPR buffer** instead: a [`ResourceManager`]
 //! issues *generation events* ahead of demand ([`Timeline::generate_routed`]
-//! claims link channels and runs relay swap chains, then deposits the
-//! heralded pair into the endpoint [`EprBuffer`]s) and serves *consumption
-//! events* separately (a burst pops the matching buffered pair — keyed by
-//! remote endpoint, FIFO in generation order — or blocks until one
-//! matures). The buffer resource state is explicit in the schedule rather
-//! than implicit in a mutable timeline, in the spirit of InQuIR
-//! (arXiv:2302.00267).
+//! claims link channels and runs relay swap chains, then counts the
+//! heralded pair against both endpoints' buffers) and serves *consumption
+//! events* separately (a burst takes the pair generated for its request,
+//! or blocks until it matures). The buffer resource state is explicit in
+//! the schedule rather than implicit in a mutable timeline, in the spirit
+//! of InQuIR (arXiv:2302.00267).
 //!
 //! [`BufferPolicy`] selects the engine:
 //!
@@ -29,8 +29,6 @@
 //! * [`BufferPolicy::Greedy`] — unbounded lookahead: every generation is
 //!   issued as early as link capacity allows (maximal latency hiding,
 //!   maximal pair staleness).
-
-use std::collections::VecDeque;
 
 use dqc_circuit::NodeId;
 
@@ -100,51 +98,6 @@ impl BufferPolicy {
     }
 }
 
-/// One node's view of its buffered pairs: a FIFO of heralded-but-unconsumed
-/// pairs keyed by remote endpoint, bounded by the node's comm-qubit budget.
-#[derive(Clone, Debug)]
-pub struct EprBuffer {
-    capacity: usize,
-    /// `(remote endpoint, herald time, request index)` in generation order.
-    pairs: VecDeque<(NodeId, f64, usize)>,
-}
-
-impl EprBuffer {
-    /// An empty buffer with `capacity` slots (the node's comm-qubit
-    /// budget).
-    pub fn new(capacity: usize) -> Self {
-        EprBuffer { capacity, pairs: VecDeque::new() }
-    }
-
-    /// Slots available for further prefetched pairs.
-    pub fn headroom(&self) -> usize {
-        self.capacity.saturating_sub(self.pairs.len())
-    }
-
-    /// Buffered (heralded, unconsumed) pairs.
-    pub fn occupancy(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Total slots.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Deposits a heralded pair bound for `remote`.
-    fn deposit(&mut self, remote: NodeId, ready: f64, request: usize) {
-        debug_assert!(self.pairs.len() < self.capacity, "buffer over capacity");
-        self.pairs.push_back((remote, ready, request));
-    }
-
-    /// Pops the oldest pair matching `remote` (FIFO per endpoint). Returns
-    /// its herald time.
-    fn pop(&mut self, remote: NodeId, request: usize) -> Option<f64> {
-        let at = self.pairs.iter().position(|&(r, _, req)| r == remote && req == request)?;
-        self.pairs.remove(at).map(|(_, ready, _)| ready)
-    }
-}
-
 /// Aggregate statistics of one buffered (or on-demand) scheduling run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BufferMetrics {
@@ -204,9 +157,9 @@ impl BufferMetrics {
     }
 }
 
-/// The discrete-event resource manager: owns the [`Timeline`] plus one
-/// [`EprBuffer`] per node, and serves the scheduler's comm requests under a
-/// [`BufferPolicy`].
+/// The discrete-event resource manager: owns the [`Timeline`] plus each
+/// node's count of buffered pairs, and serves the scheduler's comm requests
+/// under a [`BufferPolicy`].
 ///
 /// The caller announces the full request sequence up front (endpoint pairs
 /// in consumption order — the schedule walk is a topological linearization
@@ -229,14 +182,17 @@ pub struct ResourceManager {
     next_issue: usize,
     /// Generated-but-unconsumed pairs, by request index.
     pending: Vec<Option<PendingPair>>,
-    buffers: Vec<EprBuffer>,
+    /// Per-node comm-qubit budget bounding the buffered pairs.
+    capacity: usize,
+    /// Buffered pairs per node: the `pending` pairs it is an endpoint of.
+    buffered: Vec<usize>,
     metrics: BufferMetrics,
 }
 
 impl ResourceManager {
     /// A manager over `tl` serving `requests` (endpoint pairs in
     /// consumption order) under `policy`. `capacity` is the per-node
-    /// comm-qubit budget bounding each [`EprBuffer`].
+    /// comm-qubit budget bounding each node's buffered pairs.
     pub fn new(
         tl: Timeline,
         policy: BufferPolicy,
@@ -252,7 +208,8 @@ impl ResourceManager {
             cursor: 0,
             next_issue: 0,
             pending,
-            buffers: vec![EprBuffer::new(capacity); nodes],
+            capacity,
+            buffered: vec![0; nodes],
             metrics: BufferMetrics::default(),
         }
     }
@@ -305,7 +262,7 @@ impl ResourceManager {
 
         let (pair, hit) = match self.pending[self.cursor].take() {
             Some(p) => {
-                self.pop(self.cursor, &p);
+                self.pop(&p);
                 (p, true)
             }
             None => {
@@ -346,8 +303,7 @@ impl ResourceManager {
     /// full can still load transiently — the incoming half arrives as its
     /// protocol starts — but steady-state occupancy is budget-bounded.)
     fn node_headroom(&self, node: NodeId) -> bool {
-        self.buffers[node.index()].occupancy() + self.tl.held_slots(node)
-            < self.buffers[node.index()].capacity()
+        self.buffered[node.index()] + self.tl.held_slots(node) < self.capacity
     }
 
     /// Issues generation for every not-yet-issued request in
@@ -363,29 +319,36 @@ impl ResourceManager {
                 break;
             }
             let pair = self.tl.generate_routed(a, b, frontier_time);
-            self.deposit(j, &pair);
+            self.deposit(&pair);
             self.pending[j] = Some(pair);
             self.next_issue = j + 1;
         }
     }
 
-    fn deposit(&mut self, request: usize, pair: &PendingPair) {
-        self.buffers[pair.a.index()].deposit(pair.b, pair.ready, request);
-        self.buffers[pair.b.index()].deposit(pair.a, pair.ready, request);
-        let (oa, ob) =
-            (self.buffers[pair.a.index()].occupancy(), self.buffers[pair.b.index()].occupancy());
-        self.metrics.sample_occupancy(oa);
-        self.metrics.sample_occupancy(ob);
+    /// Counts a heralded pair into both endpoints' buffers.
+    fn deposit(&mut self, pair: &PendingPair) {
+        for node in [pair.a, pair.b] {
+            let held = &mut self.buffered[node.index()];
+            debug_assert!(*held < self.capacity, "buffer of {node} over capacity");
+            *held += 1;
+        }
+        self.sample_occupancy(pair);
     }
 
-    fn pop(&mut self, request: usize, pair: &PendingPair) {
-        let ra = self.buffers[pair.a.index()].pop(pair.b, request);
-        let rb = self.buffers[pair.b.index()].pop(pair.a, request);
-        debug_assert!(ra.is_some() && rb.is_some(), "buffered pair missing from an endpoint");
-        let (oa, ob) =
-            (self.buffers[pair.a.index()].occupancy(), self.buffers[pair.b.index()].occupancy());
-        self.metrics.sample_occupancy(oa);
-        self.metrics.sample_occupancy(ob);
+    /// Counts a consumed pair out of both endpoints' buffers.
+    fn pop(&mut self, pair: &PendingPair) {
+        for node in [pair.a, pair.b] {
+            let held = &mut self.buffered[node.index()];
+            debug_assert!(*held > 0, "pop from the empty buffer of {node}");
+            *held -= 1;
+        }
+        self.sample_occupancy(pair);
+    }
+
+    fn sample_occupancy(&mut self, pair: &PendingPair) {
+        for node in [pair.a, pair.b] {
+            self.metrics.sample_occupancy(self.buffered[node.index()]);
+        }
     }
 
     /// Finishes the run, returning the timeline and the accumulated buffer

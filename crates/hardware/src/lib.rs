@@ -32,12 +32,12 @@
 //!   reproduction (AutoComm burst-greedy, baseline ASAP, GP-TP); it counts
 //!   consumed EPR pairs (one per hop), entanglement swaps, and per-link
 //!   traffic;
-//! * [`EprBuffer`] / [`ResourceManager`] — the event-driven buffering layer
-//!   on top of the timeline: per-node FIFO buffers of heralded EPR pairs
-//!   (capacity = comm-qubit budget) and a manager that separates
-//!   *generation events* (link-channel claims, relay swap chains, buffer
-//!   deposits) from *consumption events* (bursts pop matching pairs or
-//!   block until one matures), selected by a [`BufferPolicy`];
+//! * [`ResourceManager`] — the event-driven buffering layer on top of the
+//!   timeline: it counts each node's buffered (heralded, unconsumed) EPR
+//!   pairs against the comm-qubit budget and separates *generation events*
+//!   (link-channel claims, relay swap chains, buffer deposits) from
+//!   *consumption events* (a burst takes the pair generated for its
+//!   request, or blocks until it matures), selected by a [`BufferPolicy`];
 //! * [`validate_events`] — an independent checker that replays a timeline's
 //!   event log and verifies no qubit or comm-slot is double-booked.
 
@@ -53,7 +53,7 @@ mod timeline;
 pub mod topology;
 mod validate;
 
-pub use buffer::{BufferMetrics, BufferPolicy, EprBuffer, ResourceManager};
+pub use buffer::{BufferMetrics, BufferPolicy, ResourceManager};
 pub use error::HardwareError;
 pub use fidelity::{FidelityInputs, FidelityModel};
 pub use latency::LatencyModel;

@@ -70,8 +70,8 @@ pub struct CommClaim {
 
 /// An EPR pair whose generation has been committed to the timeline but
 /// whose end-node communication slots have **not** been claimed yet — the
-/// unit of work a [`crate::ResourceManager`] keeps in its per-node
-/// [`crate::EprBuffer`]s between generation and consumption.
+/// unit of work a [`crate::ResourceManager`] holds, counted in both
+/// endpoints' buffers, between generation and consumption.
 ///
 /// Produced by [`Timeline::generate_routed`]; turned into a live
 /// [`CommClaim`] by [`Timeline::attach_pair`] when a burst consumes it.

@@ -2,9 +2,9 @@
 //! what factor, and which qualitative patterns hold. These tests pin the
 //! reproduction to the published trends without requiring exact numbers.
 
-use autocomm_repro::baselines::{ablation, compile_ferrari, compile_gp_tp};
+use autocomm_repro::baselines::{compile_ferrari, compile_gp_tp};
 use autocomm_repro::circuit::{unroll_circuit, Partition};
-use autocomm_repro::core::{burst_distribution, AutoComm};
+use autocomm_repro::core::{burst_distribution, Ablation, AutoComm};
 use autocomm_repro::hardware::HardwareSpec;
 use autocomm_repro::partition::{oee_partition, InteractionGraph};
 use autocomm_repro::workloads as wl;
@@ -125,14 +125,14 @@ fn ablation_ratios_in_paper_bands() {
     let c = wl::qft(40);
     let p = oee(&c, 4);
     let full = AutoComm::new().compile(&c, &p).unwrap();
-    let nc = ablation::compile_no_commute(&c, &p).unwrap();
+    let nc = AutoComm::with_ablations(&[Ablation::NoCommute]).compile(&c, &p).unwrap();
     let ratio = nc.metrics.total_comms as f64 / full.metrics.total_comms as f64;
     assert!(ratio > 3.0, "QFT no-commute ratio {ratio} (paper ≈ 4.35)");
 
     let c = wl::bv(40);
     let p = oee(&c, 4);
     let full = AutoComm::new().compile(&c, &p).unwrap();
-    let nc = ablation::compile_no_commute(&c, &p).unwrap();
+    let nc = AutoComm::with_ablations(&[Ablation::NoCommute]).compile(&c, &p).unwrap();
     let ratio = nc.metrics.total_comms as f64 / full.metrics.total_comms as f64;
     assert!(ratio > 3.0, "BV no-commute ratio {ratio} (paper ≈ 6.22)");
 
@@ -141,7 +141,7 @@ fn ablation_ratios_in_paper_bands() {
     let c = wl::rca(40);
     let p = oee(&c, 4);
     let full = AutoComm::new().compile(&c, &p).unwrap();
-    let co = ablation::compile_cat_only(&c, &p).unwrap();
+    let co = AutoComm::with_ablations(&[Ablation::CatOnly]).compile(&c, &p).unwrap();
     assert!(co.metrics.total_comms >= full.metrics.total_comms);
 
     // Fig. 17(c): plain greedy scheduling is slower on TP-heavy workloads
@@ -150,14 +150,14 @@ fn ablation_ratios_in_paper_bands() {
     let c = wl::mctr(40);
     let p = oee(&c, 4);
     let full = AutoComm::new().compile(&c, &p).unwrap();
-    let pg = ablation::compile_plain_greedy(&c, &p).unwrap();
+    let pg = AutoComm::with_ablations(&[Ablation::PlainGreedy]).compile(&c, &p).unwrap();
     let ratio = pg.schedule.makespan / full.schedule.makespan;
     assert!(ratio > 1.1, "greedy/burst-greedy latency ratio {ratio} (paper 1.2–1.6)");
     // And it must never help, on any workload.
     let c = wl::qft(40);
     let p = oee(&c, 4);
     let full = AutoComm::new().compile(&c, &p).unwrap();
-    let pg = ablation::compile_plain_greedy(&c, &p).unwrap();
+    let pg = AutoComm::with_ablations(&[Ablation::PlainGreedy]).compile(&c, &p).unwrap();
     assert!(pg.schedule.makespan >= full.schedule.makespan - 1e-9);
 }
 

@@ -18,7 +18,8 @@
 //! - **stderr**: 300,000 gates, seed 1, the benchmark's own size. It forks
 //!   worker threads, so its counts move a little with the core count. The
 //!   probe exits with status 1 when this compile's `run_job` heap peak
-//!   exceeds [`RUN_JOB_PEAK_BOUND`].
+//!   exceeds [`RUN_JOB_PEAK_BOUND`] or its schedule stage makes more than
+//!   [`SCHEDULE_ALLOCATION_BOUND`] allocations.
 //!
 //! An allocation is one `alloc`, `alloc_zeroed` or `realloc` call. Heap
 //! bytes are the sizes callers requested, not what the system allocator
@@ -43,6 +44,11 @@ use dqc_workloads::random_circuit;
 /// `run_job` (175 MiB). It peaks in aggregation, with the input, unrolled
 /// circuit and `CommIr` alive.
 const RUN_JOB_PEAK_BOUND: usize = 175 << 20;
+
+/// The most allocations the 300,000-gate compile's schedule stage may make
+/// (10,000). Its two walks allocate a fixed number of buffers, about 140
+/// allocations; one per communication would be about 166,000.
+const SCHEDULE_ALLOCATION_BOUND: usize = 10_000;
 
 /// Allocation calls so far (statistics only: `Relaxed` publishes nothing).
 static CALLS: AtomicUsize = AtomicUsize::new(0);
@@ -236,6 +242,7 @@ fn main() {
         );
     }
     eprintln!("{:<16} {:>12} {:>12.1}", "run_job", allocations, mb(peak));
+    let mut failed = false;
     if peak > RUN_JOB_PEAK_BOUND {
         let mib = |bytes: usize| bytes as f64 / f64::from(1 << 20);
         eprintln!(
@@ -243,6 +250,17 @@ fn main() {
             mib(peak),
             mib(RUN_JOB_PEAK_BOUND)
         );
+        failed = true;
+    }
+    let schedule = stages.iter().find(|s| s.name == "schedule").expect("a schedule stage");
+    if schedule.allocations > SCHEDULE_ALLOCATION_BOUND {
+        eprintln!(
+            "schedule stage made {} allocations, above the {SCHEDULE_ALLOCATION_BOUND} bound",
+            schedule.allocations
+        );
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
 }
