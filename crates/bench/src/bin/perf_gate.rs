@@ -11,12 +11,12 @@
 //!   [`Json`] within 50 ms, so a quadratic string codec fails the gate.
 //! * **Front end** — a 10k-gate diagonal-heavy circuit (long commuting
 //!   runs) aggregates with its block and window summaries inside their
-//!   `O(wires)` tracked-entry bound; 100k gates of generated QASM parse back through
-//!   the chunked [`from_qasm`] to the generating circuit, and unroll
-//!   through the fanned [`unroll_circuit`]; unrolled `qft(128)` aggregates
-//!   over an 8-node block partition (more than 64 wires, so the walk's
-//!   wire summaries span several words). `tests/aggregate_golden.rs` pins
-//!   the walk's output.
+//!   `O(wires)` tracked-entry bound; 100k gates of generated QASM parse
+//!   back through [`from_qasm`] to the generating circuit, and unroll
+//!   through [`unroll_circuit`]; unrolled `qft(128)` aggregates over an
+//!   8-node block partition (more than 64 wires, so the walk's wire
+//!   summaries span several words). `tests/aggregate_golden.rs` pins the
+//!   walk's output.
 //! * **Placement** — on a 256-qubit power-law circuit the OEE refinement's
 //!   scans plus cache hits add up to exactly the full rescan's count,
 //!   `(exchanges + 1) × cross pairs`, and it scans at most a tenth of that
@@ -103,9 +103,8 @@ fn diagonal_remote(num_qubits: usize, num_gates: usize, fence: usize) -> (Circui
     (circuit, partition)
 }
 
-/// Streaming aggregation, the parse round trip and the fanned unroll.
+/// Streaming aggregation, the parse round trip and the unroll.
 fn frontend() -> Vec<String> {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // The IR is built once; each timed round aggregates a clone of it.
     let (circuit, partition) = diagonal_remote(8, 10_000, 2_500);
     let base_ir = CommIr::build(&circuit, &partition);
@@ -131,8 +130,7 @@ fn frontend() -> Vec<String> {
     let (unrolled_ms, unrolled) =
         timed(1, || unroll_circuit(&parse_circuit).expect("workload unrolls"));
     eprintln!(
-        "parse ({} gates, {} MiB): {parse_ms:.1} ms; unroll ({} gates): {unrolled_ms:.1} ms \
-         ({cores} core(s))",
+        "parse ({} gates, {} MiB): {parse_ms:.1} ms; unroll ({} gates): {unrolled_ms:.1} ms",
         parse_circuit.len(),
         qasm.len() >> 20,
         unrolled.len()
@@ -181,7 +179,7 @@ fn frontend() -> Vec<String> {
             base_ir.stream().len()
         ),
         format!("\"parse\": {{\"gates\": {}, \"round_trips\": true}}", parse_circuit.len()),
-        format!("\"fanned_rails\": {{\"unrolled_gates\": {}}}", unrolled.len()),
+        format!("\"unroll\": {{\"unrolled_gates\": {}}}", unrolled.len()),
     ]
 }
 

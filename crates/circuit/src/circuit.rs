@@ -124,6 +124,12 @@ impl Circuit {
         self.gates.reserve(additional);
     }
 
+    /// Drops spare gate capacity, so a circuit built from an over-estimate
+    /// holds only its gates.
+    pub fn shrink_to_fit(&mut self) {
+        self.gates.shrink_to_fit();
+    }
+
     /// Grows the classical register to at least `n` bits.
     pub fn ensure_cbits(&mut self, n: usize) {
         self.num_cbits = self.num_cbits.max(n);

@@ -53,7 +53,6 @@ mod error;
 mod gate;
 mod hash;
 mod ids;
-mod par;
 mod partition;
 mod qasm;
 mod qasm_parse;
@@ -68,7 +67,6 @@ pub use error::CircuitError;
 pub use gate::{Gate, GateKind};
 pub use hash::{circuit_content_hash, stream_content_hash, ContentHash};
 pub use ids::{CBitId, NodeId, QubitId};
-pub use par::{par_map, PAR_THRESHOLD};
 pub use partition::Partition;
 pub use qasm::to_qasm;
 pub use qasm_parse::{from_qasm, QasmParseError, MAX_REGISTER_WIDTH};

@@ -77,9 +77,7 @@ impl From<CircuitError> for QasmParseError {
 }
 
 /// One statement of a parsed line, position-independent: everything the
-/// splice state machine ([`Assembler`]) needs to grow the circuit in input
-/// order. Produced by the pure per-line parser, which may run on worker
-/// threads.
+/// [`Assembler`] needs to grow the circuit in input order.
 #[derive(Clone, Debug)]
 enum LineStmt {
     /// `qreg q[n];`
@@ -100,9 +98,10 @@ enum ParsedLine {
     Many(Vec<LineStmt>),
 }
 
-/// Parses one raw source line in isolation. Pure: no register state, so
-/// arbitrary line subsets parse independently on worker threads; errors
-/// carry the global 1-based `line_no`.
+/// Parses one raw source line in isolation (no register state); errors
+/// carry the 1-based `line_no`. A line parses whole before any of its
+/// statements is fed, so a syntax error anywhere on it wins over a
+/// register error from an earlier statement on the same line.
 fn parse_line(raw: &str, line_no: usize) -> Result<ParsedLine, QasmParseError> {
     let line = strip_comment(raw).trim();
     if line.starts_with("OPENQASM") {
@@ -207,16 +206,15 @@ fn parse_condition(text: &str) -> Option<usize> {
     (value.trim() == "1").then(|| index.trim().parse().ok())?
 }
 
-/// The sequential splice state machine parsed statements are fed through,
-/// in input order: register declarations, the statement-before-qreg check,
-/// classical-register growth, and gate validation all live here, so the
-/// result cannot depend on *where* lines were parsed.
+/// The state machine parsed statements are fed through, in input order:
+/// register declarations, the statement-before-qreg check,
+/// classical-register growth, and gate validation all live here.
 #[derive(Default)]
 struct Assembler {
     circuit: Option<Circuit>,
     num_cbits: usize,
-    /// Gate statements still to come, reserved up front so the circuit is
-    /// allocated once at its final size.
+    /// An upper estimate of the gate statements to come, reserved when the
+    /// `qreg` declaration allocates the circuit.
     gates: usize,
 }
 
@@ -275,18 +273,18 @@ impl Assembler {
     }
 
     fn finish(self) -> Result<Circuit, QasmParseError> {
-        self.circuit.ok_or(QasmParseError::Register { message: "no qreg declaration".into() })
+        let mut circuit = self
+            .circuit
+            .ok_or(QasmParseError::Register { message: "no qreg declaration".into() })?;
+        circuit.shrink_to_fit();
+        Ok(circuit)
     }
 }
 
 /// Parses OpenQASM-2 text into a [`Circuit`].
 ///
-/// Lines parse through [`crate::par_map`]: large inputs
-/// (≥ [`crate::PAR_THRESHOLD`] lines) are split into contiguous chunks
-/// whose lines parse independently (`parse_line` is pure), and the
-/// per-line statements are spliced through one sequential `Assembler` in
-/// input order — so the result, including the first error in input order,
-/// is the same as parsing line by line.
+/// Lines stream through one `Assembler` in input order, so the error
+/// reported is the first one in the text.
 ///
 /// # Errors
 ///
@@ -305,21 +303,14 @@ impl Assembler {
 /// # }
 /// ```
 pub fn from_qasm(text: &str) -> Result<Circuit, QasmParseError> {
-    let lines: Vec<(usize, &str)> = text.lines().enumerate().collect();
-    let parsed = crate::par_map(&lines, |&(idx, raw)| parse_line(raw, idx + 1));
-    let gates = parsed
-        .iter()
-        .map(|line| match line {
-            Ok(ParsedLine::One(LineStmt::Gate(_))) => 1,
-            Ok(ParsedLine::Many(stmts)) => {
-                stmts.iter().filter(|s| matches!(s, LineStmt::Gate(_))).count()
-            }
-            _ => 0,
-        })
-        .sum();
+    // One gate a line is the shape `to_qasm` writes. No gate statement is
+    // shorter than `x q[0];`, so blank lines cannot reserve more gates than
+    // the text could hold. The finished circuit drops any surplus.
+    let lines = text.bytes().filter(|&b| b == b'\n').count() + 1;
+    let gates = lines.min(text.len() / "x q[0];".len());
     let mut asm = Assembler { gates, ..Assembler::default() };
-    for (result, &(idx, _)) in parsed.into_iter().zip(&lines) {
-        asm.feed_line(result?, idx + 1)?;
+    for (idx, raw) in text.lines().enumerate() {
+        asm.feed_line(parse_line(raw, idx + 1)?, idx + 1)?;
     }
     asm.finish()
 }
@@ -577,16 +568,6 @@ mod tests {
         QubitId::new(i)
     }
 
-    /// The line-by-line oracle for [`from_qasm`]: each line parsed and fed
-    /// in input order on the calling thread, stopping at the first error.
-    fn sequential(text: &str) -> Result<Circuit, QasmParseError> {
-        let mut asm = Assembler::default();
-        for (idx, raw) in text.lines().enumerate() {
-            asm.feed_line(parse_line(raw, idx + 1)?, idx + 1)?;
-        }
-        asm.finish()
-    }
-
     #[test]
     fn parses_basic_program() {
         let text = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[1];\nh q[0];\ncx q[0], q[1];\nrz(0.5) q[2];\nmeasure q[2] -> c[0];\n";
@@ -702,12 +683,11 @@ mod tests {
             (format!("qreg q[2];\nif (c[{wide}] == 1) x q[0];\n"), format!("c[{wide}] on line 2")),
         ] {
             let (text, needle): (String, String) = (text, needle);
-            for err in [from_qasm(&text).unwrap_err(), sequential(&text).unwrap_err()] {
-                assert!(
-                    matches!(&err, QasmParseError::Register { message } if message.contains(&needle)),
-                    "{text:?}: {err}"
-                );
-            }
+            let err = from_qasm(&text).unwrap_err();
+            assert!(
+                matches!(&err, QasmParseError::Register { message } if message.contains(&needle)),
+                "{text:?}: {err}"
+            );
         }
         // The limit itself is admitted.
         let c = from_qasm(&format!("qreg q[{limit}];\nmeasure q[0] -> c[{}];\n", limit - 1));
@@ -780,110 +760,115 @@ mod tests {
         );
     }
 
-    /// An adversarial QASM program bigger than the parallel threshold: block
-    /// comments, blank lines, inline comments, multi-statement lines, and
-    /// conditioned gates land on arbitrary chunk boundaries.
-    fn adversarial_qasm(lines: usize) -> String {
+    /// An adversarial QASM program and the circuit it encodes: comment
+    /// lines, blank lines, inline comments, multi-statement lines, and
+    /// conditioned gates.
+    fn adversarial_qasm(lines: usize) -> (String, Circuit) {
         let mut text =
             String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[6];\ncreg c[2];\n");
+        let mut c = Circuit::with_cbits(6, 2);
         for i in 0..lines {
+            let (a, b) = (q(i % 6), q((i + 1) % 6));
             match i % 7 {
-                0 => text.push_str("// chunk-boundary comment\n"),
+                0 => text.push_str("// a comment line\n"),
                 1 => text.push('\n'),
-                2 => text.push_str(&format!("h q[{}];\n", i % 6)),
-                3 => text.push_str(&format!(
-                    "h q[{}]; cx q[{}],q[{}]; t q[1];\n",
-                    i % 6,
-                    i % 6,
-                    (i + 1) % 6
-                )),
-                4 => text.push_str(&format!(
-                    "rz({}) q[{}]; // trailing comment\n",
-                    (i % 31) as f64 / 10.0,
-                    i % 6
-                )),
-                5 => text.push_str("measure q[0] -> c[0];\n"),
-                _ => text.push_str("if (c[0] == 1) x q[3];\n"),
+                2 => {
+                    text.push_str(&format!("h q[{}];\n", i % 6));
+                    c.push(Gate::h(a)).unwrap();
+                }
+                3 => {
+                    text.push_str(&format!(
+                        "h q[{}]; cx q[{}],q[{}]; t q[1];\n",
+                        i % 6,
+                        i % 6,
+                        (i + 1) % 6
+                    ));
+                    for g in [Gate::h(a), Gate::cx(a, b), Gate::t(q(1))] {
+                        c.push(g).unwrap();
+                    }
+                }
+                4 => {
+                    let theta = (i % 31) as f64 / 10.0;
+                    text.push_str(&format!("rz({theta}) q[{}]; // trailing comment\n", i % 6));
+                    c.push(Gate::rz(theta, a)).unwrap();
+                }
+                5 => {
+                    text.push_str("measure q[0] -> c[0];\n");
+                    c.push(Gate::measure(q(0), CBitId::new(0))).unwrap();
+                }
+                _ => {
+                    text.push_str("if (c[0] == 1) x q[3];\n");
+                    c.push(Gate::x(q(3)).with_condition(CBitId::new(0))).unwrap();
+                }
             }
         }
-        text
+        (text, c)
     }
 
-    /// The chunked parser must agree with the line-by-line oracle on
-    /// adversarial input spanning many chunk boundaries.
     #[test]
-    fn chunked_parse_matches_sequential_on_adversarial_qasm() {
-        let text = adversarial_qasm(2 * crate::PAR_THRESHOLD + 13);
-        let parsed = from_qasm(&text).unwrap();
-        assert_eq!(parsed, sequential(&text).unwrap());
-        assert!(parsed.len() > crate::PAR_THRESHOLD);
+    fn adversarial_qasm_parses_to_its_circuit() {
+        let (text, expected) = adversarial_qasm(701);
+        assert_eq!(from_qasm(&text).unwrap(), expected);
     }
 
-    /// The chunked parser must report the *same first error in input
-    /// order* as the oracle, even when later chunks contain
-    /// earlier-detectable errors.
+    /// Each fault is the one reported even when a different fault follows
+    /// it: the error is the one parsing stops at, and it names the fault's
+    /// line wherever the error kind carries one.
     #[test]
-    fn chunked_parse_matches_sequential_on_errors() {
-        for (label, mutate) in [
-            ("missing semicolon", "h q[0]\n"),
-            ("unsupported gate", "frobnicate q[0];\n"),
-            ("bad register", "qreg r[4];\n"),
-            ("garbage", "%%%;\n"),
-            ("non-finite parameter", "rz(inf) q[0];\n"),
-            ("oversized qreg", "qreg q[3000000000];\n"),
-            ("oversized creg", "creg c[3000000000];\n"),
-            ("spaceless condition", "if (c[0]==1) cz q[1],q[3];\n"),
-            ("condition value 10", "if (c[0] == 10) x q[0];\n"),
-            ("condition value 0", "if (c[0] == 0) x q[0];\n"),
-            ("not-equal condition", "if (c[0] != 1) x q[0];\n"),
+    fn the_first_fault_is_reported_before_a_later_one() {
+        for (label, fault) in [
+            ("missing semicolon", "h q[0]"),
+            ("unsupported gate", "frobnicate q[0];"),
+            ("bad register", "qreg r[4];"),
+            ("garbage", "%%%;"),
+            ("non-finite parameter", "rz(inf) q[0];"),
+            ("oversized qreg", "qreg q[3000000000];"),
+            ("oversized creg", "creg c[3000000000];"),
+            ("condition value 10", "if (c[0] == 10) x q[0];"),
+            ("condition value 0", "if (c[0] == 0) x q[0];"),
+            ("not-equal condition", "if (c[0] != 1) x q[0];"),
         ] {
-            let mut text = adversarial_qasm(crate::PAR_THRESHOLD);
-            // Inject the fault mid-program, then append a *different*,
-            // per-line-detectable fault near the end — the reported error
-            // must be the first by input position even though a later
-            // chunk's worker sees its own error "first" in wall-clock time.
-            text.push_str(mutate);
+            let (mut text, _) = adversarial_qasm(300);
+            text.push_str(fault);
+            let fault_line = text.lines().count();
+            let alone = from_qasm(&text).unwrap_err();
+            text.push('\n');
             for i in 0..256 {
                 text.push_str(&format!("h q[{}];\n", i % 6));
             }
             text.push_str("x q[0]\n");
-            let parsed = from_qasm(&text);
-            assert_eq!(parsed, sequential(&text), "parser and oracle disagreed on {label}");
-            assert!(parsed.is_err(), "{label} should not parse");
+            let err = from_qasm(&text).unwrap_err();
+            assert_eq!(err, alone, "{label}: a later fault displaced the first");
+            match err {
+                QasmParseError::Syntax { line, .. }
+                | QasmParseError::UnsupportedGate { line, .. } => {
+                    assert_eq!(line, fault_line, "{label}")
+                }
+                _ => {}
+            }
         }
     }
 
     #[test]
-    fn parallel_parse_reports_first_error_in_input_order() {
-        // Two errors, the earlier one in a later chunk position — the
-        // parser must report the *first* in input order with its line.
-        let mut text = String::from("qreg q[2];\n");
-        for _ in 0..(2 * crate::PAR_THRESHOLD) {
-            text.push_str("h q[0];\n");
-        }
+    fn reports_first_error_in_input_order() {
+        // Two errors; the parser reports the first with its line.
+        let mut lines = vec!["h q[0];"; 501];
+        lines[0] = "qreg q[2];";
         let bad_line = 100usize;
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        lines[bad_line - 1] = "frobnicate q[0];".into();
-        lines.push("h q[0]".into()); // second error, much later
-        let text = lines.join("\n");
-        let err = from_qasm(&text).unwrap_err();
-        assert_eq!(err, sequential(&text).unwrap_err());
+        lines[bad_line - 1] = "frobnicate q[0];";
+        lines.push("h q[0]"); // second error, much later
+        let err = from_qasm(&lines.join("\n")).unwrap_err();
         assert!(
             matches!(err, QasmParseError::UnsupportedGate { line, .. } if line == bad_line),
             "got {err:?}"
         );
     }
 
-    /// Chunked == line-by-line parse on generated programs large enough to
-    /// take the parallel path, and the round trip is exact.
     #[test]
-    fn chunked_parse_matches_sequential_random() {
+    fn random_circuits_round_trip() {
         for seed in 0..16 {
-            let c = crate::unroll::tests::random_circuit(16, crate::PAR_THRESHOLD + 512, seed);
-            let text = to_qasm(&c);
-            let parsed = from_qasm(&text).unwrap();
-            assert_eq!(parsed, sequential(&text).unwrap(), "seed {seed}");
-            assert_eq!(parsed, c, "seed {seed}");
+            let c = crate::unroll::tests::random_circuit(16, 1000, seed);
+            assert_eq!(from_qasm(&to_qasm(&c)).unwrap(), c, "seed {seed}");
         }
     }
 

@@ -120,14 +120,7 @@ pub fn unroll_gate_each(
     Ok(())
 }
 
-/// Unrolls every gate of `circuit` into the `CX + U3` basis.
-///
-/// Unrolling is per-gate pure, so the gates are split into contiguous
-/// chunks (one per worker thread from [`crate::PAR_THRESHOLD`] gates, as
-/// [`crate::par_map`] splits its items), each chunk unrolled into its own
-/// circuit, and the chunks spliced back in input order — the same circuit
-/// as unrolling gate by gate, including which error surfaces first when
-/// several gates fail.
+/// Unrolls every gate of `circuit` into the `CX + U3` basis, in order.
 ///
 /// # Errors
 ///
@@ -136,27 +129,16 @@ pub fn unroll_gate_each(
 /// already validated.
 pub fn unroll_circuit(circuit: &Circuit) -> Result<Circuit, CircuitError> {
     let n = circuit.num_qubits();
-    let parts = crate::par::par_chunks(circuit.gates(), |gates| {
-        let mut part = Circuit::with_cbits(n, circuit.num_cbits());
-        part.reserve(gates.len());
-        for gate in gates {
-            unroll_gate_each(gate, n, |g| {
-                part.push(g).expect("unrolling stays on the validated registers");
-            })?;
-        }
-        Ok(part)
-    });
-    let mut parts = parts.into_iter().collect::<Result<Vec<Circuit>, _>>()?;
-    if parts.len() == 1 {
-        return Ok(parts.pop().expect("one chunk"));
-    }
-    // Splice on the calling thread into one exact-size buffer, so the
-    // result lives in the caller's allocator arena, not a worker's.
     let mut out = Circuit::with_cbits(n, circuit.num_cbits());
-    out.reserve(parts.iter().map(Circuit::len).sum());
-    for part in parts {
-        out.extend_gates(part.into_gates())?;
+    out.reserve(circuit.len());
+    for gate in circuit.gates() {
+        unroll_gate_each(gate, n, |g| {
+            out.push(g).expect("unrolling stays on the validated registers");
+        })?;
     }
+    // Doubling growth leaves up to the last doubling spare; the result
+    // outlives the compile's later stages, so it keeps only its gates.
+    out.shrink_to_fit();
     Ok(out)
 }
 
@@ -350,7 +332,7 @@ pub(crate) mod tests {
 
     /// The gate-by-gate oracle for [`unroll_circuit`], stopping at the
     /// first gate that fails.
-    fn sequential(circuit: &Circuit) -> Result<Circuit, CircuitError> {
+    fn gate_by_gate(circuit: &Circuit) -> Result<Circuit, CircuitError> {
         let mut out = Circuit::with_cbits(circuit.num_qubits(), circuit.num_cbits());
         for gate in circuit.gates() {
             if super::in_basis(gate.kind()) {
@@ -364,13 +346,12 @@ pub(crate) mod tests {
         Ok(out)
     }
 
-    /// The fanned unroll matches the gate-by-gate oracle on circuits large
-    /// enough to take the parallel path.
+    /// The circuit unroll matches the gate-by-gate oracle.
     #[test]
-    fn fanned_unroll_matches_sequential_random() {
+    fn unroll_circuit_matches_gate_by_gate_random() {
         for seed in 0..16 {
-            let c = random_circuit(16, crate::PAR_THRESHOLD + 512, seed);
-            assert_eq!(unroll_circuit(&c).unwrap(), sequential(&c).unwrap(), "seed {seed}");
+            let c = random_circuit(16, 2000, seed);
+            assert_eq!(unroll_circuit(&c).unwrap(), gate_by_gate(&c).unwrap(), "seed {seed}");
         }
     }
 

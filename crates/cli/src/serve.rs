@@ -705,7 +705,12 @@ pub fn serve_on(listener: TcpListener, args: ServeArgs) -> Result<(), CliError> 
             let _ = connection.join();
         }
         let state = Arc::clone(&state);
-        connections.push(std::thread::spawn(move || handle_connection(state, stream)));
+        // A thread the OS refuses costs this one connection (its stream
+        // drops with the closure), not the acceptor.
+        match std::thread::Builder::new().spawn(move || handle_connection(state, stream)) {
+            Ok(connection) => connections.push(connection),
+            Err(e) => eprintln!("autocomm serve: dropped a connection, no thread for it: {e}"),
+        }
     }
     // Drain: every connection either finishes its in-flight response
     // (pool workers stay alive until `state` drops) or notices the

@@ -40,7 +40,6 @@ use std::sync::Arc;
 use dqc_circuit::{Gate, GateId, GateTable, WireClass};
 use dqc_hardware::NetworkTopology;
 
-use crate::par::par_map;
 use crate::{AggregatedProgram, CommBlock, CommIr, Item, Placement};
 
 /// How a Cat-Comm block is oriented before expansion.
@@ -326,7 +325,7 @@ fn block_hops(block: &CommBlock, routing: Option<(&Placement, &NetworkTopology)>
 }
 
 /// Scheme decision for one block at a known hop distance — the pure
-/// per-block kernel both the full assignment fan-out and the incremental
+/// per-block kernel both the full assignment and the incremental
 /// re-assignment share.
 fn assign_block(table: &GateTable, b: &CommBlock, hops: usize, hybrid: bool) -> Decision {
     let (segments, orientation, opaque) = cat_cost(table, b);
@@ -365,12 +364,8 @@ fn assign_with(
     routing: Option<(&Placement, &NetworkTopology)>,
 ) -> AssignedProgram {
     let table = program.ir().table();
-    // Per-block work is independent; fan out on scoped threads with a
-    // deterministic in-order merge (par_map), so the parallel result is
-    // bit-identical to the sequential one.
-    let decisions = par_map(program.blocks().as_slice(), |b| {
-        assign_block(table, b, block_hops(b, routing), hybrid)
-    });
+    let decisions =
+        program.blocks().map(|b| assign_block(table, b, block_hops(b, routing), hybrid)).collect();
     AssignedProgram { program: program.clone(), decisions }
 }
 
@@ -406,14 +401,22 @@ pub fn assign_incremental(
         "incremental re-assignment requires an unchanged logical partition"
     );
     let table = prev.ir().table();
-    let fresh = par_map(prev.program.blocks().as_slice(), |b| {
-        let home = b.home(placement.partition());
-        let node = b.node();
-        let moved = prev_placement.physical_of(home) != placement.physical_of(home)
-            || prev_placement.physical_of(node) != placement.physical_of(node);
-        moved.then(|| assign_block(table, b, block_hops(b, Some((placement, topology))), hybrid))
-    });
-    let decisions = fresh.into_iter().zip(&prev.decisions).map(|(f, &d)| f.unwrap_or(d)).collect();
+    let decisions = prev
+        .program
+        .blocks()
+        .zip(&prev.decisions)
+        .map(|(b, &d)| {
+            let home = b.home(placement.partition());
+            let node = b.node();
+            let moved = prev_placement.physical_of(home) != placement.physical_of(home)
+                || prev_placement.physical_of(node) != placement.physical_of(node);
+            if moved {
+                assign_block(table, b, block_hops(b, Some((placement, topology))), hybrid)
+            } else {
+                d
+            }
+        })
+        .collect();
     AssignedProgram { program: prev.program.clone(), decisions }
 }
 

@@ -68,7 +68,6 @@ mod ir;
 mod lower;
 mod metrics;
 mod orient;
-mod par;
 mod pass;
 mod pipeline;
 mod placement;
@@ -89,7 +88,6 @@ pub use assign::{
     AssignedProgram, CatOrientation, Scheme,
 };
 pub use block::CommBlock;
-pub use dqc_circuit::PAR_THRESHOLD;
 pub use dqc_hardware::BufferPolicy;
 pub use error::CompileError;
 pub use ir::CommIr;
@@ -103,4 +101,4 @@ pub use pipeline::{
 };
 pub use placement::{comm_weighted_graph, Placement};
 pub use program::{pair_stats, remote_pairs_of};
-pub use schedule::{schedule, ScheduleOptions, ScheduleSummary};
+pub use schedule::{schedule, ScheduleOptions, ScheduleSummary, PAR_THRESHOLD};

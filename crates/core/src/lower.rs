@@ -11,14 +11,12 @@ use dqc_hardware::NetworkTopology;
 use dqc_protocols::{PhysicalProgram, ProtocolExpander};
 
 use crate::assign::{cat_pieces, Piece};
-use crate::par::par_map;
 use crate::{AssignedProgram, CatOrientation, CompileError, Item, Placement, Scheme};
 
 /// One planned call into the stateful [`ProtocolExpander`] — the
-/// communication-primitive form of a compiled program. Planning an item is
-/// pure (conjugation, segmentation, body materialization — all the
-/// per-item work), so it fans out across threads; the apply loop then
-/// drives the expander sequentially with exactly the calls the historical
+/// communication-primitive form of a compiled program. Planning
+/// (conjugation, segmentation, body materialization) is pure; the apply
+/// loop then drives the expander with exactly the calls the historical
 /// single-pass lowering made, in the same order.
 ///
 /// The op list is also the unit the compile service serializes: a
@@ -110,21 +108,25 @@ pub fn lower_assigned_on(
 /// The pure half of lowering: the flat [`CommOp`] sequence an assigned
 /// program expands into under `placement` — local gates plus Cat/TP bursts
 /// with fully materialized (and, for target-form Cat blocks, H-conjugated)
-/// bodies, in program order. Per-item planning is independent, so it fans
-/// out across threads on large programs with a deterministic in-order
-/// merge.
+/// bodies, in program order.
 pub fn lower_plan(program: &AssignedProgram, placement: &Placement) -> Vec<CommOp> {
-    let plans: Vec<Vec<CommOp>> =
-        par_map(program.items(), |&item| plan_item(program, placement, item));
-    plans.into_iter().flatten().collect()
+    // Every item plans to at least one op.
+    let mut steps = Vec::with_capacity(program.items().len());
+    for &item in program.items() {
+        plan_item(&mut steps, program, placement, item);
+    }
+    steps
 }
 
-/// Plans the expander calls for one assigned item (the pure half of
-/// lowering): a Cat block's call pieces become Cat calls and its local
-/// pieces local gates.
-fn plan_item(program: &AssignedProgram, placement: &Placement, item: Item) -> Vec<CommOp> {
+/// Appends the expander calls for one assigned item to `steps`: a Cat
+/// block's call pieces become Cat calls and its local pieces local gates.
+fn plan_item(
+    steps: &mut Vec<CommOp>,
+    program: &AssignedProgram,
+    placement: &Placement,
+    item: Item,
+) {
     let table = program.ir().table();
-    let mut steps = Vec::new();
     match item {
         Item::Local(id) => steps.push(CommOp::Local(table.gate(id).clone())),
         Item::Block(k) => {
@@ -144,7 +146,7 @@ fn plan_item(program: &AssignedProgram, placement: &Placement, item: Item) -> Ve
                                 steps.push(CommOp::Cat { q, node, body: gates.cloned().collect() });
                             }
                             Piece::Call(CatOrientation::Target) => {
-                                plan_target_call(&mut steps, q, node, gates);
+                                plan_target_call(steps, q, node, gates);
                             }
                         }
                     }
@@ -152,7 +154,6 @@ fn plan_item(program: &AssignedProgram, placement: &Placement, item: Item) -> Ve
             }
         }
     }
-    steps
 }
 
 /// Plans one target-form Cat call: conjugates its gates into control form

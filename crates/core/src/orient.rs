@@ -15,8 +15,7 @@ use dqc_circuit::{Circuit, Gate, GateKind, Partition};
 
 use crate::pair_stats;
 
-/// Orients one gate against the precomputed pair statistics (pure per
-/// gate, which is what lets gates fan across threads).
+/// Orients one gate against the precomputed pair statistics.
 fn orient_gate(
     gate: &Gate,
     stats: &std::collections::HashMap<(dqc_circuit::QubitId, dqc_circuit::NodeId), usize>,
@@ -50,18 +49,12 @@ fn orient_gate(
 /// `Rzz`) so the heavier burst pair gets the control side. Asymmetric gates
 /// and local gates pass through untouched; the result is gate-for-gate
 /// equivalent to the input (the gates are symmetric).
-///
-/// After the sequential statistics sweep the per-gate decisions are
-/// independent, so they run through `par_map` (worker threads from
-/// `PAR_THRESHOLD` gates) and are spliced back in input order.
 pub fn orient_symmetric_gates(circuit: &Circuit, partition: &Partition) -> Circuit {
     let stats = pair_stats(circuit, partition);
-    let oriented =
-        crate::par::par_map(circuit.gates(), |gate| orient_gate(gate, &stats, partition));
     let mut out = Circuit::with_cbits(circuit.num_qubits(), circuit.num_cbits());
     out.reserve(circuit.len());
-    for gate in oriented {
-        out.push(gate).expect("registers preserved");
+    for gate in circuit.gates() {
+        out.push(orient_gate(gate, &stats, partition)).expect("registers preserved");
     }
     out
 }
@@ -111,21 +104,5 @@ mod tests {
         c.push(Gate::cz(q(2), q(0))).unwrap();
         let oriented = orient_symmetric_gates(&c, &p);
         assert!(dqc_sim::circuits_equivalent(&c, &oriented, 1e-10).unwrap());
-    }
-
-    /// The fanned orientation matches a gate-by-gate pass over the same
-    /// pair statistics on circuits large enough to take the parallel path.
-    #[test]
-    fn fanned_orient_matches_sequential_random() {
-        for seed in 0..16 {
-            let (c, p) =
-                dqc_workloads::random_distributed_circuit(16, 4, crate::PAR_THRESHOLD + 512, seed);
-            let stats = pair_stats(&c, &p);
-            let mut expected = Circuit::with_cbits(c.num_qubits(), c.num_cbits());
-            for gate in c.gates() {
-                expected.push(orient_gate(gate, &stats, &p)).unwrap();
-            }
-            assert_eq!(orient_symmetric_gates(&c, &p), expected, "seed {seed}");
-        }
     }
 }

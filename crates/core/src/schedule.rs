@@ -56,6 +56,13 @@ use crate::assign::{cat_pieces, Piece};
 use crate::metrics::BufferingReport;
 use crate::{AssignedProgram, Item, Placement, Scheme};
 
+/// Item count from which a buffered schedule runs its on-demand base walk
+/// on a second scoped thread beside the buffered walk (the dual rail; see
+/// [`schedule`]). It gates nothing else: every other compile stage runs on
+/// the calling thread. Below it both walks run in turn, so typical suite
+/// programs never start a thread.
+pub const PAR_THRESHOLD: usize = 4096;
+
 /// Scheduler feature toggles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScheduleOptions {
@@ -156,12 +163,11 @@ pub fn schedule(
     // reads it); historically each buffered `schedule_run` re-walked it.
     let requests = comm_requests(program, placement, hw.topology(), options);
     let base_options = ScheduleOptions { buffer: BufferPolicy::OnDemand, ..options };
-    // The two rails are independent walks over immutable inputs, so they
-    // run on two scoped threads (same idiom and threshold as `par_map` —
-    // small programs never pay the spawn). Which thread ran a walk cannot
-    // change its result, and the results are compared the same way either
-    // way.
-    let (base, buffered) = if program.items().len() >= crate::par::PAR_THRESHOLD {
+    // The two rails are independent walks over immutable inputs, so large
+    // programs run them on two scoped threads (small ones never pay the
+    // spawn). Which thread ran a walk cannot change its result, and the
+    // results are compared the same way either way.
+    let (base, buffered) = if program.items().len() >= PAR_THRESHOLD {
         std::thread::scope(|scope| {
             let base =
                 scope.spawn(|| schedule_run(program, placement, hw, base_options, Vec::new()));

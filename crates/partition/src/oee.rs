@@ -576,7 +576,7 @@ impl ExchangeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dqc_circuit::{par_map, unroll_circuit, Circuit, Gate};
+    use dqc_circuit::{unroll_circuit, Circuit, Gate};
     use dqc_hardware::NetworkTopology;
     use dqc_workloads as wl;
     use proptest::prelude::*;
@@ -713,9 +713,7 @@ mod tests {
             // rows in ascending order with the same strict rule reproduces the
             // historical row-major scan winner exactly.
             let assignment = partition.assignment();
-            let rows: Vec<u32> = (0..n as u32).collect();
-            let per_row = par_map(&rows, |&row| {
-                let a = row as usize;
+            let per_row = (0..n).map(|a| {
                 let na = assignment[a].index();
                 let mut walker = WeightWalker::new(graph, QubitId::new(a));
                 let mut best: Option<(i64, u32)> = None;
@@ -736,7 +734,7 @@ mod tests {
             });
             let mut best_gain = 0i64;
             let mut best_pair: Option<(u32, u32)> = None;
-            for (a, (row_best, scanned)) in per_row.into_iter().enumerate() {
+            for (a, (row_best, scanned)) in per_row.enumerate() {
                 stats.scanned += scanned;
                 if let Some((gain, b)) = row_best {
                     if gain > best_gain {

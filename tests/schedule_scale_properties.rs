@@ -16,10 +16,10 @@
 //!   bit-identical to the full-recompile reference driver
 //!   ([`full_recompile_placed`]) under buffered policies too.
 
-use autocomm_repro::circuit::{Partition, PAR_THRESHOLD};
+use autocomm_repro::circuit::Partition;
 use autocomm_repro::core::{
     schedule, AutoComm, AutoCommOptions, BufferPolicy, PlacementConfig, ScheduleOptions,
-    ScheduleSummary,
+    ScheduleSummary, PAR_THRESHOLD,
 };
 use autocomm_repro::hardware::{validate_events, HardwareSpec, NetworkTopology};
 use autocomm_repro::workloads as wl;

@@ -12,14 +12,16 @@
 //! stages `dqc_cli::run_job` runs (parse first, teardown last), then the
 //! same compile through `run_job` itself as the total.
 //!
-//! - **stdout**: 2,000 gates, seed 1. Every fan-out of this compile stays
-//!   below `PAR_THRESHOLD`, so it runs on one thread and its counts repeat
-//!   exactly; CI diffs them against `tools/allocprobe/baseline.json`.
-//! - **stderr**: 300,000 gates, seed 1, the benchmark's own size. It forks
-//!   worker threads, so its counts move a little with the core count. The
-//!   probe exits with status 1 when this compile's `run_job` heap peak
-//!   exceeds [`RUN_JOB_PEAK_BOUND`] or its schedule stage makes more than
-//!   [`SCHEDULE_ALLOCATION_BOUND`] allocations.
+//! - **stdout**: 2,000 gates, seed 1. Its program stays below
+//!   `PAR_THRESHOLD` items, so its buffered schedule runs both walks on
+//!   one thread and its counts repeat exactly; CI diffs them against
+//!   `tools/allocprobe/baseline.json`.
+//! - **stderr**: 300,000 gates, seed 1, the benchmark's own size. Only its
+//!   schedule stage starts a thread (the dual rail's second walk); every
+//!   other stage runs on the calling thread. The probe exits with status 1
+//!   when this compile's parse stage peaks above [`PARSE_PEAK_BOUND`], its
+//!   `run_job` heap peak exceeds [`RUN_JOB_PEAK_BOUND`], or its schedule
+//!   stage makes more than [`SCHEDULE_ALLOCATION_BOUND`] allocations.
 //!
 //! An allocation is one `alloc`, `alloc_zeroed` or `realloc` call. Heap
 //! bytes are the sizes callers requested, not what the system allocator
@@ -44,6 +46,11 @@ use dqc_workloads::random_circuit;
 /// `run_job` (175 MiB). It peaks in aggregation, with the input, unrolled
 /// circuit and `CommIr` alive.
 const RUN_JOB_PEAK_BOUND: usize = 175 << 20;
+
+/// The most requested heap the 300,000-gate compile's parse stage may hold
+/// at once (40 MiB): the 6.5 MB text plus the circuit it parses into, with
+/// no per-line buffer beside them.
+const PARSE_PEAK_BOUND: usize = 40 << 20;
 
 /// The most allocations the 300,000-gate compile's schedule stage may make
 /// (10,000). Its two walks allocate a fixed number of buffers, about 140
@@ -142,8 +149,7 @@ fn job() -> Job {
 
 /// Compiles `text` stage by stage, as `run_job` does for an OEE job with
 /// the default options. Returns the stages, the compile's EPR cost, and
-/// the most items any stage fanned out over (input lines, unrolled gates,
-/// aggregated items).
+/// the number of items the buffered schedule walks.
 fn staged(text: &str, job: &Job) -> (Vec<Stage>, usize, usize) {
     let options = AutoCommOptions::default();
     assert!(
@@ -179,11 +185,11 @@ fn staged(text: &str, job: &Job) -> (Vec<Stage>, usize, usize) {
         stage(&mut st, "schedule", || schedule(&assigned, &placement, &hw, schedule_options));
     let report = stage(&mut st, "report_graph", || comm_weighted_graph(&aggregated));
     let stats = stage(&mut st, "stats", || CircuitStats::of(&unrolled, Some(&partition)));
-    let fan_out = text.lines().count().max(unrolled.len()).max(aggregated.items().len());
+    let items = assigned.items().len();
     let epr = metrics.total_epr_cost;
     let parts = (circuit, partition, placement, unrolled, ir, aggregated, assigned, metrics);
     stage(&mut st, "teardown", move || drop((parts, summary, report, stats)));
-    (st, epr, fan_out)
+    (st, epr, items)
 }
 
 /// Allocations and heap peak of parsing `text` and compiling it through
@@ -203,8 +209,8 @@ fn main() {
 
     // The deterministic compile, for the CI diff.
     let text = to_qasm(&random_circuit(64, 2_000, 1));
-    let (stages, epr, fan_out) = staged(&text, &job);
-    assert!(fan_out < PAR_THRESHOLD, "{fan_out} items would fork worker threads");
+    let (stages, epr, items) = staged(&text, &job);
+    assert!(items < PAR_THRESHOLD, "{items} items would run the dual rail on two threads");
     let (allocations, peak, whole_epr) = whole(&text, &job);
     assert_eq!(epr, whole_epr, "the replay must compile what run_job compiles");
     println!("{{");
@@ -242,9 +248,18 @@ fn main() {
         );
     }
     eprintln!("{:<16} {:>12} {:>12.1}", "run_job", allocations, mb(peak));
+    let mib = |bytes: usize| bytes as f64 / f64::from(1 << 20);
     let mut failed = false;
+    let parse = stages.iter().find(|s| s.name == "parse").expect("a parse stage");
+    if parse.peak_bytes > PARSE_PEAK_BOUND {
+        eprintln!(
+            "parse heap peak {:.1} MiB exceeds the {:.0} MiB bound",
+            mib(parse.peak_bytes),
+            mib(PARSE_PEAK_BOUND)
+        );
+        failed = true;
+    }
     if peak > RUN_JOB_PEAK_BOUND {
-        let mib = |bytes: usize| bytes as f64 / f64::from(1 << 20);
         eprintln!(
             "run_job heap peak {:.1} MiB exceeds the {:.0} MiB bound",
             mib(peak),
