@@ -28,5 +28,5 @@ fn main() {
         &rows,
     );
     println!("\nNote: #gate/#CX differ from the paper by decomposition constants");
-    println!("(see EXPERIMENTS.md); the remote-CX structure drives all results.");
+    println!("(see docs/paper.md); the remote-CX structure drives all results.");
 }

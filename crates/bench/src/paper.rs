@@ -1,7 +1,7 @@
 //! Published numbers from the paper, for side-by-side reporting.
 //!
 //! Only the headline per-row results of Table 3 and the per-benchmark
-//! averages of Figs. 16–17 are recorded; EXPERIMENTS.md documents how our
+//! averages of Figs. 16–17 are recorded; `docs/paper.md` documents how our
 //! measurements compare and why absolute values can differ (decomposition
 //! constants, §“Known deviations”).
 

@@ -16,6 +16,7 @@ pub mod json;
 pub mod pool;
 pub mod sections;
 pub mod serve;
+mod slru;
 
 use std::fmt;
 use std::ops::Deref;
@@ -137,7 +138,7 @@ SERVE OPTIONS:
                          ephemeral port]
     --jobs <J>           compile worker threads [default: available cores,
                          max 8]
-    --cache-cap <N>      max compiled artifacts kept in the LRU cache
+    --cache-cap <N>      max compiled artifacts kept in the segmented-LRU cache
                          [default: 256]
     --port-file <path>   write the bound port here once listening (how
                          scripts find an ephemeral port); removed on

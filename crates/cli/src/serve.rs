@@ -18,8 +18,9 @@
 //! * **single-flight** deduplication: N concurrent submissions of the
 //!   same cold key enqueue one compile — the rest wait on the in-flight
 //!   entry and are answered from its result;
-//! * a bounded **LRU** over ready entries keeps residency flat under
-//!   sweep workloads.
+//! * a bounded **segmented LRU** over ready entries (`slru.rs`) keeps
+//!   residency flat under sweep workloads, and one-shot submissions
+//!   evict only each other, never an entry that was hit since it landed.
 //!
 //! The protocol (one JSON object per line, see `docs/service.md`):
 //!
@@ -49,6 +50,7 @@ use crate::job::{positive, run_job, Compiled, Job};
 use crate::json::Json;
 use crate::pool::{catch_panic, WorkerPool};
 use crate::sections::{artifact_json, latency_json, pass_latency_json};
+use crate::slru::SegmentedLru;
 use crate::CliError;
 
 /// Parsed `autocomm serve` invocation.
@@ -58,7 +60,7 @@ pub struct ServeArgs {
     pub port: u16,
     /// Compile worker threads.
     pub workers: usize,
-    /// Maximum ready artifacts kept in the LRU cache.
+    /// Maximum ready artifacts kept in the artifact cache.
     pub cache_capacity: usize,
     /// Write the bound port (as one decimal line) here once listening —
     /// how shell drivers (the CI gate) find an ephemeral port.
@@ -149,12 +151,6 @@ impl Flight {
     }
 }
 
-enum Slot {
-    InFlight(Arc<Flight>),
-    /// A compiled entry and the use stamp of its last hit or completion.
-    Ready(Arc<CacheEntry>, u64),
-}
-
 enum Lookup {
     /// Ready entry — answer immediately.
     Hit(Arc<CacheEntry>),
@@ -165,25 +161,47 @@ enum Lookup {
     Begin(Arc<Flight>),
 }
 
-#[derive(Default)]
-struct CacheInner {
-    map: HashMap<String, Slot>,
-    /// The last use stamp handed out.
-    clock: u64,
+/// The cache's counters, as the `stats` op reports them.
+#[derive(Debug, PartialEq, Eq)]
+struct CacheCounts {
     hits: usize,
     misses: usize,
     coalesced: usize,
+    /// Ready entries resident now.
+    entries: usize,
+    evictions: usize,
 }
 
-/// Bounded single-flight LRU over compiled artifacts.
+struct CacheInner {
+    /// Compiled entries under the segmented-LRU policy; only a hit counts
+    /// as a use.
+    ready: SegmentedLru<String, Arc<CacheEntry>>,
+    /// Compiles under way, outside the policy: never counted, never
+    /// evicted.
+    in_flight: HashMap<String, Arc<Flight>>,
+    hits: usize,
+    misses: usize,
+    coalesced: usize,
+    evictions: usize,
+}
+
+/// Bounded single-flight cache over compiled artifacts.
 struct ArtifactCache {
-    capacity: usize,
     inner: Mutex<CacheInner>,
 }
 
 impl ArtifactCache {
     fn new(capacity: usize) -> ArtifactCache {
-        ArtifactCache { capacity: capacity.max(1), inner: Mutex::new(CacheInner::default()) }
+        ArtifactCache {
+            inner: Mutex::new(CacheInner {
+                ready: SegmentedLru::new(capacity),
+                in_flight: HashMap::new(),
+                hits: 0,
+                misses: 0,
+                coalesced: 0,
+                evictions: 0,
+            }),
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
@@ -193,86 +211,55 @@ impl ArtifactCache {
     fn begin(&self, key: &str) -> Lookup {
         let mut guard = self.lock();
         let inner = &mut *guard;
-        match inner.map.get_mut(key) {
-            Some(Slot::Ready(entry, used)) => {
-                inner.clock += 1;
-                *used = inner.clock;
-                inner.hits += 1;
-                Lookup::Hit(Arc::clone(entry))
-            }
-            Some(Slot::InFlight(flight)) => {
-                let flight = Arc::clone(flight);
-                inner.coalesced += 1;
-                Lookup::Coalesce(flight)
-            }
-            None => {
-                inner.misses += 1;
-                let flight = Arc::new(Flight::new());
-                inner.map.insert(key.to_string(), Slot::InFlight(Arc::clone(&flight)));
-                Lookup::Begin(flight)
-            }
+        if let Some(entry) = inner.ready.get(key) {
+            inner.hits += 1;
+            return Lookup::Hit(Arc::clone(entry));
         }
+        if let Some(flight) = inner.in_flight.get(key) {
+            inner.coalesced += 1;
+            return Lookup::Coalesce(Arc::clone(flight));
+        }
+        inner.misses += 1;
+        let flight = Arc::new(Flight::new());
+        inner.in_flight.insert(key.to_string(), Arc::clone(&flight));
+        Lookup::Begin(flight)
     }
 
-    /// Lands a finished compile: successes become ready (evicting the
-    /// least-recently-used entry past capacity), failures clear the slot
-    /// so the next submission retries. Either way the flight's waiters
-    /// are released.
+    /// Lands a finished compile: successes become ready (on probation,
+    /// evicting past capacity), failures only clear the in-flight slot so
+    /// the next submission retries. Either way the flight's waiters are
+    /// released.
     fn complete(&self, key: &str, result: Result<CacheEntry, String>) {
-        let (flight, result) = {
+        let result = result.map(Arc::new);
+        let flight = {
             let mut inner = self.lock();
-            let flight = match inner.map.remove(key) {
-                Some(Slot::InFlight(flight)) => Some(flight),
-                _ => None,
-            };
-            let result = result.map(Arc::new);
             if let Ok(entry) = &result {
-                inner.clock += 1;
-                let stamp = inner.clock;
-                inner.map.insert(key.to_string(), Slot::Ready(Arc::clone(entry), stamp));
-                if inner.ready() > self.capacity {
-                    // Evict the least recently used ready entry.
-                    let oldest = inner
-                        .map
-                        .iter()
-                        .filter_map(|(k, slot)| match slot {
-                            Slot::Ready(_, used) => Some((*used, k)),
-                            Slot::InFlight(_) => None,
-                        })
-                        .min()
-                        .map(|(_, k)| k.clone());
-                    if let Some(k) = oldest {
-                        inner.map.remove(&k);
-                    }
+                if inner.ready.insert(key.to_string(), Arc::clone(entry)) {
+                    inner.evictions += 1;
                 }
             }
-            (flight, result)
+            inner.in_flight.remove(key)
         };
         if let Some(flight) = flight {
             flight.complete(result);
         }
     }
 
-    /// A ready entry, if cached (no hit/miss accounting — used by the
-    /// `artifact` op, which is an inspection, not a submission).
+    /// A ready entry, if cached (no hit/miss accounting and no use — the
+    /// `artifact` op is an inspection, not a submission).
     fn get_ready(&self, key: &str) -> Option<Arc<CacheEntry>> {
-        match self.lock().map.get(key) {
-            Some(Slot::Ready(entry, _)) => Some(Arc::clone(entry)),
-            _ => None,
-        }
+        self.lock().ready.peek(key).cloned()
     }
 
-    fn stats(&self) -> (usize, usize, usize, usize) {
+    fn counts(&self) -> CacheCounts {
         let inner = self.lock();
-        (inner.hits, inner.misses, inner.coalesced, inner.ready())
-    }
-}
-
-impl CacheInner {
-    /// Ready entries; the map also holds in-flight compiles. A scan of at
-    /// most the capacity plus one ready slots is cheap beside a compile.
-    fn ready(&self) -> usize {
-        self.map.values().filter(|slot| matches!(slot, Slot::Ready(..))).count()
+        CacheCounts {
+            hits: inner.hits,
+            misses: inner.misses,
+            coalesced: inner.coalesced,
+            entries: inner.ready.len(),
+            evictions: inner.evictions,
+        }
     }
 }
 
@@ -283,45 +270,38 @@ impl CacheInner {
 /// Byte-identical resubmissions — the entire warm path — skip the parse:
 /// one linear scan over the request's QASM replaces it. Distinct QASM
 /// texts that normalize to the same circuit still converge on the same
-/// key through the parse path.
+/// key through the parse path. The memo evicts by the artifact cache's
+/// segmented LRU, so one-shot texts do not flush the hot jobs' entries.
 ///
 /// A text is keyed by its byte length plus a SipHash of its bytes under a
 /// per-memo random key, so a client cannot craft a second text that
 /// collides with a memoized one and be served another circuit's artifact.
 struct HashMemo {
-    capacity: usize,
     hasher: RandomState,
-    map: Mutex<HashMap<(usize, u64), String>>,
+    map: Mutex<SegmentedLru<(usize, u64), String>>,
 }
 
 impl HashMemo {
     fn new(capacity: usize) -> HashMemo {
-        HashMemo {
-            capacity: capacity.max(1),
-            hasher: RandomState::new(),
-            map: Mutex::new(HashMap::new()),
-        }
+        HashMemo { hasher: RandomState::new(), map: Mutex::new(SegmentedLru::new(capacity)) }
     }
 
     fn key(&self, qasm: &str) -> (usize, u64) {
         (qasm.len(), self.hasher.hash_one(qasm.as_bytes()))
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, SegmentedLru<(usize, u64), String>> {
+        self.map.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn get(&self, qasm: &str) -> Option<String> {
         let key = self.key(qasm);
-        let map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        map.get(&key).cloned()
+        self.lock().get(&key).cloned()
     }
 
     fn insert(&self, qasm: &str, circuit_hash: String) {
         let key = self.key(qasm);
-        let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        if map.len() >= self.capacity {
-            // Wholesale reset beats LRU bookkeeping here: entries are one
-            // small string each, and a refill costs one parse per job.
-            map.clear();
-        }
-        map.insert(key, circuit_hash);
+        self.lock().insert(key, circuit_hash);
     }
 }
 
@@ -534,7 +514,7 @@ fn handle_artifact(state: &ServiceState, req: &Json) -> String {
 }
 
 fn handle_stats(state: &ServiceState) -> String {
-    let (hits, misses, coalesced, entries) = state.cache.stats();
+    let CacheCounts { hits, misses, coalesced, entries, evictions } = state.cache.counts();
     let log = state.latency();
     let lookups = hits + misses + coalesced;
     let stats = Json::object([
@@ -544,6 +524,7 @@ fn handle_stats(state: &ServiceState) -> String {
         ("coalesced", Json::number(coalesced as f64)),
         ("hit_rate", Json::number(if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 })),
         ("cache_entries", Json::number(entries as f64)),
+        ("cache_evictions", Json::number(evictions as f64)),
         ("queue_depth", Json::number(state.queue_depth.load(Ordering::SeqCst) as f64)),
         ("workers", Json::number(state.pool.workers() as f64)),
         ("compile_ms", latency_json(&log.compile_ms)),
@@ -916,6 +897,17 @@ mod tests {
         assert_ne!(memo.key(text), other.key(text));
     }
 
+    #[test]
+    fn memo_keeps_used_texts_through_one_shot_texts() {
+        let memo = HashMemo::new(8);
+        memo.insert("hot", "hash-hot".into());
+        assert!(memo.get("hot").is_some());
+        for i in 0..100 {
+            memo.insert(&format!("one-shot-{i}"), format!("hash-{i}"));
+        }
+        assert_eq!(memo.get("hot").as_deref(), Some("hash-hot"));
+    }
+
     fn entry(tag: &str) -> CacheEntry {
         CacheEntry {
             artifact_text: format!("text-{tag}"),
@@ -936,27 +928,135 @@ mod tests {
         cache.complete("k1", Ok(entry("k1")));
         assert!(flight.wait().is_ok());
         assert!(matches!(cache.begin("k1"), Lookup::Hit(_)));
-        let (hits, misses, coalesced, entries) = cache.stats();
-        assert_eq!((hits, misses, coalesced, entries), (1, 1, 1, 1));
+        let counts = cache.counts();
+        assert_eq!(
+            counts,
+            CacheCounts { hits: 1, misses: 1, coalesced: 1, entries: 1, evictions: 0 }
+        );
+    }
+
+    /// Submits `key` and lands its compile on a miss; true on a hit.
+    fn submit(cache: &ArtifactCache, key: &str) -> bool {
+        match cache.begin(key) {
+            Lookup::Hit(_) => true,
+            Lookup::Begin(_) => {
+                cache.complete(key, Ok(entry(key)));
+                false
+            }
+            Lookup::Coalesce(_) => panic!("nothing is in flight"),
+        }
     }
 
     #[test]
-    fn cache_evicts_least_recently_used() {
-        let cache = ArtifactCache::new(2);
+    fn one_shot_submissions_never_evict_a_hit_entry() {
+        let cache = ArtifactCache::new(8);
         for key in ["a", "b", "c"] {
-            let Lookup::Begin(_) = cache.begin(key) else { panic!("cold key") };
-            cache.complete(key, Ok(entry(key)));
+            assert!(!submit(&cache, key));
+            assert!(submit(&cache, key));
         }
-        // "a" was least recently used and fell out; "b" and "c" remain.
-        assert!(matches!(cache.begin("a"), Lookup::Begin(_)));
-        cache.complete("a", Err("abandoned".into()));
-        assert!(matches!(cache.begin("c"), Lookup::Hit(_)));
-        // Touching "b" last protects it from the next eviction ("c" goes).
-        assert!(matches!(cache.begin("b"), Lookup::Hit(_)));
-        let Lookup::Begin(_) = cache.begin("d") else { panic!("cold key") };
-        cache.complete("d", Ok(entry("d")));
-        assert!(matches!(cache.begin("b"), Lookup::Hit(_)));
-        assert!(matches!(cache.begin("c"), Lookup::Begin(_)));
+        for i in 0..100 {
+            assert!(!submit(&cache, &format!("one-shot-{i}")));
+            assert!(cache.counts().entries <= 8, "ready entries stay within capacity");
+        }
+        for key in ["a", "b", "c"] {
+            assert!(submit(&cache, key), "{key} was hit and must survive the scan");
+        }
+        let counts = cache.counts();
+        assert_eq!((counts.entries, counts.evictions), (8, 103 - 8));
+    }
+
+    #[test]
+    fn in_flight_keys_are_neither_counted_nor_evicted() {
+        let cache = ArtifactCache::new(2);
+        let Lookup::Begin(flight) = cache.begin("slow") else { panic!("cold key") };
+        for key in ["a", "b", "c", "d"] {
+            assert!(!submit(&cache, key));
+        }
+        assert_eq!(cache.counts().entries, 2, "the in-flight compile holds no slot");
+        assert!(matches!(cache.begin("slow"), Lookup::Coalesce(_)), "still in flight");
+        cache.complete("slow", Ok(entry("slow")));
+        assert!(flight.wait().is_ok());
+        assert!(submit(&cache, "slow"), "landed as a ready entry");
+        assert_eq!(cache.counts().evictions, 3);
+    }
+
+    #[test]
+    fn artifact_lookups_do_not_count_as_uses() {
+        let cache = ArtifactCache::new(2);
+        assert!(!submit(&cache, "a"));
+        assert!(!submit(&cache, "b"));
+        assert!(cache.get_ready("a").is_some());
+        // "a" stayed on probation as its least recently used entry.
+        assert!(!submit(&cache, "c"));
+        assert!(cache.get_ready("a").is_none());
+        assert!(cache.get_ready("b").is_some());
+        assert_eq!(cache.counts().hits, 0);
+    }
+
+    /// serve-mix's request shape replayed with dummy entries: 48 hot keys
+    /// drawn Zipf(1.1) and primed first, every 20th request a one-shot,
+    /// 10,000 requests, 64 slots. Plain LRU lets the one-shots push the
+    /// Zipf tail out and re-misses it; the segmented LRU keeps it.
+    #[test]
+    fn replayed_hot_set_survives_one_shot_traffic() {
+        const HOT: usize = 48;
+        const CAPACITY: usize = 64;
+        let weights: Vec<f64> = (1..=HOT).map(|rank| 1.0 / (rank as f64).powf(1.1)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut state = 0x5EED_u64;
+        let mut uniform = || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let sequence: Vec<String> = (0..10_000)
+            .map(|i| {
+                if i % 20 == 19 {
+                    return format!("one-shot-{i}");
+                }
+                let mut u = uniform() * total;
+                let rank = weights.iter().position(|w| {
+                    u -= w;
+                    u < 0.0
+                });
+                format!("hot-{}", rank.unwrap_or(HOT - 1))
+            })
+            .collect();
+        let primed = (0..HOT).map(|rank| format!("hot-{rank}"));
+
+        let cache = ArtifactCache::new(CAPACITY);
+        for key in primed.clone() {
+            submit(&cache, &key);
+        }
+        let mut slru_remisses = 0;
+        for key in &sequence {
+            let hit = submit(&cache, key);
+            slru_remisses += usize::from(!hit && key.starts_with("hot"));
+        }
+
+        // Reference: plain LRU, most recent use at the back.
+        let mut lru: Vec<String> = primed.collect();
+        let mut lru_remisses = 0;
+        for key in &sequence {
+            match lru.iter().position(|k| k == key) {
+                Some(at) => {
+                    let used = lru.remove(at);
+                    lru.push(used);
+                }
+                None => {
+                    lru_remisses += usize::from(key.starts_with("hot"));
+                    lru.push(key.clone());
+                    if lru.len() > CAPACITY {
+                        lru.remove(0);
+                    }
+                }
+            }
+        }
+        assert!(slru_remisses <= 16, "segmented LRU re-missed {slru_remisses} hot requests");
+        assert!(lru_remisses >= 150, "plain LRU re-missed only {lru_remisses} hot requests");
     }
 
     #[test]
@@ -988,8 +1088,7 @@ mod tests {
         for waiter in waiters {
             assert!(waiter.join().unwrap());
         }
-        let (_, misses, _, _) = cache.stats();
-        assert_eq!(misses, 1, "one compile for five submissions");
+        assert_eq!(cache.counts().misses, 1, "one compile for five submissions");
     }
 
     #[test]

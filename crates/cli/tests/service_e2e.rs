@@ -21,11 +21,17 @@ struct Daemon {
 
 impl Daemon {
     fn start(tag: &str) -> Daemon {
+        Daemon::start_with(tag, &["--jobs", "4"])
+    }
+
+    /// A daemon started with `serve --port 0` plus `flags`.
+    fn start_with(tag: &str, flags: &[&str]) -> Daemon {
         let port_file =
             std::env::temp_dir().join(format!("autocomm-e2e-{tag}-{}.port", std::process::id()));
         std::fs::remove_file(&port_file).ok();
         let child = Command::new(env!("CARGO_BIN_EXE_autocomm"))
-            .args(["serve", "--port", "0", "--jobs", "4"])
+            .args(["serve", "--port", "0"])
+            .args(flags)
             .arg("--port-file")
             .arg(&port_file)
             .stdout(Stdio::null())
@@ -361,4 +367,65 @@ fn topology_files_are_rejected_instead_of_served_stale() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("does not read topology files"));
     std::fs::remove_file(&topo).ok();
     std::fs::remove_file(&qasm).ok();
+}
+
+/// One-shot submissions evict only each other: jobs that were hit since
+/// they landed stay resident through a stream of never-repeated circuits
+/// that is longer than the whole cache.
+#[test]
+fn hit_jobs_stay_cached_through_one_shot_traffic() {
+    let daemon = Daemon::start_with("one-shots", &["--jobs", "1", "--cache-cap", "4"]);
+    let addr = daemon.addr.as_str();
+    let request = |seed: u64| {
+        Json::object([
+            ("op", Json::string("compile")),
+            (
+                "qasm",
+                Json::string(dqc_circuit::to_qasm(&dqc_workloads::random_circuit(6, 40, seed))),
+            ),
+            ("nodes", Json::number(2.0)),
+            ("verbose", Json::Bool(true)),
+        ])
+        .to_string()
+    };
+    // The outcome and the payload without the spliced-in "service" object.
+    let submit = |seed: u64| {
+        let response = roundtrip(addr, &request(seed)).expect("response");
+        let parsed = Json::parse(&response).expect("response parse");
+        let outcome = parsed
+            .get("service")
+            .and_then(|service| service.get("cache"))
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("no cache outcome in {response}"))
+            .to_string();
+        let at = response.find(",\"service\":").expect("verbose response");
+        (outcome, format!("{}}}", &response[..at]))
+    };
+
+    let jobs = [1, 2, 3];
+    let cold: Vec<String> = jobs
+        .iter()
+        .map(|&seed| {
+            let (outcome, payload) = submit(seed);
+            assert_eq!(outcome, "miss");
+            payload
+        })
+        .collect();
+    for &seed in &jobs {
+        assert_eq!(submit(seed).0, "hit");
+    }
+    for seed in 100..106 {
+        assert_eq!(submit(seed).0, "miss", "one-shot {seed}");
+    }
+    for (&seed, cold) in jobs.iter().zip(&cold) {
+        let (outcome, payload) = submit(seed);
+        assert_eq!(outcome, "hit", "job {seed} was evicted by one-shot traffic");
+        assert_eq!(&payload, cold, "job {seed} drifted from its cold response");
+    }
+    // Four slots: the three hit jobs and the latest one-shot. Each one-shot
+    // after the first evicted the one before it.
+    assert_eq!(stat(addr, "cache_entries"), 4.0);
+    assert_eq!(stat(addr, "cache_evictions"), 5.0);
+    assert_eq!(stat(addr, "cache_misses"), 9.0);
+    assert_eq!(stat(addr, "cache_hits"), 6.0);
 }

@@ -12,7 +12,7 @@
 //! compiler's gate-unrolling stage lowers them to the `CX + U3` basis in
 //! which the paper counts remote CXs. Absolute gate counts differ from the
 //! paper's tables by small decomposition constants (documented in
-//! EXPERIMENTS.md); the communication *structure* — which qubit pairs
+//! `docs/paper.md`); the communication *structure* — which qubit pairs
 //! interact, in which order — follows the published constructions.
 //!
 //! [`table2_configs`] enumerates the exact 18 (workload, #qubit, #node)

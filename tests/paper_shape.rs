@@ -146,7 +146,7 @@ fn ablation_ratios_in_paper_bands() {
 
     // Fig. 17(c): plain greedy scheduling is slower on TP-heavy workloads
     // (our QFT compiles all-Cat, so MCTR carries this assertion; see
-    // EXPERIMENTS.md “Known deviations”).
+    // docs/paper.md “Known deviations”).
     let c = wl::mctr(40);
     let p = oee(&c, 4);
     let full = AutoComm::new().compile(&c, &p).unwrap();
